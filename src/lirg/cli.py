@@ -95,10 +95,7 @@ def cmd_ring_info(args) -> int:
 def cmd_build_graph(args) -> int:
     F = _field(args)
     builder = build_quotient_graph if args.quotient else build_full_graph
-    if args.quotient:
-        G = builder(F, args.n, cap=args.cap, directed=args.directed)
-    else:
-        G = builder(F, args.n, directed=args.directed, cap=args.cap)
+    G = builder(F, args.n, directed=args.directed, cap=args.cap)
     _write_output(serialize.render_graph(G, args.format), args.out)
     return 0
 
@@ -268,11 +265,10 @@ def build_parser():
     _add_common(sample, seed=True)
     sample.set_defaults(func=cmd_aut)
 
-    for name, needs_perm in [("verify", True), ("decompose", True)]:
+    for name in ["verify", "decompose"]:
         p = aut_subs.add_parser(name)
         _add_common(p)
-        if needs_perm:
-            p.add_argument("--perm", required=True, help="permutation file")
+        p.add_argument("--perm", required=True, help="permutation file")
         p.set_defaults(func=cmd_aut)
 
     rec = aut_subs.add_parser("recompose", help="rebuild a permutation file")

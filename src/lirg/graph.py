@@ -10,27 +10,20 @@ of member vertices per class.  Neighbor lists and edges are expanded on
 demand; degree and distance queries never materialize the (possibly huge)
 edge set.
 
-Class assignment is vectorized: for each vertex the multiset of all
-F_q-combinations of its rows is computed with table lookups; two vertices
-get the same sorted multiset exactly when their rows span the same
-subspace, because every span element is hit by the same number q^(n-r) of
-coefficient tuples.
+Class assignment generates each class's members as the matrices W·B
+rather than classifying vertices one by one (see ``_assign_classes``).
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, product
 
 import numpy as np
 
 from lirg.counting import gaussian_binomial
 from lirg.field import Field
-from lirg.ideal import LeftIdeal, ideal_of, is_subideal
-from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded, vertex_decode
-
-# The class-assignment tables need all q^n row-vector codes.
-VECTOR_TABLE_LIMIT = 2048
-_CHUNK = 1 << 16
+from lirg.ideal import LeftIdeal, is_subideal
+from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded
 
 
 def subspaces(F: Field, n: int):
@@ -59,74 +52,37 @@ def subspaces(F: Field, n: int):
     return out
 
 
-def _vector_tables(F: Field, n: int):
-    """Componentwise add/scale tables on row-vector codes in [0, q^n)."""
-    q = F.q
-    qn = q**n
-    if qn > VECTOR_TABLE_LIMIT:
-        raise ValueError(
-            f"q^n = {qn} exceeds {VECTOR_TABLE_LIMIT}; class assignment tables "
-            "would be too large"
-        )
-    powers = q ** np.arange(n, dtype=np.int64)
-    codes = np.arange(qn, dtype=np.int64)
-    digits = (codes[:, None] // powers[None, :]) % q  # (qn, n)
-    add_t, mul_t = F.add_table, F.mul_table
-    vec_add = np.zeros((qn, qn), dtype=np.int64)
-    for j in range(n):
-        vec_add += add_t[digits[:, None, j], digits[None, :, j]] * powers[j]
-    vec_scale = np.zeros((q, qn), dtype=np.int64)
-    for j in range(n):
-        vec_scale += mul_t[np.arange(q)[:, None], digits[None, :, j]] * powers[j]
-    return vec_add.astype(np.int16), vec_scale.astype(np.int16)
+def _span_codes(F: Field, n: int, basis):
+    """Row codes of all q^r F_q-combinations of the r basis rows."""
+    vecs = [(0,) * n]
+    for row in basis:
+        vecs = [
+            tuple(F.add(x, F.mul(a, y)) for x, y in zip(v, row))
+            for a in F.elements()
+            for v in vecs
+        ]
+    powers = [F.q**j for j in range(n)]
+    return np.array(
+        [sum(c * pw for c, pw in zip(v, powers)) for v in vecs], dtype=np.int64
+    )
 
 
 def _assign_classes(F: Field, n: int, ideals):
-    """vertex -> class index array for all q^(n^2) vertices."""
+    """vertex -> class index array for all q^(n^2) vertices.
+
+    The matrices whose rows all lie in span(B) are exactly the W·B, so
+    each class writes its index onto the vertex codes of all W·B: the
+    n-fold outer sum of the span's row codes, row i shifted by q^(i*n).
+    Classes are visited from highest rank down.  Every other class that
+    contains a vertex's row space has higher rank and is written earlier,
+    so the last write to a vertex comes from its own row space.
+    """
     q = F.q
-    N = q ** (n * n)
-    index_of = {ideal: i for i, ideal in enumerate(ideals)}
-    vertex_class = np.empty(N, dtype=np.int64)
-
-    if n == 1:
-        zero_idx = index_of[LeftIdeal(1, ())]
-        line_idx = index_of[LeftIdeal(1, ((1,),))]
-        vertex_class[:] = line_idx
-        vertex_class[0] = zero_idx
-        return vertex_class
-
-    vec_add, vec_scale = _vector_tables(F, n)
-    qn = q**n
-    powers = q ** np.arange(n, dtype=np.int64)
-    coeff_tuples = list(product(range(q), repeat=n))
-    sig_class = {}
-    for start in range(0, N, _CHUNK):
-        stop = min(start + _CHUNK, N)
-        v = np.arange(start, stop, dtype=np.int64)
-        digits = np.empty((stop - start, n * n), dtype=np.int64)
-        for k in range(n * n):
-            digits[:, k] = v % q
-            v //= q
-        rows = [
-            (digits[:, i * n : (i + 1) * n] * powers).sum(axis=1).astype(np.int16)
-            for i in range(n)
-        ]
-        sig = np.empty((stop - start, qn), dtype=np.int16)
-        for ci, coeffs in enumerate(coeff_tuples):
-            acc = vec_scale[coeffs[0], rows[0]]
-            for i in range(1, n):
-                acc = vec_add[acc, vec_scale[coeffs[i], rows[i]]]
-            sig[:, ci] = acc
-        sig.sort(axis=1)
-        raw = sig.tobytes()
-        width = qn * sig.itemsize
-        for local in range(stop - start):
-            key = raw[local * width : (local + 1) * width]
-            cls = sig_class.get(key)
-            if cls is None:
-                cls = index_of[ideal_of(F, vertex_decode(F, n, start + local))]
-                sig_class[key] = cls
-            vertex_class[start + local] = cls
+    vertex_class = np.empty(q ** (n * n), dtype=np.int64)
+    for c in sorted(range(len(ideals)), key=lambda c: -ideals[c].rank):
+        span = _span_codes(F, n, ideals[c].basis)
+        verts = reduce(np.add.outer, [span * q ** (i * n) for i in range(n)])
+        vertex_class[verts] = c
     return vertex_class
 
 
@@ -276,8 +232,8 @@ class RelationGraph:
 def _vertex_lists(vertex_class: np.ndarray, C: int):
     order = np.argsort(vertex_class, kind="stable")
     counts = np.bincount(vertex_class, minlength=C)
-    split = np.split(order, np.cumsum(counts)[:-1])
-    return tuple(np.sort(part) for part in split)
+    # A stable argsort keeps each class's members in ascending order.
+    return tuple(np.split(order, np.cumsum(counts)[:-1]))
 
 
 def build_full_graph(

@@ -126,19 +126,6 @@ def mat_mul(F: Field, A, B):
     return tuple(out)
 
 
-def row_vec_mul(F: Field, v, B):
-    """Row vector times matrix."""
-    mul, add = F.mul, F.add
-    out = []
-    for bcol in zip(*B):
-        s = 0
-        for x, y in zip(v, bcol):
-            if x and y:
-                s = add(s, mul(x, y))
-        out.append(s)
-    return tuple(out)
-
-
 def row_reduce(F: Field, rows):
     """Reduced row echelon form of a list of row vectors.
 

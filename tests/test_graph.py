@@ -79,11 +79,28 @@ def test_subspace_enumeration_is_canonical():
         assert len(set(ideals)) == len(ideals)
 
 
-@pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F4, 2), (F2, 3)])
+@pytest.mark.parametrize(
+    "F,n",
+    [
+        (F2, 2),
+        (F3, 2),
+        (F4, 2),
+        (F2, 3),
+        (make_field(5, 1), 1),
+        (F4, 1),
+        (make_field(4099, 1), 1),
+        (make_field(2, 3), 2),
+        (F3, 3),
+        (F2, 4),
+    ],
+)
 def test_class_assignment_matches_per_vertex_reduction(F, n):
     G = build_full_graph(F, n, cap=None)
     for v in range(G.vertex_count):
         assert G.ideal_of_vertex(v) == ideal_of(F, vertex_decode(F, n, v))
+    members = np.concatenate(G.class_vertices)
+    assert np.array_equal(np.sort(members), np.arange(G.vertex_count))
+    assert all(np.all(np.diff(part) > 0) for part in G.class_vertices)
 
 
 def test_fiber_size_law():
