@@ -23,11 +23,14 @@ from lirg.field import Field
 from lirg.graph import RelationGraph, build_quotient_graph
 from lirg.ideal import LeftIdeal, ideal_of, line_vector
 from lirg.matrix import (
+    _digit_sum,
+    _span_codes,
     all_one_row_matrix,
     column_scale_matrix,
     column_swap_matrix,
     first_row_matrix,
     identity_matrix,
+    is_invertible,
     mat_inverse,
     mat_mul,
     random_invertible,
@@ -81,59 +84,33 @@ def _check_same(f: Automorphism, g: Automorphism):
         raise ValueError("automorphism context mismatch")
 
 
-def _all_digits(q: int, k: int, N: int):
-    v = np.arange(N, dtype=np.int64)
-    digits = np.empty((N, k), dtype=np.int64)
-    for i in range(k):
-        digits[:, i] = v % q
-        v //= q
-    return digits
-
-
-def _encode_digits(digits, q: int):
-    powers = q ** np.arange(digits.shape[1], dtype=np.int64)
-    return digits @ powers
-
-
 def identity_automorphism(G: RelationGraph) -> Automorphism:
     _check_context(G)
     return Automorphism(G.n, G.field, np.arange(G.vertex_count, dtype=np.int64))
 
 
 def right_mul_automorphism(G: RelationGraph, P) -> Automorphism:
-    """X -> X P for invertible P; an automorphism by construction."""
+    """X -> X P for invertible P; an automorphism by construction.
+
+    Each row of X maps on its own, u -> uP, so the permutation is built
+    from that map on the q^n row codes (the span codes of P's rows).
+    """
     _check_context(G)
     F, n = G.field, G.n
-    from lirg.matrix import is_invertible
-
     if not is_invertible(F, P):
         raise ValueError("right multiplication requires an invertible matrix")
-    q = F.q
-    N = G.vertex_count
-    digits = _all_digits(q, n * n, N)
-    add_t, mul_t = F.add_table, F.mul_table
-    out = np.empty_like(digits)
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                pkj = P[k][j]
-                term = mul_t[digits[:, i * n + k], pkj]
-                acc = term if acc is None else add_t[acc, term]
-            out[:, i * n + j] = acc
-    return Automorphism(n, F, _encode_digits(out, q))
+    return Automorphism(n, F, _digit_sum(_span_codes(F, n, P), F.q**n, n))
 
 
 def frobenius_automorphism(G: RelationGraph, t: int) -> Automorphism:
-    """Entrywise a -> a^(p^t) on every matrix."""
+    """Entrywise a -> a^(p^t) on every matrix, built from that map on the
+    q element codes."""
     _check_context(G)
     F, n = G.field, G.n
     if not 0 <= t < F.m:
         raise ValueError(f"Frobenius exponent {t} out of range [0, {F.m})")
-    q = F.q
-    digits = _all_digits(q, n * n, G.vertex_count)
-    mapped = F.frob_table[t][digits]
-    return Automorphism(n, F, _encode_digits(mapped, q))
+    image = np.array([F.frobenius(a, t) for a in F.elements()], dtype=np.int64)
+    return Automorphism(n, F, _digit_sum(image, F.q, n * n))
 
 
 def _perm_from_blocks(G: RelationGraph, blocks):

@@ -55,8 +55,15 @@ def _write_output(text: str, out_path):
         raise
 
 
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(sub, seed=False):
-    sub.add_argument("--n", type=int, required=True, help="matrix dimension")
+    sub.add_argument("--n", type=positive_int, required=True, help="matrix dimension")
     sub.add_argument("--p", type=int, required=True, help="field characteristic")
     sub.add_argument("--m", type=int, default=1, help="extension degree")
     sub.add_argument(
@@ -186,11 +193,8 @@ def cmd_aut(args) -> int:
         raise UsageError("permutation file does not match the requested ring")
     f = aut.Automorphism(n, F, perm)
 
-    if args.sub == "verify":
-        ok, witness = aut.verify(G, f)
-        if ok:
-            _write_output(f"verify {config}\nautomorphism verified\n", args.out)
-            return 0
+    ok, witness = aut.verify(G, f)
+    if not ok:
         u, v = witness
         _write_output(
             f"verify {config}\n"
@@ -198,26 +202,17 @@ def cmd_aut(args) -> int:
             args.out,
         )
         return 1
-
-    if args.sub == "decompose":
-        ok, witness = aut.verify(G, f)
-        if not ok:
-            u, v = witness
-            _write_output(
-                f"verify {config}\n"
-                f"verification failed: edge relation broken at pair ({u}, {v})\n",
-                args.out,
-            )
-            return 1
-        try:
-            dec = aut.decompose(G, f)
-        except aut.DecompositionError as exc:
-            _write_output(f"decomposition failed: {exc}\n", args.out)
-            return 1
-        _write_output(serialize.render_decomposition(G, dec), args.out)
+    if args.sub == "verify":
+        _write_output(f"verify {config}\nautomorphism verified\n", args.out)
         return 0
 
-    raise UsageError(f"unknown aut subcommand {args.sub!r}")
+    try:
+        dec = aut.decompose(G, f)
+    except aut.DecompositionError as exc:
+        _write_output(f"decomposition failed: {exc}\n", args.out)
+        return 1
+    _write_output(serialize.render_decomposition(G, dec), args.out)
+    return 0
 
 
 def cmd_aut_recompose(args) -> int:

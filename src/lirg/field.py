@@ -249,34 +249,6 @@ class Field:
     def _mul(self):
         return [[self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)]
 
-    @cached_property
-    def add_table(self):
-        """q x q numpy table of sums, for vectorized work."""
-        self._require_small("add_table")
-        if self.m == 1:
-            return np.add.outer(np.arange(self.q), np.arange(self.q)) % self.p
-        return np.array(self._add, dtype=np.int64)
-
-    @cached_property
-    def mul_table(self):
-        self._require_small("mul_table")
-        if self.m == 1:
-            return np.multiply.outer(np.arange(self.q), np.arange(self.q)) % self.p
-        return np.array(self._mul, dtype=np.int64)
-
-    @cached_property
-    def frob_table(self):
-        """Shape (m, q): row t maps code a to a**(p**t)."""
-        self._require_small("frob_table")
-        return np.array(
-            [[self.frobenius(a, t) for a in range(self.q)] for t in range(self.m)],
-            dtype=np.int64,
-        )
-
-    def _require_small(self, what):
-        if self.q > TABLE_LIMIT:
-            raise ValueError(f"{what} unavailable: q = {self.q} exceeds {TABLE_LIMIT}")
-
 
 def make_field(p: int, m: int, modulus=None) -> Field:
     """Validated GF(p^m); picks the smallest irreducible modulus when absent."""

@@ -15,7 +15,7 @@ rather than classifying vertices one by one (see ``_assign_classes``).
 """
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from lirg.counting import gaussian_binomial
 from lirg.field import Field
 from lirg.ideal import LeftIdeal, is_subideal
-from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded
+from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded, _digit_sum, _span_codes
 
 
 def subspaces(F: Field, n: int):
@@ -52,21 +52,6 @@ def subspaces(F: Field, n: int):
     return out
 
 
-def _span_codes(F: Field, n: int, basis):
-    """Row codes of all q^r F_q-combinations of the r basis rows."""
-    vecs = [(0,) * n]
-    for row in basis:
-        vecs = [
-            tuple(F.add(x, F.mul(a, y)) for x, y in zip(v, row))
-            for a in F.elements()
-            for v in vecs
-        ]
-    powers = [F.q**j for j in range(n)]
-    return np.array(
-        [sum(c * pw for c, pw in zip(v, powers)) for v in vecs], dtype=np.int64
-    )
-
-
 def _assign_classes(F: Field, n: int, ideals):
     """vertex -> class index array for all q^(n^2) vertices.
 
@@ -80,9 +65,7 @@ def _assign_classes(F: Field, n: int, ideals):
     q = F.q
     vertex_class = np.empty(q ** (n * n), dtype=np.int64)
     for c in sorted(range(len(ideals)), key=lambda c: -ideals[c].rank):
-        span = _span_codes(F, n, ideals[c].basis)
-        verts = reduce(np.add.outer, [span * q ** (i * n) for i in range(n)])
-        vertex_class[verts] = c
+        vertex_class[_digit_sum(_span_codes(F, n, ideals[c].basis), q**n, n)] = c
     return vertex_class
 
 

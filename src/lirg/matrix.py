@@ -10,6 +10,9 @@ little-endian.  Every file format relies on this bijection.
 """
 
 import random
+from functools import reduce
+
+import numpy as np
 
 from lirg.field import Field
 
@@ -207,6 +210,32 @@ def vertex_decode(F: Field, n: int, v: int):
         v, r = divmod(v, q)
         entries.append(r)
     return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+
+
+def _span_codes(F: Field, n: int, basis):
+    """Row codes of all q^r F_q-combinations of the r basis rows.
+
+    Entry ``sum(a_k * q**k)`` is the code of ``sum(a_k * basis[k])``; for a
+    square matrix P that is the row map u -> uP on row codes.
+    """
+    vecs = [(0,) * n]
+    for row in basis:
+        vecs = [
+            tuple(F.add(x, F.mul(a, y)) for x, y in zip(v, row))
+            for a in F.elements()
+            for v in vecs
+        ]
+    powers = [F.q**j for j in range(n)]
+    return np.array(
+        [sum(c * pw for c, pw in zip(v, powers)) for v in vecs], dtype=np.int64
+    )
+
+
+def _digit_sum(codes, base: int, k: int):
+    """Entry d is ``sum(codes[d_i] * base**i)`` over the k base-len(codes)
+    digits d_i of d; with len(codes) == base it lists, in ascending vertex
+    order, the image of a map applied digit by digit."""
+    return reduce(np.add.outer, [codes * base**i for i in reversed(range(k))]).ravel()
 
 
 def enumerate_matrices(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP):

@@ -143,10 +143,12 @@ def parse_permutation(text: str):
     if head[0] != "perm":
         raise ValueError("not a permutation file")
     n, F, directed = parse_field_tokens(head[1:])
-    size = F.q ** (n * n)
-    perm = np.empty(size, dtype=np.int64)
-    if len(lines) - 1 != size:
-        raise ValueError(f"expected {size} mapping lines, got {len(lines) - 1}")
+    count = len(lines) - 1
+    # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
+    # header alone never sizes a power or an array beyond the file read.
+    if n * n > count.bit_length() or F.q ** (n * n) != count:
+        raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {count}")
+    perm = np.empty(count, dtype=np.int64)
     for idx, line in enumerate(lines[1:]):
         v, image = line.split()
         if int(v) != idx:

@@ -16,6 +16,7 @@ from lirg.matrix import (
     enumerate_matrices,
     identity_matrix,
     is_invertible,
+    mat_inverse,
     mat_mul,
     random_invertible,
     vertex_decode,
@@ -42,13 +43,17 @@ def test_right_mul_all_of_gl22(graphs):
 
 
 def test_right_mul_matches_matrix_action(graphs):
-    G = graphs(2, 1, 2)
-    P = column_swap_matrix(2, 0, 1)
-    f = aut.right_mul_automorphism(G, P)
-    for v, X in enumerate(enumerate_matrices(F2, 2)):
-        assert f(v) == vertex_encode(F2, mat_mul(F2, X, P))
-        assert f.apply_matrix(X) == mat_mul(F2, X, P)
-    assert aut.compose(f, f) == aut.identity_automorphism(G)
+    for p, m, n in [(2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (2, 1, 3), (4099, 1, 1)]:
+        G = graphs(p, m, n)
+        F = G.field
+        P = random_invertible(F, n, 7)
+        f = aut.right_mul_automorphism(G, P)
+        for v, X in enumerate(enumerate_matrices(F, n, cap=None)):
+            XP = mat_mul(F, X, P)
+            assert f(v) == vertex_encode(F, XP), (p, m, n, v)
+            assert f.apply_matrix(X) == XP
+        undo = aut.right_mul_automorphism(G, mat_inverse(F, P))
+        assert aut.compose(undo, f) == aut.identity_automorphism(G)
 
 
 def test_right_mul_rejects_singular(graphs):
@@ -58,18 +63,24 @@ def test_right_mul_rejects_singular(graphs):
 
 
 def test_frobenius_automorphism(graphs):
+    for p, m, n, exponents in [
+        (2, 2, 2, range(2)),
+        (2, 3, 2, range(3)),
+        (2, 12, 1, (1, 11)),
+    ]:
+        G = graphs(p, m, n)
+        F = G.field
+        for t in exponents:
+            f = aut.frobenius_automorphism(G, t)
+            image = [F.frobenius(a, t) for a in F.elements()]
+            for v, X in enumerate(enumerate_matrices(F, n, cap=None)):
+                expected = tuple(tuple(image[a] for a in row) for row in X)
+                assert vertex_decode(F, n, f(v)) == expected, (p, m, n, t, v)
+        with pytest.raises(ValueError):
+            aut.frobenius_automorphism(G, m)
     G = graphs(2, 2, 2)
-    ident = aut.frobenius_automorphism(G, 0)
-    assert ident == aut.identity_automorphism(G)
-    conj = aut.frobenius_automorphism(G, 1)
-    assert aut.verify(G, conj) == (True, None)
-    # entrywise action: x goes to x + 1 everywhere
-    for v in (7, 133, 255):
-        X = vertex_decode(F4, 2, v)
-        img = vertex_decode(F4, 2, int(conj.perm[v]))
-        assert img == tuple(tuple(F4.frobenius(a, 1) for a in row) for row in X)
-    with pytest.raises(ValueError):
-        aut.frobenius_automorphism(G, 2)
+    assert aut.frobenius_automorphism(G, 0) == aut.identity_automorphism(G)
+    assert aut.verify(G, aut.frobenius_automorphism(G, 1)) == (True, None)
 
 
 def test_prime_field_has_only_trivial_frobenius(graphs):

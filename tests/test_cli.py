@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from lirg.cli import main
 
 
@@ -45,6 +47,25 @@ def test_build_graph_trivial(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("graph kind=full n=1 p=2 m=1 modulus=0,1 directed=1")
     assert lines[1:] == ["0 1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ring-info", "--n", "0", "--p", "2"],
+        ["build-graph", "--n", "0", "--p", "2"],
+        ["build-graph", "--quotient", "--n", "-2", "--p", "2"],
+        ["invariants", "--n", "0", "--p", "2"],
+        ["invariants", "--n", "-1", "--p", "2"],
+        ["aut", "sample", "--n", "0", "--p", "2"],
+        ["aut", "count-quotient", "--n", "0", "--p", "2"],
+    ],
+)
+def test_dimension_below_one_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--n: must be at least 1" in err
 
 
 def test_build_graph_edge_count(capsys):
@@ -185,13 +206,13 @@ def test_determinism_across_runs(capsys, tmp_path):
 
 def test_aut_sample_verify_roundtrip(capsys, tmp_path):
     perm = tmp_path / "perm.txt"
-    code, _, _ = run(
-        capsys, "aut", "sample", "--n", "2", "--p", "2", "--seed", "1", "--out", str(perm)
-    )
-    assert code == 0
-    code, out, _ = run(capsys, "aut", "verify", "--n", "2", "--p", "2", "--perm", str(perm))
-    assert code == 0
-    assert "verified" in out
+    # q = 4099 exceeds the scalar field's table limit
+    for config in (["--n", "2", "--p", "2"], ["--n", "1", "--p", "4099", "--cap", "5000"]):
+        code, _, _ = run(capsys, "aut", "sample", *config, "--seed", "1", "--out", str(perm))
+        assert code == 0
+        code, out, _ = run(capsys, "aut", "verify", *config, "--perm", str(perm))
+        assert code == 0
+        assert "automorphism verified" in out
 
 
 def test_aut_verify_detects_tampering(capsys, tmp_path):
@@ -261,6 +282,7 @@ def test_aut_decompose_rejects_non_automorphism(capsys, tmp_path):
     code, out, _ = run(capsys, "aut", "decompose", "--n", "3", "--p", "2", "--perm", str(perm))
     assert code == 1
     assert "failed" in out
+    assert run(capsys, "aut", "verify", "--n", "3", "--p", "2", "--perm", str(perm)) == (1, out, "")
 
 
 def test_aut_count_quotient(capsys):

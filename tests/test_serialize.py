@@ -74,6 +74,9 @@ def test_permutation_parse_errors():
         serialize.parse_permutation(head + "\n0 0\n")
     with pytest.raises(ValueError, match="out of order"):
         serialize.parse_permutation(head + "\n1 1\n0 0\n")
+    # 2^36 slots from the header alone: refused before any allocation
+    with pytest.raises(ValueError, match="mapping lines"):
+        serialize.parse_permutation("perm n=6 p=2 m=1 modulus=0,1 directed=1\n0 0\n")
     with pytest.raises(ValueError, match="empty"):
         serialize.parse_permutation("")
 
