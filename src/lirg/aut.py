@@ -104,12 +104,19 @@ def right_mul_automorphism(G: RelationGraph, P) -> Automorphism:
 
 def frobenius_automorphism(G: RelationGraph, t: int) -> Automorphism:
     """Entrywise a -> a^(p^t) on every matrix, built from that map on the
-    q element codes."""
+    q element codes.
+
+    The map is F_p-linear on the base-p digits of a code, so only the m
+    digit units p^i are raised to p^t; the other images are digit sums.
+    """
     _check_context(G)
-    F, n = G.field, G.n
+    F, n, p = G.field, G.n, G.field.p
     if not 0 <= t < F.m:
         raise ValueError(f"Frobenius exponent {t} out of range [0, {F.m})")
-    image = np.array([F.frobenius(a, t) for a in F.elements()], dtype=np.int64)
+    powers = p ** np.arange(F.m, dtype=np.int64)
+    digits = np.arange(F.q, dtype=np.int64)[:, None] // powers % p
+    unit_images = digits[[F.frobenius(int(u), t) for u in powers]]
+    image = (digits @ unit_images % p) @ powers
     return Automorphism(n, F, _digit_sum(image, F.q, n * n))
 
 

@@ -38,16 +38,23 @@ def _field(args):
         raise UsageError(str(exc)) from exc
 
 
-def _write_output(text: str, out_path):
-    """Write atomically when a path is given, else print to stdout."""
+def _write_output(chunks, out_path):
+    """Write a string, or an iterable of string chunks in order.
+
+    With a path the chunks go to a temp file that replaces the path only
+    once every chunk is written, so a failure leaves the old file intact;
+    without one they go to stdout.
+    """
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lirg-")
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
         if os.path.exists(tmp):
@@ -103,7 +110,7 @@ def cmd_build_graph(args) -> int:
     F = _field(args)
     builder = build_quotient_graph if args.quotient else build_full_graph
     G = builder(F, args.n, directed=args.directed, cap=args.cap)
-    _write_output(serialize.render_graph(G, args.format), args.out)
+    _write_output(serialize.graph_chunks(G, args.format), args.out)
     return 0
 
 
@@ -188,10 +195,8 @@ def cmd_aut(args) -> int:
         return 0
 
     with open(args.perm, encoding="utf-8") as fh:
-        n, F_file, perm = serialize.parse_permutation(fh.read())
-    if n != args.n or F_file != F:
-        raise UsageError("permutation file does not match the requested ring")
-    f = aut.Automorphism(n, F, perm)
+        _, _, perm = serialize.parse_permutation(fh.read(), (args.n, F))
+    f = aut.Automorphism(args.n, F, perm)
 
     ok, witness = aut.verify(G, f)
     if not ok:

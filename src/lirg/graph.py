@@ -154,26 +154,19 @@ class RelationGraph:
         d_i, d_o = self.class_in_weight[c], self.class_out_weight[c]
         return (d_i, d_o) if self.directed else d_i + d_o
 
+    def _members(self, classes) -> np.ndarray:
+        """Sorted member vertices of the given classes."""
+        parts = [self.class_vertices[d] for d in classes]
+        return np.sort(np.concatenate([np.empty(0, np.int64), *parts]))
+
     def in_neighbors(self, v: int):
-        c = self.class_of(v)
-        out = []
-        for d in self.sub_classes[c]:
-            out.extend(self.class_vertices[d].tolist())
-        return sorted(out)
+        return self._members(self.sub_classes[self.class_of(v)]).tolist()
 
     def out_neighbors(self, v: int):
-        c = self.class_of(v)
-        out = []
-        for d in self.super_classes[c]:
-            out.extend(self.class_vertices[d].tolist())
-        return sorted(out)
+        return self._members(self.super_classes[self.class_of(v)]).tolist()
 
     def neighbors(self, v: int):
-        c = self.class_of(v)
-        out = []
-        for d in self.comparable_classes[c]:
-            out.extend(self.class_vertices[d].tolist())
-        return sorted(out)
+        return self._members(self.comparable_classes[self.class_of(v)]).tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
@@ -194,17 +187,22 @@ class RelationGraph:
                 total += fib[c] * fib[d]
         return total
 
+    @cached_property
+    def class_targets(self):
+        """Per class, the sorted edge targets shared by all its members:
+        the super classes' vertices when directed, the comparable classes'
+        when undirected."""
+        rel = self.super_classes if self.directed else self.comparable_classes
+        return tuple(self._members(rel[c]) for c in range(self.class_count))
+
     def iter_edges(self):
         """Yield edges ascending; directed as (u, v), undirected with u < v."""
-        for u in range(self.vertex_count):
-            c = self.class_of(u)
-            targets = self.super_classes[c] if self.directed else self.comparable_classes[c]
-            out = []
-            for d in targets:
-                out.extend(self.class_vertices[d].tolist())
-            for v in sorted(out):
-                if self.directed or u < v:
-                    yield u, v
+        for u, c in enumerate(self.vertex_class.tolist()):
+            targets = self.class_targets[c]
+            if not self.directed:
+                targets = targets[np.searchsorted(targets, u, side="right") :]
+            for v in targets.tolist():
+                yield u, v
 
     def export(self, fmt: str) -> str:
         from lirg.serialize import render_graph

@@ -37,11 +37,29 @@ def _parse_tokens(tokens):
     return out
 
 
-def parse_field_tokens(parts):
+def parse_field_tokens(parts, ring=None):
+    """(n, field, directed) from header tokens.
+
+    With ``ring = (n, F)`` the header's n, p, m and modulus must equal the
+    ring's, compared as integers before any field is built, and F itself is
+    returned: an untrusted header never drives the primality and
+    irreducibility tests of ``make_field``.
+    """
     vals = _parse_tokens(parts)
-    n = int(vals["n"])
-    modulus = tuple(int(c) for c in vals["modulus"].split(","))
-    F = make_field(int(vals["p"]), int(vals["m"]), modulus)
+    try:
+        n, p, m = (int(vals[key]) for key in ("n", "p", "m"))
+        modulus = tuple(int(c) for c in vals["modulus"].split(","))
+    except KeyError as exc:
+        raise ValueError(f"header has no {exc.args[0]}= token") from exc
+    if ring is None:
+        F = make_field(p, m, modulus)
+    else:
+        F = ring[1]
+        if (n, p, m, modulus) != (ring[0], F.p, F.m, F.modulus):
+            raise ValueError(
+                "file header does not match the requested ring "
+                + field_tokens(ring[0], F)
+            )
     directed = bool(int(vals["directed"])) if "directed" in vals else None
     return n, F, directed
 
@@ -49,19 +67,37 @@ def parse_field_tokens(parts):
 # -- graphs -----------------------------------------------------------------
 
 
-def edge_list_lines(G: RelationGraph):
-    header = (
+def _edge_chunks(G: RelationGraph, prefix: str, sep: str, end: str):
+    """One chunk per source vertex u with edges: ``{prefix}{u}{sep}{v}{end}``
+    for each target v, ascending.
+
+    Every member of a class shares the class's target list, so each
+    target's string is built once per class.  Undirected edges are
+    written once, from their smaller end.
+    """
+    strs = [[str(v) for v in arr.tolist()] for arr in G.class_targets]
+    for u, c in enumerate(G.vertex_class.tolist()):
+        targets = strs[c]
+        if not G.directed:
+            targets = targets[np.searchsorted(G.class_targets[c], u, side="right") :]
+        if targets:
+            head = f"{prefix}{u}{sep}"
+            yield head + (end + head).join(targets) + end
+
+
+def edge_list_chunks(G: RelationGraph):
+    """The edge list as text chunks: the header line, then the edges of one
+    source vertex per chunk."""
+    yield (
         f"graph kind={G.kind} "
         + field_tokens(G.n, G.field, G.directed)
-        + f" vertices={G.vertex_count} edges={G.edge_count()}"
+        + f" vertices={G.vertex_count} edges={G.edge_count()}\n"
     )
-    yield header
-    for u, v in G.iter_edges():
-        yield f"{u} {v}"
+    yield from _edge_chunks(G, "", " ", "\n")
 
 
 def render_edge_list(G: RelationGraph) -> str:
-    return "\n".join(edge_list_lines(G)) + "\n"
+    return "".join(edge_list_chunks(G))
 
 
 def parse_edge_list(text: str):
@@ -85,24 +121,34 @@ def parse_edge_list(text: str):
     return meta, edges
 
 
-def render_dot(G: RelationGraph) -> str:
-    name = "digraph" if G.directed else "graph"
+def dot_chunks(G: RelationGraph):
+    """The DOT text as chunks: one per vertex label, then the edges of one
+    source vertex per chunk."""
     arrow = "->" if G.directed else "--"
-    lines = [f"{name} lirg {{"]
-    for v in range(G.vertex_count):
-        lines.append(f'  v{v} [label="v{v}:r{G.rank_of_vertex(v)}"];')
-    for u, v in G.iter_edges():
-        lines.append(f"  v{u} {arrow} v{v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    yield f"{'digraph' if G.directed else 'graph'} lirg {{\n"
+    rank = G.class_rank
+    for v, c in enumerate(G.vertex_class.tolist()):
+        yield f'  v{v} [label="v{v}:r{rank[c]}"];\n'
+    yield from _edge_chunks(G, "  v", f" {arrow} v", ";\n")
+    yield "}\n"
+
+
+def render_dot(G: RelationGraph) -> str:
+    return "".join(dot_chunks(G))
+
+
+def graph_chunks(G: RelationGraph, fmt: str):
+    """Text chunks of G in ``fmt`` ('edges' or 'dot'); an unknown format
+    raises here, before any chunk is produced."""
+    if fmt == "edges":
+        return edge_list_chunks(G)
+    if fmt == "dot":
+        return dot_chunks(G)
+    raise ValueError(f"unknown graph format {fmt!r}")
 
 
 def render_graph(G: RelationGraph, fmt: str) -> str:
-    if fmt == "edges":
-        return render_edge_list(G)
-    if fmt == "dot":
-        return render_dot(G)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return "".join(graph_chunks(G, fmt))
 
 
 # -- matrices ---------------------------------------------------------------
@@ -137,12 +183,14 @@ def render_permutation(n: int, F: Field, perm) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_permutation(text: str):
+def parse_permutation(text: str, ring=None):
+    """(n, field, perm) from a permutation file; ``ring = (n, F)``, when
+    given, must match the header (see ``parse_field_tokens``)."""
     lines = _lines_of(text, "permutation")
     head = lines[0].split()
     if head[0] != "perm":
         raise ValueError("not a permutation file")
-    n, F, directed = parse_field_tokens(head[1:])
+    n, F, directed = parse_field_tokens(head[1:], ring)
     count = len(lines) - 1
     # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
     # header alone never sizes a power or an array beyond the file read.
@@ -206,9 +254,7 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
     head = lines[0].split()
     if head[0] != "decomposition":
         raise ValueError("not a decomposition file")
-    n, F, _ = parse_field_tokens(head[1:])
-    if n != G.n or F != G.field:
-        raise ValueError("decomposition file does not match the graph context")
+    parse_field_tokens(head[1:], (G.n, G.field))
     if len(lines) < 3 or lines[1] != "P":
         raise ValueError("missing P block")
     try:

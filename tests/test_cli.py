@@ -1,10 +1,12 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from lirg.cli import main
+from lirg import serialize
+from lirg.cli import _write_output, main
 
 
 def run(capsys, *argv):
@@ -77,9 +79,43 @@ def test_build_graph_edge_count(capsys):
 
 
 def test_build_graph_cap_refusal(capsys):
-    code, _, err = run(capsys, "build-graph", "--n", "4", "--p", "3")
+    code, out, err = run(capsys, "build-graph", "--n", "4", "--p", "3")
     assert code == 2
+    assert out == ""
     assert "100000" in err
+
+
+@pytest.mark.parametrize(
+    "ring, fmt, direction, digest",
+    [
+        ("--n 2 --p 2 --m 2", "edges", "--directed",
+         "4ffb2de9594aa336567ef6f805d97db4bb16de4cf398bef5e5e34b631b49c607"),
+        ("--n 2 --p 2 --m 2", "edges", "--undirected",
+         "4788712d5fdeab824bcc75d0a37d1c676966a89ce0990ea65dac5467e064c8fe"),
+        ("--n 2 --p 2 --m 2", "dot", "--directed",
+         "4bcf362a76ab321ce8c2a8e52d11f4b9528616c2e9c1026c00d62d3b002de554"),
+        ("--n 2 --p 2 --m 2", "dot", "--undirected",
+         "45097402878abfaadfd677940df6e483dc98afe90988ba9ed7828da13abd5cc1"),
+        ("--n 3 --p 2", "edges", "--directed",
+         "a439d2f4b8411ebe30d7ced9d05f30524ab0dfa3e05d5cb5d28f53c2517c00f6"),
+        ("--n 3 --p 2", "edges", "--undirected",
+         "d5df974608e445c5a0312ba30fd9e8d85cfbd3721e2ce75eb30b76b41139807c"),
+        ("--n 3 --p 2", "dot", "--directed",
+         "43ec9f1126155e62b0df57a69533094360ff3aa668132d4e81faf66c46ade858"),
+        ("--n 3 --p 2", "dot", "--undirected",
+         "81b799919f9820d71920207585b8d2c5658e118f91b8502e451d832caa6bdbdb"),
+    ],
+    ids=[
+        f"{ring}-{fmt}-{d}"
+        for ring in ("gf4-n2", "gf2-n3")
+        for fmt in ("edges", "dot")
+        for d in ("directed", "undirected")
+    ],
+)
+def test_build_graph_bytes_pinned(capsys, ring, fmt, direction, digest):
+    code, out, _ = run(capsys, "build-graph", *ring.split(), "--format", fmt, direction)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cap_override_boundary(capsys):
@@ -300,6 +336,30 @@ def test_malformed_perm_file(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "sub, flag, head",
+    [
+        ("verify", "--perm", "perm n=1 p=100049 m=4 modulus=100046,0,0,0,1 directed=1"),
+        ("recompose", "--report", "decomposition n=1 p=100049 m=4 modulus=100046,0,0,0,1"),
+    ],
+    ids=["verify", "recompose"],
+)
+def test_foreign_header_refused_before_field_checks(
+    capsys, tmp_path, monkeypatch, sub, flag, head
+):
+    # Validating this header's field would run trial division for hours.
+    def no_field(*args):
+        raise AssertionError("a field was built from the file header")
+
+    monkeypatch.setattr(serialize, "make_field", no_field)
+    path = tmp_path / "foreign.txt"
+    path.write_text(head + "\n0 0\n")
+    code, out, err = run(capsys, "aut", sub, "--n", "1", "--p", "2", flag, str(path))
+    assert code == 2
+    assert out == ""
+    assert "does not match the requested ring" in err
+
+
 def test_mismatched_perm_ring(capsys, tmp_path):
     perm = tmp_path / "perm.txt"
     run(capsys, "aut", "sample", "--n", "2", "--p", "2", "--seed", "1", "--out", str(perm))
@@ -315,3 +375,17 @@ def test_output_file_written_atomically(capsys, tmp_path):
     assert "total matrices: 16" in out.read_text()
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".lirg-")]
     assert leftovers == []
+
+
+def test_failed_stream_keeps_old_output(tmp_path):
+    out = tmp_path / "graph.txt"
+    out.write_bytes(b"old bytes\n")
+
+    def chunks():
+        yield "first chunk\n"
+        raise RuntimeError("render failed")
+
+    with pytest.raises(RuntimeError, match="render failed"):
+        _write_output(chunks(), str(out))
+    assert out.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]

@@ -27,6 +27,21 @@ def test_edge_list_roundtrip(graphs):
     assert edges == sorted(set(G.iter_edges()))
 
 
+def test_edge_list_chunks_one_source_each(graphs):
+    for G in (graphs(2, 1, 2), build_full_graph(F4, 2, directed=False)):
+        chunks = list(serialize.edge_list_chunks(G))
+        assert "".join(chunks) == serialize.render_edge_list(G)
+        assert chunks[0].startswith("graph ") and chunks[0].count("\n") == 1
+        sources = []
+        for chunk in chunks[1:]:
+            edges = [tuple(map(int, line.split())) for line in chunk.splitlines()]
+            assert chunk.endswith("\n") and edges
+            assert {u for u, _ in edges} == {edges[0][0]}
+            sources.append(edges[0][0])
+        assert sources == sorted(set(sources))
+        assert sources == sorted({u for u, _ in G.iter_edges()})
+
+
 def test_edge_list_deterministic():
     a = serialize.render_edge_list(build_full_graph(F2, 2))
     b = serialize.render_edge_list(build_full_graph(F2, 2))
@@ -79,6 +94,10 @@ def test_permutation_parse_errors():
         serialize.parse_permutation("perm n=6 p=2 m=1 modulus=0,1 directed=1\n0 0\n")
     with pytest.raises(ValueError, match="empty"):
         serialize.parse_permutation("")
+    with pytest.raises(ValueError, match="no n= token"):
+        serialize.parse_permutation("perm p=2 m=1 modulus=0,1\n0 0\n")
+    with pytest.raises(ValueError, match="does not match the requested ring"):
+        serialize.parse_permutation(head + "\n0 0\n1 1\n", (1, F4))
 
 
 def test_truncated_decomposition_rejected(graphs):
