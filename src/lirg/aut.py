@@ -14,6 +14,7 @@ Permutations are dense int64 arrays indexed by vertex; composition is
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -395,30 +396,27 @@ def random_right_mul(G: RelationGraph, rng) -> Automorphism:
     return right_mul_automorphism(G, random_invertible(G.field, G.n, rng))
 
 
-def random_class_permutation(G: RelationGraph, rng) -> Automorphism:
+def _shuffle_within(G: RelationGraph, groups, rng) -> Automorphism:
+    """A random permutation inside each vertex group, identity elsewhere."""
     if isinstance(rng, int):
         rng = random.Random(rng)
     perm = np.arange(G.vertex_count, dtype=np.int64)
-    for verts in G.class_vertices:
+    for verts in groups:
         shuffled = verts.tolist()
         rng.shuffle(shuffled)
         perm[verts] = np.array(shuffled, dtype=np.int64)
     return Automorphism(G.n, G.field, perm)
+
+
+def random_class_permutation(G: RelationGraph, rng) -> Automorphism:
+    return _shuffle_within(G, G.class_vertices, rng)
 
 
 def random_rank_class_permutation(G: RelationGraph, rng) -> Automorphism:
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     if G.n != 2:
         raise ValueError("rank class permutations require n = 2")
     ranks = np.array(G.class_rank)[G.vertex_class]
-    perm = np.arange(G.vertex_count, dtype=np.int64)
-    for r in range(G.n + 1):
-        verts = np.flatnonzero(ranks == r)
-        shuffled = verts.tolist()
-        rng.shuffle(shuffled)
-        perm[verts] = np.array(shuffled, dtype=np.int64)
-    return Automorphism(G.n, G.field, perm)
+    return _shuffle_within(G, [np.flatnonzero(ranks == r) for r in range(3)], rng)
 
 
 def random_triple(G: RelationGraph, seed: int):
@@ -437,95 +435,120 @@ def random_triple(G: RelationGraph, seed: int):
 # -- exact automorphism group orders ---------------------------------------
 
 
-def _digraph_candidates(out_sets, in_sets, colors):
-    nverts = len(out_sets)
-    sig = [
-        (colors[v], len(out_sets[v]), len(in_sets[v])) for v in range(nverts)
-    ]
-    return [
-        [w for w in range(nverts) if sig[w] == sig[v]] for v in range(nverts)
-    ]
+def _twin_blocks(out_sets, in_sets, colors):
+    """Twins (equal colour, out-set and in-set) as blocks of vertices,
+    with the out- and in-sets of the merged digraph on block indices."""
+    groups = {}
+    for v in range(len(out_sets)):
+        key = (colors[v], frozenset(out_sets[v]), frozenset(in_sets[v]))
+        groups.setdefault(key, []).append(v)
+    blocks = list(groups.values())
+    block_of = {v: b for b, members in enumerate(blocks) for v in members}
+    out_b = [{block_of[w] for w in out_sets[members[0]]} for members in blocks]
+    in_b = [{block_of[w] for w in in_sets[members[0]]} for members in blocks]
+    return blocks, out_b, in_b
 
 
-def _extend(out_sets, in_sets, cand, mapping, used, order_pos, order):
-    """Depth-first search for one completion of a partial vertex mapping."""
-    if order_pos == len(order):
-        return True
-    v = order[order_pos]
-    for w in cand[v]:
-        if used[w]:
-            continue
-        ok = True
-        for u, mu in mapping.items():
-            if ((v in out_sets[u]) != (w in out_sets[mu])) or (
-                (v in in_sets[u]) != (w in in_sets[mu])
-            ):
-                ok = False
-                break
-        if not ok:
-            continue
-        mapping[v] = w
-        used[w] = True
-        if _extend(out_sets, in_sets, cand, mapping, used, order_pos + 1, order):
-            del mapping[v]
-            used[w] = False
-            return True
-        del mapping[v]
-        used[w] = False
-    return False
+def _refine(outs, ins, cells, v=None):
+    """Coarsest equitable colouring finer than ``cells`` (vertex -> cell),
+    with v (if given) first split off the front of its cell.
+
+    A vertex's label is its cell plus the sorted cells of its out-
+    neighbours and (as ~cell) in-neighbours; cells are renumbered in label
+    order until their count stops growing.  Labels never mention vertex
+    numbers, so an isomorphism of the inputs maps the results cell index
+    to cell index.
+    """
+    cells = [2 * c + (u != v) for u, c in enumerate(cells)]
+    while True:
+        labels = [
+            (c, tuple(sorted([cells[w] for w in outs[x]] + [~cells[w] for w in ins[x]])))
+            for x, c in enumerate(cells)
+        ]
+        index = {lab: i for i, lab in enumerate(sorted(set(labels)))}
+        if len(index) == len(set(cells)):
+            return [index[lab] for lab in labels]
+        cells = [index[lab] for lab in labels]
 
 
-def digraph_aut_order(out_sets, in_sets, colors=None) -> int:
-    """Exact automorphism group order of a small digraph.
+def _search(out_sets, in_sets, colors) -> int:
+    """Automorphism group order by individualization-refinement.
 
-    Orbit counting: fix vertices one at a time; the group order is the
-    product over the base of the orbit sizes, where orbit membership is
-    certified by a backtracking search for one extension.  Candidates are
-    pruned by color and in/out-degree, then by adjacency consistency with
-    the mapped prefix.
+    The base individualizes the first vertex of the first non-singleton
+    cell until the colouring is discrete.  From the deepest level up, the
+    order gains the orbit of each base point under the stabilizer of the
+    points before it: each candidate of its cell outside the orbit so far
+    is individualized in its place, and the search below it looks for a
+    leaf whose map from the first leaf sends out-sets onto out-sets.
     """
     nverts = len(out_sets)
-    out_sets = [set(s) for s in out_sets]
-    in_sets = [set(s) for s in in_sets]
-    if colors is None:
-        colors = [0] * nverts
-    cand = _digraph_candidates(out_sets, in_sets, colors)
-    order = sorted(range(nverts), key=lambda v: len(cand[v]))
-    total = 1
-    fixed = {}
-    used = [False] * nverts
-    for pos, v in enumerate(order):
-        orbit = 0
-        for w in cand[v]:
-            if used[w]:
-                continue
-            ok = all(
-                ((v in out_sets[u]) == (w in out_sets[mu]))
-                and ((v in in_sets[u]) == (w in in_sets[mu]))
-                for u, mu in fixed.items()
+    rank = {c: i for i, c in enumerate(sorted(set(colors)))}
+    path = [_refine(out_sets, in_sets, [rank[c] for c in colors])]
+    base = []
+    while len(set(path[-1])) < nverts:
+        cells = path[-1]
+        base.append(cells.index(min(c for c in cells if cells.count(c) > 1)))
+        path.append(_refine(out_sets, in_sets, cells, base[-1]))
+
+    def extend(cells, level, w):
+        """An automorphism fixing base[:level] and sending base[level] to
+        w, or None."""
+        cells = _refine(out_sets, in_sets, cells, w)
+        if sorted(cells) != sorted(path[level + 1]):
+            return None
+        if level + 1 < len(base):
+            found = (
+                extend(cells, level + 1, u)
+                for u in range(nverts)
+                if cells[u] == path[level + 1][base[level + 1]]
             )
-            if not ok:
-                continue
-            mapping = dict(fixed)
-            mapping[v] = w
-            used2 = used[:]
-            used2[w] = True
-            if _extend(out_sets, in_sets, cand, mapping, used2, pos + 1, order):
-                orbit += 1
-        total *= orbit
-        fixed[v] = v
-        used[v] = True
+            return next((g for g in found if g is not None), None)
+        at = {c: u for u, c in enumerate(cells)}
+        g = [at[c] for c in path[-1]]
+        ok = all({g[u] for u in out_sets[v]} == out_sets[g[v]] for v in range(nverts))
+        return g if ok else None
+
+    gens, total = [], 1
+    for level in reversed(range(len(base))):
+        orbit = {base[level]}
+        for w in range(nverts):
+            if path[level][w] == path[level][base[level]] and w not in orbit:
+                g = extend(path[level], level, w)
+                if g is not None:
+                    gens.append(g)
+                    while not orbit >= (grown := {h[x] for h in gens for x in orbit}):
+                        orbit |= grown
+        total *= len(orbit)
     return total
 
 
+def digraph_aut_order(out_sets, in_sets, colors=None) -> int:
+    """Exact order of the colour-preserving automorphism group of a digraph.
+
+    Twins (equal colour, out-set and in-set) merge into blocks, each
+    contributing (block size)!; the merged digraph, coloured by (colour,
+    block size), is searched by individualization-refinement (McKay and
+    Piperno, Practical graph isomorphism II, 2014): the order is the
+    product of the orbit sizes along a base, with orbits grown from
+    automorphisms that are checked edge by edge.
+    """
+    if colors is None:
+        colors = [0] * len(out_sets)
+    blocks, out_b, in_b = _twin_blocks(out_sets, in_sets, colors)
+    order = _search(out_b, in_b, [(colors[b[0]], len(b)) for b in blocks])
+    return order * math.prod(math.factorial(len(b)) for b in blocks)
+
+
 def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):
-    """All automorphisms of a small digraph by plain backtracking."""
+    """All automorphisms of a small digraph by plain backtracking; an
+    oracle for ``digraph_aut_order`` that shares none of its code."""
     nverts = len(out_sets)
     out_sets = [set(s) for s in out_sets]
     in_sets = [set(s) for s in in_sets]
     if colors is None:
         colors = [0] * nverts
-    cand = _digraph_candidates(out_sets, in_sets, colors)
+    sig = [(colors[v], len(out_sets[v]), len(in_sets[v])) for v in range(nverts)]
+    cand = [[w for w in range(nverts) if sig[w] == sig[v]] for v in range(nverts)]
     order = sorted(range(nverts), key=lambda v: len(cand[v]))
     found = []
 
@@ -539,37 +562,36 @@ def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):
         for w in cand[v]:
             if used[w]:
                 continue
-            ok = all(
+            if all(
                 ((v in out_sets[u]) == (w in out_sets[mu]))
                 and ((v in in_sets[u]) == (w in in_sets[mu]))
                 for u, mu in mapping.items()
-            )
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            rec(pos + 1, mapping, used)
-            del mapping[v]
-            used[w] = False
+            ):
+                mapping[v] = w
+                used[w] = True
+                rec(pos + 1, mapping, used)
+                del mapping[v]
+                used[w] = False
 
     rec(0, {}, [False] * nverts)
     return found
 
 
-def quotient_aut_order(F: Field, n: int, cap: int = 40) -> int:
-    """Exact order of the automorphism group of the directed quotient graph.
-
-    Backtracking over rank-level-preserving bijections with in/out-degree
-    pruning and partial-image consistency; reported as an exact integer.
-    """
+def _quotient_sets(F: Field, n: int, cap: int):
+    """Up-sets, down-sets and ranks of the quotient's classes, refused
+    above ``cap`` subspaces before anything is built."""
     count = sum(gaussian_binomial(n, r, F.q) for r in range(n + 1))
     if count > cap:
         raise ValueError(f"quotient has {count} vertices, above the cap {cap}")
     Q = build_quotient_graph(F, n)
-    out_sets = [set(Q.super_classes[c]) for c in range(Q.class_count)]
-    in_sets = [set(Q.sub_classes[c]) for c in range(Q.class_count)]
-    colors = list(Q.class_rank)
-    return digraph_aut_order(out_sets, in_sets, colors)
+    return Q.super_classes, Q.sub_classes, Q.class_rank
+
+
+def quotient_aut_order(F: Field, n: int, cap: int = 40) -> int:
+    """Exact order of the automorphism group of the directed quotient graph
+    (the subspace lattice of F_q^n), coloured by rank: one
+    ``digraph_aut_order`` search over the containment relation."""
+    return digraph_aut_order(*_quotient_sets(F, n, cap))
 
 
 @dataclass(frozen=True)
@@ -581,69 +603,36 @@ class FactoredGroupOrder:
 
     @property
     def value(self) -> int:
-        out = self.quotient_order
-        for size, mult in self.factorial_terms:
-            out *= math.factorial(size) ** mult
-        return out
+        terms = (math.factorial(size) ** mult for size, mult in self.factorial_terms)
+        return self.quotient_order * math.prod(terms)
 
     def __str__(self):
         parts = [str(self.quotient_order)]
         for size, mult in self.factorial_terms:
-            term = f"{size}!"
-            if mult > 1:
-                term = f"({size}!)^{mult}"
-            parts.append(term)
+            parts.append(f"{size}!" if mult == 1 else f"({size}!)^{mult}")
         return " * ".join(parts)
 
 
 def full_aut_order(F: Field, n: int, cap: int = 40) -> FactoredGroupOrder:
     """Exact order of the automorphism group of the directed full graph.
 
-    Classes with identical up-sets and down-sets are interchangeable at
-    the vertex level (their members are mutual twins), so they merge into
-    one block; every automorphism permutes blocks compatibly with the
-    merged containment relation and acts freely inside each block.  The
-    order is therefore (automorphisms of the merged structure, respecting
-    block sizes) times the product of (block size)!.
+    Twin classes (identical up-sets and down-sets) have mutually twin
+    members, so they merge into one block; every automorphism permutes
+    blocks compatibly with the merged containment relation and acts
+    freely inside each block.  The order is therefore (automorphisms of
+    the merged structure, respecting block sizes) times the product of
+    (block size)!.
 
     For n >= 3 no two classes are twins and this is the quotient-graph
     automorphism count times the product of fiber-size factorials; for
     n = 2 all rank-1 classes merge, giving the product of rank-class-size
     factorials.
     """
-    count = sum(gaussian_binomial(n, r, F.q) for r in range(n + 1))
-    if count > cap:
-        raise ValueError(f"quotient has {count} vertices, above the cap {cap}")
-    Q = build_quotient_graph(F, n)
-    C = Q.class_count
-    up = [frozenset(Q.super_classes[c]) for c in range(C)]
-    down = [frozenset(Q.sub_classes[c]) for c in range(C)]
-    fib = [fiber_size(n, Q.class_rank[c], F.q) for c in range(C)]
-
-    block_key = {}
-    for c in range(C):
-        block_key.setdefault((up[c], down[c]), []).append(c)
-    blocks = sorted(block_key.values(), key=lambda b: b[0])
-    block_of = {}
-    for bi, members in enumerate(blocks):
-        for c in members:
-            block_of[c] = bi
-    sizes = [sum(fib[c] for c in members) for members in blocks]
-
-    out_sets = [
-        set(block_of[d] for c in members for d in up[c]) - {bi}
-        for bi, members in enumerate(blocks)
-    ]
-    in_sets = [
-        set(block_of[d] for c in members for d in down[c]) - {bi}
-        for bi, members in enumerate(blocks)
-    ]
-    structure_order = digraph_aut_order(out_sets, in_sets, sizes)
-
-    terms = {}
-    for size in sizes:
-        terms[size] = terms.get(size, 0) + 1
+    up, down, ranks = _quotient_sets(F, n, cap)
+    fib = [fiber_size(n, r, F.q) for r in ranks]
+    blocks, out_b, in_b = _twin_blocks(up, down, fib)
+    sizes = [fib[members[0]] * len(members) for members in blocks]
     return FactoredGroupOrder(
-        quotient_order=structure_order,
-        factorial_terms=tuple(sorted(terms.items())),
+        quotient_order=digraph_aut_order(out_b, in_b, sizes),
+        factorial_terms=tuple(sorted(Counter(sizes).items())),
     )

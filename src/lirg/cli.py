@@ -69,7 +69,7 @@ def positive_int(text):
     return value
 
 
-def _add_common(sub, seed=False):
+def _add_ring(sub):
     sub.add_argument("--n", type=positive_int, required=True, help="matrix dimension")
     sub.add_argument("--p", type=int, required=True, help="field characteristic")
     sub.add_argument("--m", type=int, default=1, help="extension degree")
@@ -78,10 +78,12 @@ def _add_common(sub, seed=False):
         default=None,
         help="comma separated modulus coefficients, low to high",
     )
-    sub.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
     sub.add_argument("--out", default=None, help="output file (default stdout)")
-    if seed:
-        sub.add_argument("--seed", type=int, default=0, help="PRNG seed")
+
+
+def _add_common(sub):
+    _add_ring(sub)
+    sub.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
 
 
 def cmd_ring_info(args) -> int:
@@ -241,7 +243,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("ring-info", help="counting tables and predictions")
-    _add_common(s)
+    _add_ring(s)
     s.set_defaults(func=cmd_ring_info)
 
     s = subs.add_parser("build-graph", help="emit the relation graph")
@@ -262,7 +264,8 @@ def build_parser():
     aut_subs = s.add_subparsers(dest="sub", required=True)
 
     sample = aut_subs.add_parser("sample", help="seeded random automorphism")
-    _add_common(sample, seed=True)
+    _add_common(sample)
+    sample.add_argument("--seed", type=int, default=0, help="PRNG seed")
     sample.set_defaults(func=cmd_aut)
 
     for name in ["verify", "decompose"]:
@@ -277,7 +280,7 @@ def build_parser():
     rec.set_defaults(func=cmd_aut_recompose)
 
     cq = aut_subs.add_parser("count-quotient", help="exact quotient group order")
-    _add_common(cq)
+    _add_ring(cq)
     cq.set_defaults(func=cmd_aut)
 
     return parser

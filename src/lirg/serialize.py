@@ -6,6 +6,8 @@ writers emit byte-identical output for identical inputs; all machine
 formats round-trip through the parsers here.
 """
 
+from array import array
+
 import numpy as np
 
 from lirg.aut import Automorphism, Decomposition
@@ -265,13 +267,14 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
         raise ValueError("truncated decomposition file")
     if not lines[pos].startswith("t "):
         raise ValueError("missing t line")
-    t = int(lines[pos].split()[1])
+    t = int(lines[pos][2:])
     pos += 1
-    if lines[pos] != "sigma":
+    if pos >= len(lines) or lines[pos] != "sigma":
         raise ValueError("missing sigma block")
     pos += 1
     perm = np.arange(G.vertex_count, dtype=np.int64)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
+    verts = array("q")
     while True:
         if pos >= len(lines):
             raise ValueError("decomposition file missing end marker")
@@ -294,8 +297,11 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
             cycle = [int(x) for x in chunk.split()]
             if set(cycle) - members:
                 raise ValueError("cycle leaves its ideal class")
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                perm[a] = b
+            perm[cycle] = cycle[1:] + cycle[:1]
+            verts.extend(cycle)
         pos += 1
+    counts = np.bincount(np.frombuffer(verts, dtype=np.int64), minlength=G.vertex_count)
+    if counts.max() > 1:
+        raise ValueError(f"vertex {int(counts.argmax())} appears twice in the sigma cycles")
     sigma = Automorphism(G.n, G.field, perm)
     return Decomposition(P=P, t=t, sigma=sigma)

@@ -297,6 +297,41 @@ def test_quotient_aut_orders():
         aut.quotient_aut_order(F4, 3)  # 44 subspaces
 
 
+@pytest.mark.parametrize(
+    "p, m, n, cap, expected",
+    [(3, 1, 3, 40, 5616), (2, 2, 3, 44, 120960), (2, 1, 4, 67, 20160)],
+    ids=["q3-n3", "q4-n3", "q2-n4"],
+)
+def test_quotient_aut_order_is_projective_semilinear(p, m, n, cap, expected):
+    """For n >= 3 the subspace lattice has |PGammaL(n, q)| automorphisms."""
+    F = make_field(p, m)
+    assert expected == gl_order(n, F.q) * m // (F.q - 1)
+    assert aut.quotient_aut_order(F, n, cap=cap) == expected
+
+
+def test_quotient_aut_order_every_default_cap_input():
+    """Every n in {2, 3} whose quotient fits the default cap of 40."""
+    prime_powers = [
+        (2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1),
+        (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (29, 1), (31, 1),
+        (2, 5), (37, 1),
+    ]
+    assert [p**m for p, m in prime_powers] == sorted(p**m for p, m in prime_powers)
+    for p, m in prime_powers:
+        assert aut.quotient_aut_order(make_field(p, m), 2) == math.factorial(p**m + 1)
+    for p in (2, 3):
+        assert aut.quotient_aut_order(make_field(p, 1), 3) == gl_order(3, p) // (p - 1)
+    with pytest.raises(ValueError, match="cap"):
+        aut.quotient_aut_order(make_field(41, 1), 2)  # 44 subspaces
+
+
+def test_digraph_aut_order_vertex_level_gf2_n3(graphs):
+    G = graphs(2, 1, 3)
+    out_sets = [G.out_neighbors(v) for v in range(G.vertex_count)]
+    in_sets = [G.in_neighbors(v) for v in range(G.vertex_count)]
+    assert aut.digraph_aut_order(out_sets, in_sets) == aut.full_aut_order(F2, 3).value
+
+
 def test_quotient_aut_order_matches_enumeration():
     from lirg.graph import build_quotient_graph
 

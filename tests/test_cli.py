@@ -328,6 +328,43 @@ def test_aut_count_quotient(capsys):
     assert "modulus=0,1" in out  # resolved config echoed
 
 
+def test_aut_count_quotient_gf3_n3(capsys):
+    code, out, _ = run(capsys, "aut", "count-quotient", "--n", "3", "--p", "3")
+    assert code == 0
+    assert out.endswith("\nquotient automorphism group order: 5616\n")
+
+
+@pytest.mark.parametrize("command", [["ring-info"], ["aut", "count-quotient"]])
+def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
+    code, out, err = run(capsys, *command, "--n", "3", "--p", "2", "--cap", "5")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --cap" in err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 4 32)"), "vertex 4 appears twice"),
+        (lambda text: text.split("sigma\n")[0], "missing sigma block"),
+    ],
+    ids=["repeated-cycle-vertex", "ends-after-t"],
+)
+def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
+    ring = ["--n", "3", "--p", "2"]
+    perm, dec, out = tmp_path / "f.perm", tmp_path / "f.dec", tmp_path / "g.perm"
+    assert run(capsys, "aut", "sample", *ring, "--seed", "3", "--out", str(perm))[0] == 0
+    assert run(capsys, "aut", "decompose", *ring, "--perm", str(perm), "--out", str(dec))[0] == 0
+    text = dec.read_text()
+    assert "cycles=(4 36 32)" in text
+    dec.write_text(edit(text))
+    out.write_bytes(b"old bytes\n")
+    code, stdout, err = run(capsys, "aut", "recompose", *ring, "--report", str(dec), "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert out.read_bytes() == b"old bytes\n"
+
+
 def test_malformed_perm_file(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("nonsense\n")

@@ -109,6 +109,12 @@ def test_truncated_decomposition_rejected(graphs):
         serialize.parse_decomposition(G, "\n".join(lines[:2]) + "\n")
     with pytest.raises(ValueError, match="end marker"):
         serialize.parse_decomposition(G, "\n".join(lines[:-1]) + "\n")
+    t_line = next(i for i, line in enumerate(lines) if line.startswith("t "))
+    with pytest.raises(ValueError, match="missing sigma block"):
+        serialize.parse_decomposition(G, "\n".join(lines[: t_line + 1]) + "\n")
+    lines[t_line] = "t "
+    with pytest.raises(ValueError, match="invalid literal"):
+        serialize.parse_decomposition(G, "\n".join(lines) + "\n")
 
 
 def test_decomposition_roundtrip(graphs):
