@@ -5,19 +5,21 @@ element with coefficient vector ``(c_0, ..., c_{m-1})`` (coefficient of x^i
 at index i) is ``sum(c_i * p**i)``.  The code is the interchange encoding
 used by every file format in this package.
 
+Arithmetic has one representation for every p and m: tables of
+``exp[k] = g^k``, ``log[g^k] = k`` and the Zech logarithm
+``zech[k] = log(1 + g^k)`` (-1 where 1 + g^k = 0) over g, the primitive
+element of smallest code (Lidl & Niederreiter, *Finite Fields*, ch. 9).
+They hold about 3q int64 entries and are built on the first operation.
+
 A :class:`Field` is immutable after construction and safe to share; all
 operations are pure functions of their arguments.
 """
 
+from array import array
 from functools import cached_property
-from itertools import product
 from math import isqrt
 
 import numpy as np
-
-# Beyond this size the dense q x q operation tables are not built; scalar
-# arithmetic falls back to per-call polynomial reduction.
-TABLE_LIMIT = 2048
 
 
 def is_prime(k: int) -> bool:
@@ -31,27 +33,9 @@ def is_prime(k: int) -> bool:
     return True
 
 
-def _poly_trim(c):
-    i = len(c)
-    while i > 0 and c[i - 1] == 0:
-        i -= 1
-    return c[:i]
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(tuple(out))
-
-
 def _poly_mod(a, mod, p):
-    """Remainder of a modulo a monic polynomial, coefficients mod p."""
+    """Remainder of a modulo a monic polynomial, coefficients mod p, as
+    deg(mod) coefficients when a has at least that many."""
     r = list(a)
     dm = len(mod) - 1
     while len(r) > dm:
@@ -61,7 +45,14 @@ def _poly_mod(a, mod, p):
             for i in range(dm):
                 r[shift + i] = (r[shift + i] - lead * mod[i]) % p
         r.pop()
-    return _poly_trim(tuple(r))
+    return r
+
+
+def _monics(p: int, d: int):
+    """Monic polynomials of degree d over Z_p, low to high, ordered by their
+    coefficients from the constant term upward; nothing of size p is built."""
+    for k in range(p**d):
+        yield tuple(k // p**i % p for i in reversed(range(d))) + (1,)
 
 
 def is_irreducible(coeffs, p: int) -> bool:
@@ -70,14 +61,9 @@ def is_irreducible(coeffs, p: int) -> bool:
     deg = len(c) - 1
     if deg < 1 or c[-1] != 1:
         return False
-    if deg == 1:
-        return True
-    if c[0] == 0:
-        return False
     for d in range(1, deg // 2 + 1):
-        for lower in product(range(p), repeat=d):
-            g = lower + (1,)
-            if not _poly_mod(c, g, p):
+        for g in _monics(p, d):
+            if not any(_poly_mod(c, g, p)):
                 return False
     return True
 
@@ -88,8 +74,7 @@ def smallest_irreducible(p: int, m: int):
     Candidates are ordered by their coefficient vector read from the
     constant term upward, so the choice is deterministic across runs.
     """
-    for lower in product(range(p), repeat=m):
-        cand = lower + (1,)
+    for cand in _monics(p, m):
         if is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible of degree {m} over Z_{p}")  # unreachable
@@ -163,49 +148,41 @@ class Field:
     # -- arithmetic ------------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (self.check(a) + self.check(b)) % self.p
-        if self._small:
-            return self._add[self.check(a)][self.check(b)]
-        return self._add_slow(a, b)
+        a, b = self.check(a), self.check(b)
+        if not a:
+            return b
+        if not b:
+            return a
+        # g^i + g^j = g^i * (1 + g^(j - i)); logs lie in [0, q - 1), so an
+        # index shifted down by q - 1 wraps through negative indexing.
+        log = self._log
+        i = log[a]
+        z = self._zech[log[b] - i]
+        return 0 if z < 0 else self._exp[i + z - (self.q - 1)]
 
     def neg(self, a: int) -> int:
-        if self.m == 1:
-            return (-self.check(a)) % self.p
-        if self._small:
-            return self._neg[self.check(a)]
-        return self.from_coeffs(tuple((-c) % self.p for c in self.coeffs(a)))
+        return self.mul(self.p - 1, a)  # -1 has code p - 1
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.m == 1:
-            return (self.check(a) * self.check(b)) % self.p
-        if self._small:
-            return self._mul[self.check(a)][self.check(b)]
-        return self._mul_slow(a, b)
+        a, b = self.check(a), self.check(b)
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b] - (self.q - 1)]
 
     def inv(self, a: int) -> int:
         a = self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self.m == 1:
-            return pow(a, self.p - 2, self.p)
-        # a^(q-2) by square and multiply
-        return self.pow(a, self.q - 2)
+        return self._exp[-self._log[a]]
 
     def pow(self, a: int, k: int) -> int:
         a = self.check(a)
-        if k < 0:
-            return self.pow(self.inv(a), -k)
-        r = 1
-        while k:
-            if k & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            k >>= 1
-        return r
+        if not a:
+            return self.inv(a) if k < 0 else int(k == 0)  # inv(0) raises
+        return self._exp[self._log[a] * k % (self.q - 1)]
 
     def frobenius(self, a: int, t: int) -> int:
         """a ** (p**t); the automorphisms of GF(p^m) are exactly these maps."""
@@ -217,37 +194,57 @@ class Field:
         """Exponents t labelling the maps a -> a**(p**t)."""
         return list(range(self.m))
 
-    # -- slow paths for large extension fields ---------------------------
+    # -- exp/log/Zech tables: array("q") indexes to Python ints, 8 B each --
 
-    def _add_slow(self, a, b):
-        ca, cb = self.coeffs(a), self.coeffs(b)
-        return self.from_coeffs(tuple((x + y) % self.p for x, y in zip(ca, cb)))
+    def _fill_powers(self, g: int, codes) -> bool:
+        """Write the code of g^k to codes[k] for k in [0, q - 1), doubling k;
+        False as soon as g^k = 1 for some 0 < k < q - 1 (g not primitive).
 
-    def _mul_slow(self, a, b):
-        prod_ = _poly_mul(self.coeffs(self.check(a)), self.coeffs(self.check(b)), self.p)
-        rem = _poly_mod(prod_, self.modulus, self.p)
-        return self.from_coeffs(rem + (0,) * (self.m - len(rem)))
-
-    # -- cached tables ---------------------------------------------------
+        Multiplying by c is F_p-linear: the coefficient vector of u*c is that
+        of u @ M_c mod p, where row i of M_c is x^i * c mod the modulus, and
+        M_(c^2) = M_c @ M_c.  g^k .. g^(2k-1) are g^0 .. g^(k-1) times g^k.
+        """
+        p, m, q = self.p, self.m, self.q
+        c = self.coeffs(g)
+        step = np.array([_poly_mod((0,) * i + c, self.modulus, p) for i in range(m)])
+        weights = p ** np.arange(m, dtype=np.int64)
+        vecs = np.zeros((q - 1, m), dtype=np.int64)
+        vecs[0, 0] = codes[0] = 1
+        k = 1
+        while k < q - 1:
+            size = min(k, q - 1 - k)
+            block = vecs[k : k + size]
+            np.matmul(vecs[:size], step, out=block)
+            np.remainder(block, p, out=block)
+            np.matmul(block, weights, out=codes[k : k + size])
+            if (codes[k : k + size] == 1).any():
+                return False
+            step = step @ step % p
+            k += size
+        return True
 
     @cached_property
-    def _small(self) -> bool:
-        return self.q <= TABLE_LIMIT
+    def _exp(self):
+        exp = array("q", [0]) * (self.q - 1)
+        codes = np.frombuffer(exp, dtype=np.int64)
+        # g = 1 is primitive only in GF(2), where the group has order 1.
+        next(g for g in range(1, self.q) if self._fill_powers(g, codes))
+        return exp
 
     @cached_property
-    def _add(self):
-        return [[self._add_slow(a, b) for b in range(self.q)] for a in range(self.q)]
+    def _log(self):
+        log = array("q", [-1]) * self.q
+        np.frombuffer(log, dtype=np.int64)[self._exp] = np.arange(self.q - 1)
+        return log
 
     @cached_property
-    def _neg(self):
-        return [self._add_slow(0, 0)] + [
-            self.from_coeffs(tuple((-c) % self.p for c in self.coeffs(a)))
-            for a in range(1, self.q)
-        ]
-
-    @cached_property
-    def _mul(self):
-        return [[self._mul_slow(a, b) for b in range(self.q)] for a in range(self.q)]
+    def _zech(self):
+        p, exp = self.p, np.frombuffer(self._exp, dtype=np.int64)
+        # 1 + a changes only a's constant digit: up by one, or p - 1 to 0.
+        one_plus = exp + np.where(exp % p == p - 1, 1 - p, 1)
+        zech = array("q", [0]) * (self.q - 1)
+        np.take(self._log, one_plus, out=np.frombuffer(zech, dtype=np.int64))
+        return zech
 
 
 def make_field(p: int, m: int, modulus=None) -> Field:

@@ -216,19 +216,18 @@ def _span_codes(F: Field, n: int, basis):
     """Row codes of all q^r F_q-combinations of the r basis rows.
 
     Entry ``sum(a_k * q**k)`` is the code of ``sum(a_k * basis[k])``; for a
-    square matrix P that is the row map u -> uP on row codes.
+    square matrix P that is the row map u -> uP on row codes.  Row codes add
+    digit-wise mod p, and base-p digit k*m + i of an entry index is the
+    coefficient of x^i in a_k, so the entries are one product of that digit
+    matrix with the digit vectors of the x^i * basis[k].
     """
-    vecs = [(0,) * n]
-    for row in basis:
-        vecs = [
-            tuple(F.add(x, F.mul(a, y)) for x, y in zip(v, row))
-            for a in F.elements()
-            for v in vecs
-        ]
-    powers = [F.q**j for j in range(n)]
-    return np.array(
-        [sum(c * pw for c, pw in zip(v, powers)) for v in vecs], dtype=np.int64
-    )
+    p, m, r = F.p, F.m, len(basis)
+    gens = np.array(
+        [[F.coeffs(F.mul(p**i, y)) for y in row] for row in basis for i in range(m)],
+        dtype=np.int64,
+    ).reshape(r * m, n * m)
+    digits = np.arange(F.q**r)[:, None] // p ** np.arange(r * m) % p
+    return (digits @ gens % p) @ p ** np.arange(n * m)
 
 
 def _digit_sum(codes, base: int, k: int):

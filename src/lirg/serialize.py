@@ -263,6 +263,8 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
         P, pos = parse_matrix_block(lines, 2)
     except IndexError as exc:
         raise ValueError("truncated P block") from exc
+    if len(P) != G.n:
+        raise ValueError(f"P block is {len(P)}x{len(P)}, expected {G.n}x{G.n}")
     if pos >= len(lines):
         raise ValueError("truncated decomposition file")
     if not lines[pos].startswith("t "):
@@ -292,13 +294,14 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
         ideal = LeftIdeal(G.n, basis)
         if ideal not in ideal_index:
             raise ValueError(f"unknown ideal class in sigma block: {ideal}")
-        members = set(int(v) for v in G.class_vertices[ideal_index[ideal]])
-        for chunk in cyc_text.strip("()").split(")("):
-            cycle = [int(x) for x in chunk.split()]
-            if set(cycle) - members:
-                raise ValueError("cycle leaves its ideal class")
-            perm[cycle] = cycle[1:] + cycle[:1]
-            verts.extend(cycle)
+        cycles = [[int(x) for x in c.split()] for c in cyc_text.strip("()").split(")(")]
+        flat = [v for cycle in cycles for v in cycle]
+        # Range first: the class gather would wrap -1 and raise on N.
+        bad = min(flat, default=0) < 0 or max(flat, default=0) >= G.vertex_count
+        if bad or (G.vertex_class[flat] != ideal_index[ideal]).any():
+            raise ValueError("cycle leaves its ideal class")
+        perm[flat] = [w for cycle in cycles for w in cycle[1:] + cycle[:1]]
+        verts.extend(flat)
         pos += 1
     counts = np.bincount(np.frombuffer(verts, dtype=np.int64), minlength=G.vertex_count)
     if counts.max() > 1:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 
@@ -175,6 +176,17 @@ def test_invariants_json_kv(capsys):
     assert len(doc["girth_witness"]) == 3
 
 
+def test_invariants_over_gf2_11(capsys):
+    # Field tables of size q, not q x q, keep this 2,048-vertex run short.
+    code, out, _ = run(
+        capsys, "invariants", "--n", "1", "--p", "2", "--m", "11", "--cap", "5000",
+        "--format", "json-kv",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["q"], doc["match"]) == (2048, True)
+
+
 def test_invariants_mismatch_trips_exit_code(capsys, monkeypatch):
     import lirg.invariants as inv
 
@@ -242,7 +254,7 @@ def test_determinism_across_runs(capsys, tmp_path):
 
 def test_aut_sample_verify_roundtrip(capsys, tmp_path):
     perm = tmp_path / "perm.txt"
-    # q = 4099 exceeds the scalar field's table limit
+    # q = 4099: a large prime field
     for config in (["--n", "2", "--p", "2"], ["--n", "1", "--p", "4099", "--cap", "5000"]):
         code, _, _ = run(capsys, "aut", "sample", *config, "--seed", "1", "--out", str(perm))
         assert code == 0
@@ -347,8 +359,14 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
     [
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 4 32)"), "vertex 4 appears twice"),
         (lambda text: text.split("sigma\n")[0], "missing sigma block"),
+        (
+            lambda text: re.sub(r"P\n3\n(.*\n){3}", "P\n2\n1 0\n0 1\n", text),
+            "P block is 2x2, expected 3x3",
+        ),
+        (lambda text: text.replace("cycles=(4 36 32)", "cycles=(-1 36 32)"), "leaves its ideal class"),
+        (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 512)"), "leaves its ideal class"),
     ],
-    ids=["repeated-cycle-vertex", "ends-after-t"],
+    ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex", "cycle-vertex-past-N"],
 )
 def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     ring = ["--n", "3", "--p", "2"]

@@ -1,6 +1,8 @@
 """Field construction, arithmetic and Frobenius maps against brute-force
 polynomial oracles."""
 
+import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -198,3 +200,53 @@ def test_element_range_checked():
 
 def test_is_prime_small():
     assert [k for k in range(2, 30) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def _oracle_add(F: Field, a, b):
+    return F.from_coeffs(tuple((x + y) % F.p for x, y in zip(F.coeffs(a), F.coeffs(b))))
+
+
+def _oracle_mul(F: Field, a, b):
+    return F.from_coeffs(poly_mul_mod(F.coeffs(a), F.coeffs(b), F.modulus, F.p))
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)])
+def test_mul_matches_oracle_for_every_irreducible_modulus(p, m):
+    moduli = [lo + (1,) for lo in product(range(p), repeat=m) if not oracle_reducible(lo + (1,), p)]
+    for modulus in moduli:
+        F = make_field(p, m, modulus)
+        for a in F.elements():
+            for b in F.elements():
+                assert F.mul(a, b) == _oracle_mul(F, a, b), (modulus, a, b)
+
+
+@pytest.mark.parametrize("p,m", [(2, 11), (2, 12), (3, 7), (4099, 1), (100003, 1)])
+def test_random_elements_against_oracle(p, m):
+    F = make_field(p, m)
+    rng = random.Random(p * 100 + m)
+    for _ in range(400):
+        a, b = rng.randrange(F.q), rng.randrange(1, F.q)
+        assert F.mul(a, b) == _oracle_mul(F, a, b)
+        assert F.add(a, b) == _oracle_add(F, a, b)
+        assert F.neg(a) == F.from_coeffs(tuple(-c % p for c in F.coeffs(a)))
+        assert F.mul(b, F.inv(b)) == 1
+        assert F.pow(b, F.q - 1) == 1 and F.pow(b, 3) == F.mul(b, F.mul(b, b))
+        assert F.pow(b, -1) == F.inv(b)
+        for t in range(m):
+            fa, fb = F.frobenius(a, t), F.frobenius(b, t)
+            assert F.frobenius(F.add(a, b), t) == F.add(fa, fb)
+            assert F.frobenius(F.mul(a, b), t) == F.mul(fa, fb)
+
+
+def test_large_prime_field_allocates_nothing_of_size_p():
+    tracemalloc.start()
+    try:
+        F = make_field(1_000_003, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert F.modulus == (0, 1)
+    assert peak < 1_000_000
+    # The exp/log/Zech tables wait for the first operation.
+    assert not {"_exp", "_log", "_zech"} & vars(F).keys()
+    assert F.mul(2, F.inv(2)) == 1 and {"_exp", "_log"} <= vars(F).keys()
