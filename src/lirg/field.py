@@ -16,19 +16,39 @@ operations are pure functions of their arguments.
 """
 
 from array import array
-from functools import cached_property
-from math import isqrt
 
 import numpy as np
 
 
+# Miller-Rabin over the 13 primes 2..41 is exact below this bound, the least
+# strong pseudoprime to all of them (Sorenson & Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 86 (2017)).
+PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(k: int) -> bool:
+    """Deterministic Miller-Rabin; raises ValueError at or above PRIME_LIMIT,
+    where these bases no longer decide primality."""
+    if k >= PRIME_LIMIT:
+        raise ValueError(f"p = {k} is too large: primality is decided only below {PRIME_LIMIT}")
     if k < 2:
         return False
-    if k % 2 == 0:
-        return k == 2
-    for d in range(3, isqrt(k) + 1, 2):
-        if k % d == 0:
+    for b in _PRIME_BASES:
+        if k % b == 0:
+            return k == b
+    d, s = k - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, k)
+        if x == 1 or x == k - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % k
+            if x == k - 1:
+                break
+        else:
             return False
     return True
 
@@ -104,6 +124,9 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = modulus
+        self._exp, self._log, self._zech = (
+            _Unbuilt(self, name) for name in ("_exp", "_log", "_zech")
+        )
 
     def __eq__(self, other):
         return (
@@ -223,28 +246,34 @@ class Field:
             k += size
         return True
 
-    @cached_property
-    def _exp(self):
-        exp = array("q", [0]) * (self.q - 1)
+    def _build_tables(self):
+        p, q = self.p, self.q
+        exp = array("q", [0]) * (q - 1)
         codes = np.frombuffer(exp, dtype=np.int64)
         # g = 1 is primitive only in GF(2), where the group has order 1.
-        next(g for g in range(1, self.q) if self._fill_powers(g, codes))
-        return exp
-
-    @cached_property
-    def _log(self):
-        log = array("q", [-1]) * self.q
-        np.frombuffer(log, dtype=np.int64)[self._exp] = np.arange(self.q - 1)
-        return log
-
-    @cached_property
-    def _zech(self):
-        p, exp = self.p, np.frombuffer(self._exp, dtype=np.int64)
+        next(g for g in range(1, q) if self._fill_powers(g, codes))
+        log = array("q", [-1]) * q
+        np.frombuffer(log, dtype=np.int64)[codes] = np.arange(q - 1)
         # 1 + a changes only a's constant digit: up by one, or p - 1 to 0.
-        one_plus = exp + np.where(exp % p == p - 1, 1 - p, 1)
-        zech = array("q", [0]) * (self.q - 1)
-        np.take(self._log, one_plus, out=np.frombuffer(zech, dtype=np.int64))
-        return zech
+        one_plus = codes + np.where(codes % p == p - 1, 1 - p, 1)
+        zech = array("q", [0]) * (q - 1)
+        np.take(log, one_plus, out=np.frombuffer(zech, dtype=np.int64))
+        self._exp, self._log, self._zech = exp, log, zech
+
+
+class _Unbuilt:
+    """Holds the place of one of a field's tables until its first lookup,
+    which builds all three as plain instance attributes: unlike a
+    cached_property, later lookups then pay no descriptor check."""
+
+    __slots__ = ("field", "name")
+
+    def __init__(self, field: Field, name: str):
+        self.field, self.name = field, name
+
+    def __getitem__(self, k):
+        self.field._build_tables()
+        return getattr(self.field, self.name)[k]
 
 
 def make_field(p: int, m: int, modulus=None) -> Field:

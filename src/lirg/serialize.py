@@ -6,6 +6,8 @@ writers emit byte-identical output for identical inputs; all machine
 formats round-trip through the parsers here.
 """
 
+import io
+import re
 from array import array
 
 import numpy as np
@@ -105,7 +107,7 @@ def render_edge_list(G: RelationGraph) -> str:
 def parse_edge_list(text: str):
     lines = _lines_of(text, "edge list")
     head = lines[0].split()
-    if head[0] != "graph":
+    if head[:1] != ["graph"]:
         raise ValueError("not an edge list file")
     vals = _parse_tokens(head[1:])
     n, F, directed = parse_field_tokens(head[1:])
@@ -177,63 +179,147 @@ def parse_matrix_block(lines, start: int):
 
 # -- permutations -----------------------------------------------------------
 
+# Rows per block when rendering a permutation: block buffers stay ~1 MB.
+_RENDER_ROWS = 1 << 16
+
+
+def _digit_table(N: int):
+    """The ASCII decimal digits of 0..N-1, right-aligned in an (N, D) uint8
+    matrix, and the (N, D) mask that keeps all but their leading zeros."""
+    width = len(str(N - 1))
+    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    digits = np.empty((N, width), dtype=np.uint8)
+    kept = np.ones((N, width), dtype=bool)
+    for j in range(width):
+        # Column j counts 0..9 over and over, each digit held for `run`
+        # numbers; below `run`, it and every column left of it are zeros.
+        run = 10 ** (width - 1 - j)
+        cycle = np.repeat(ascii[: -(-N // run)], run)
+        digits[:, j] = np.tile(cycle, -(-N // len(cycle)))[:N]
+        if j < width - 1:
+            kept[:run, j] = False
+    return digits, kept
+
 
 def render_permutation(n: int, F: Field, perm) -> str:
-    lines = ["perm " + field_tokens(n, F, True)]
-    for v, image in enumerate(perm):
-        lines.append(f"{v} {int(image)}")
-    return "\n".join(lines) + "\n"
+    perm = np.asarray(perm)
+    N = len(perm)
+    if perm.min() < 0 or perm.max() >= N:
+        raise ValueError(f"permutation image out of range [0, {N})")
+    digits, kept = _digit_table(N)
+    width = digits.shape[1]
+    # One row per line: "{v} {image}\n" with v and image zero-padded,
+    # compressed by the mask that drops the padding.
+    chars = np.empty((min(N, _RENDER_ROWS), 2 * width + 2), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, width], chars[:, -1] = ord(" "), ord("\n")
+    text = bytearray(("perm " + field_tokens(n, F, True) + "\n").encode())
+    for lo in range(0, N, _RENDER_ROWS):
+        hi = min(lo + _RENDER_ROWS, N)
+        rows, image = hi - lo, perm[lo:hi]
+        chars[:rows, :width], keep[:rows, :width] = digits[lo:hi], kept[lo:hi]
+        chars[:rows, width + 1 : -1] = np.take(digits, image, axis=0)
+        keep[:rows, width + 1 : -1] = np.take(kept, image, axis=0)
+        text += chars[:rows][keep[:rows]].data
+    return text.decode("ascii")
+
+
+def _bad_mapping_line(body: str) -> str:
+    """The refusal message naming the first line of body that is not two
+    integers within int64."""
+    for number, line in enumerate(body.split("\n"), 1):
+        fields = line.split()
+        if len(fields) != 2 or not all(
+            re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
+        ):
+            return f"mapping line {number} is not two integers: {line[:60]!r}"
+    return "mapping lines are not pairs of integers"
 
 
 def parse_permutation(text: str, ring=None):
     """(n, field, perm) from a permutation file; ``ring = (n, F)``, when
-    given, must match the header (see ``parse_field_tokens``)."""
-    lines = _lines_of(text, "permutation")
-    head = lines[0].split()
-    if head[0] != "perm":
+    given, must match the header (see ``parse_field_tokens``).
+
+    Each mapping line holds two integers separated by any whitespace; a
+    line with any other number of fields is refused.
+    """
+    header, newline, body = text.strip("\n").partition("\n")
+    if not header:
+        raise ValueError("empty permutation file")
+    head = header.split()
+    if head[:1] != ["perm"]:
         raise ValueError("not a permutation file")
-    n, F, directed = parse_field_tokens(head[1:], ring)
-    count = len(lines) - 1
+    n, F, _ = parse_field_tokens(head[1:], ring)
+    count = body.count("\n") + 1 if newline else 0
     # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
     # header alone never sizes a power or an array beyond the file read.
     if n * n > count.bit_length() or F.q ** (n * n) != count:
         raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {count}")
-    perm = np.empty(count, dtype=np.int64)
-    for idx, line in enumerate(lines[1:]):
-        v, image = line.split()
-        if int(v) != idx:
-            raise ValueError(f"mapping lines out of order at {v}")
-        perm[idx] = int(image)
-    return n, F, perm
+    # A lone \r is whitespace inside a line here, but a line break to loadtxt.
+    if "\r" in body:
+        body = body.replace("\r", " ")
+    try:
+        # loadtxt skips blank lines and refuses a change in field count; the
+        # shape check then refuses blank lines and a uniform wrong count.
+        pairs = None if body.isspace() else np.loadtxt(
+            io.BytesIO(body.encode()), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+        )
+    except ValueError:
+        pairs = None
+    if pairs is None or pairs.shape != (count, 2):
+        raise ValueError(_bad_mapping_line(body))
+    disorder = np.flatnonzero(pairs[:, 0] != np.arange(count))
+    if disorder.size:
+        raise ValueError(f"mapping lines out of order at {pairs[disorder[0], 0]}")
+    return n, F, np.ascontiguousarray(pairs[:, 1])
 
 
 # -- decompositions ----------------------------------------------------------
 
 
 def _sigma_cycles(G: RelationGraph, sigma: Automorphism):
-    """Per-class cycle lists; classes with trivial action are omitted.
+    """(class, vertices, ends) per class with nontrivial action, ascending by
+    class: the class's cycles laid end to end in ``vertices``, cycle k ending
+    before ``ends[k]``.
 
-    Cycles start at their smallest vertex and are sorted by it.
+    Each cycle starts at its smallest vertex and the cycles ascend by it,
+    because they are traced from the moved vertices in ascending order.
     """
-    out = []
-    for c in range(G.class_count):
-        verts = [int(v) for v in G.class_vertices[c]]
-        seen = set()
-        cycles = []
-        for v in verts:
-            if v in seen or int(sigma.perm[v]) == v:
-                continue
-            cycle = [v]
-            seen.add(v)
-            w = int(sigma.perm[v])
-            while w != v:
-                cycle.append(w)
-                seen.add(w)
-                w = int(sigma.perm[w])
-            cycles.append(cycle)
-        if cycles:
-            out.append((c, sorted(cycles)))
-    return out
+    # memoryviews hand out Python ints one at a time and array("q") stores
+    # them unboxed: no list of N int objects is ever held.
+    succ = memoryview(sigma.perm)
+    moved = np.flatnonzero(sigma.perm != np.arange(G.vertex_count))
+    seen = bytearray(G.vertex_count)
+    walks = {}
+    for v, c in zip(memoryview(moved), memoryview(G.vertex_class[moved])):
+        if seen[v]:
+            continue
+        verts, ends = walks.setdefault(c, (array("q"), []))
+        while not seen[v]:
+            seen[v] = 1
+            verts.append(v)
+            v = succ[v]
+        ends.append(len(verts))
+    return [
+        (c, np.frombuffer(verts, dtype=np.int64), np.array(ends))
+        for c, (verts, ends) in sorted(walks.items())
+    ]
+
+
+def _cycle_text(digits, kept, verts, ends) -> str:
+    """'(a b c)(d e)' for cycles laid end to end, from ``_digit_table``."""
+    width = digits.shape[1]
+    # One row per vertex: "(" or " ", the zero-padded number, then ")"
+    # kept only at a cycle's end.
+    chars = np.empty((len(verts), width + 2), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, 0], chars[:, -1] = ord(" "), ord(")")
+    chars[np.r_[0, ends[:-1]], 0] = ord("(")
+    chars[:, 1:-1] = np.take(digits, verts, axis=0)
+    keep[:, 1:-1] = np.take(kept, verts, axis=0)
+    keep[:, -1] = False
+    keep[ends - 1, -1] = True
+    return chars[keep].tobytes().decode("ascii")
 
 
 def render_decomposition(G: RelationGraph, dec: Decomposition) -> str:
@@ -242,19 +328,53 @@ def render_decomposition(G: RelationGraph, dec: Decomposition) -> str:
     lines.append(matrix_block(dec.P))
     lines.append(f"t {dec.t}")
     lines.append("sigma")
-    for c, cycles in _sigma_cycles(G, dec.sigma):
+    digits, kept = _digit_table(G.vertex_count)
+    for c, verts, ends in _sigma_cycles(G, dec.sigma):
         ideal = G.class_ideals[c]
         basis = ";".join(",".join(str(x) for x in row) for row in ideal.basis)
-        cyc = "".join("(" + " ".join(str(v) for v in cy) + ")" for cy in cycles)
+        cyc = _cycle_text(digits, kept, verts, ends)
         lines.append(f"class rank={ideal.rank} basis={basis} cycles={cyc}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 
 
+# Numbers per loadtxt row when parsing sigma cycles.
+_CYCLE_ROW = 1024
+# The ASCII characters that str.split() splits on.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+
+
+def _parse_cycles(text: str):
+    """(vertices, ends) from '(a b c)(d e)', as ``_sigma_cycles`` lays them
+    out; cycles are split at ')(' and their numbers at any whitespace."""
+    body = text.strip("()")
+    if not body.isascii():
+        body = " ".join(body.split())  # Unicode whitespace to spaces
+    chars = np.frombuffer(body.encode(), dtype=np.uint8).copy()
+    breaks = np.flatnonzero((chars[:-1] == ord(")")) & (chars[1:] == ord("(")))
+    chars[breaks] = chars[breaks + 1] = ord(" ")
+    space = _SPACE[chars]
+    chars[space] = ord(" ")  # a lone \r would end a line for loadtxt
+    starts = np.flatnonzero(~space & np.r_[True, space[:-1]])
+    ends = np.r_[np.searchsorted(starts, breaks), len(starts)]
+    ends = np.unique(ends[ends > 0])  # empty cycles "()" hold nothing
+    if not len(starts):
+        return np.empty(0, dtype=np.int64), ends
+    # loadtxt holds ~64 bytes per field of a row, so the numbers go to it in
+    # rows of _CYCLE_ROW, the last row padded with zeros.
+    chars[starts[_CYCLE_ROW::_CYCLE_ROW] - 1] = ord("\n")
+    pad = b" 0" * (-len(starts) % _CYCLE_ROW)
+    verts = np.loadtxt(
+        io.BytesIO(chars.tobytes() + pad), dtype=np.int64, comments=None, encoding="utf-8"
+    )
+    return verts.reshape(-1)[: len(starts)], ends
+
+
 def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
     lines = _lines_of(text, "decomposition")
     head = lines[0].split()
-    if head[0] != "decomposition":
+    if head[:1] != ["decomposition"]:
         raise ValueError("not a decomposition file")
     parse_field_tokens(head[1:], (G.n, G.field))
     if len(lines) < 3 or lines[1] != "P":
@@ -276,16 +396,17 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
     pos += 1
     perm = np.arange(G.vertex_count, dtype=np.int64)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
-    verts = array("q")
+    cycle_verts = []
     while True:
         if pos >= len(lines):
             raise ValueError("decomposition file missing end marker")
         if lines[pos] == "end":
             break
         head_text, _, cyc_text = lines[pos].partition(" cycles=")
-        if not cyc_text:
-            raise ValueError(f"malformed sigma line: {lines[pos]!r}")
         vals = _parse_tokens(head_text.split()[1:])
+        if not cyc_text or "basis" not in vals:
+            # Quote only the start: a sigma line can run to megabytes.
+            raise ValueError(f"malformed sigma line: {lines[pos][:60]!r}")
         basis = tuple(
             tuple(int(x) for x in row.split(","))
             for row in vals["basis"].split(";")
@@ -294,16 +415,19 @@ def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
         ideal = LeftIdeal(G.n, basis)
         if ideal not in ideal_index:
             raise ValueError(f"unknown ideal class in sigma block: {ideal}")
-        cycles = [[int(x) for x in c.split()] for c in cyc_text.strip("()").split(")(")]
-        flat = [v for cycle in cycles for v in cycle]
+        verts, ends = _parse_cycles(cyc_text)
         # Range first: the class gather would wrap -1 and raise on N.
-        bad = min(flat, default=0) < 0 or max(flat, default=0) >= G.vertex_count
-        if bad or (G.vertex_class[flat] != ideal_index[ideal]).any():
+        bad = len(verts) and (verts.min() < 0 or verts.max() >= G.vertex_count)
+        if bad or (G.vertex_class[verts] != ideal_index[ideal]).any():
             raise ValueError("cycle leaves its ideal class")
-        perm[flat] = [w for cycle in cycles for w in cycle[1:] + cycle[:1]]
-        verts.extend(flat)
+        # Each vertex maps to the next one of its cycle, the last to the first.
+        images = np.roll(verts, -1)
+        images[ends - 1] = verts[np.r_[0, ends[:-1]]]
+        perm[verts] = images
+        cycle_verts.append(verts)
         pos += 1
-    counts = np.bincount(np.frombuffer(verts, dtype=np.int64), minlength=G.vertex_count)
+    verts = np.concatenate([np.empty(0, dtype=np.int64), *cycle_verts])
+    counts = np.bincount(verts, minlength=G.vertex_count)
     if counts.max() > 1:
         raise ValueError(f"vertex {int(counts.argmax())} appears twice in the sigma cycles")
     sigma = Automorphism(G.n, G.field, perm)

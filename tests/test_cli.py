@@ -3,11 +3,13 @@
 import hashlib
 import json
 import re
+import time
 
 import pytest
 
 from lirg import serialize
 from lirg.cli import _write_output, main
+from lirg.field import PRIME_LIMIT, Field
 
 
 def run(capsys, *argv):
@@ -42,6 +44,29 @@ def test_ring_info_n3(capsys):
     assert ["1", "7", "7", "49"] in rows
     assert ["2", "7", "42", "294"] in rows
     assert ["3", "1", "168", "168"] in rows
+
+
+def test_ring_info_large_prime_is_prompt(capsys):
+    # Trial division up to sqrt(2^61 - 1) would take about 40 s here.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "ring-info", "--n", "2", "--p", "2305843009213693951")
+    assert code == 0 and time.perf_counter() - start < 1.0
+    assert "p=2305843009213693951 m=1" in out
+
+
+def test_ring_info_refuses_p_beyond_prime_limit(capsys):
+    code, out, err = run(capsys, "ring-info", "--n", "2", "--p", str(PRIME_LIMIT))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "too large" in err
+
+
+def test_ring_info_builds_no_field_tables(capsys, monkeypatch):
+    def no_tables(self):
+        raise AssertionError("ring-info built field tables")
+
+    monkeypatch.setattr(Field, "_build_tables", no_tables)
+    code, out, _ = run(capsys, "ring-info", "--n", "3", "--p", "2", "--m", "3")
+    assert code == 0 and out.startswith("ring-info n=3 p=2 m=3 ")
 
 
 def test_build_graph_trivial(capsys):
@@ -115,6 +140,42 @@ def test_build_graph_cap_refusal(capsys):
 )
 def test_build_graph_bytes_pinned(capsys, ring, fmt, direction, digest):
     code, out, _ = run(capsys, "build-graph", *ring.split(), "--format", fmt, direction)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ring, digest",
+    [
+        ("--n 3 --p 2 --seed 9",
+         "0919b262d2ff47fc099a0176cce36cce054aa1814c7d81e4bb685974558afdce"),
+        ("--n 3 --p 2 --m 2 --cap 262144 --seed 4",
+         "25ced896e44f4fb6c204a183c22cd396f699a1695ee86809c60a9a3617abed49"),
+        ("--n 1 --p 4099 --cap 5000 --seed 1",
+         "3695c11c20bdc139741295e0b4c6162e0d3a33534868f2cba3e03f4181c9a7b9"),
+    ],
+    ids=["gf2-n3", "gf4-n3", "gf4099-n1"],
+)
+def test_aut_sample_bytes_pinned(capsys, ring, digest):
+    code, out, _ = run(capsys, "aut", "sample", *ring.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "ring, seed, digest",
+    [
+        ("--n 3 --p 2", "9",
+         "d30702ff01eddb12bafb73b5efd67dacdefe3e12860dc6bf3edd6fae17266a4a"),
+        ("--n 3 --p 2 --m 2 --cap 262144", "4",
+         "d49022c77278c7ac81cea1ce162a6cf2a383e25a08f0e76afbd6b8834ab8ee77"),
+    ],
+    ids=["gf2-n3", "gf4-n3"],
+)
+def test_aut_decompose_bytes_pinned(capsys, tmp_path, ring, seed, digest):
+    perm = tmp_path / "f.perm"
+    assert run(capsys, "aut", "sample", *ring.split(), "--seed", seed, "--out", str(perm))[0] == 0
+    code, out, _ = run(capsys, "aut", "decompose", *ring.split(), "--perm", str(perm))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -365,8 +426,13 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
         ),
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(-1 36 32)"), "leaves its ideal class"),
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 512)"), "leaves its ideal class"),
+        (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 99999999999999999999)"), "int64"),
+        (lambda text: text.replace(" basis=", " basis:", 1), "malformed sigma line"),
+        (lambda text: "   \n" + text, "not a decomposition file"),
     ],
-    ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex", "cycle-vertex-past-N"],
+    ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex",
+         "cycle-vertex-past-N", "cycle-vertex-beyond-int64", "sigma-line-without-basis",
+         "blank-header"],
 )
 def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     ring = ["--n", "3", "--p", "2"]
@@ -380,6 +446,35 @@ def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     code, stdout, err = run(capsys, "aut", "recompose", *ring, "--report", str(dec), "--out", str(out))
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert out.read_bytes() == b"old bytes\n"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "0 1 2\n1 2\n2 0",
+        "0 1\n1\n2 0",
+        "0 1 1\n0\n2 2",
+        "0 1\n\n2 0",
+        "0 1.0\n1 2\n2 0",
+        "0 x\n1 2\n2 0",
+        "0 99999999999999999999\n1 2\n2 0",
+    ],
+    ids=["three-fields", "one-field", "compensating-pair", "blank-line", "decimal-point",
+         "letter", "beyond-int64"],
+)
+def test_malformed_mapping_lines_refused(capsys, tmp_path, body):
+    head = "perm n=1 p=3 m=1 modulus=0,1 directed=1\n"
+    with pytest.raises(ValueError):
+        serialize.parse_permutation(head + body + "\n")
+    perm, out = tmp_path / "f.perm", tmp_path / "out.txt"
+    perm.write_text(head + body + "\n")
+    out.write_bytes(b"old bytes\n")
+    code, stdout, err = run(
+        capsys, "aut", "verify", "--n", "1", "--p", "3", "--perm", str(perm), "--out", str(out)
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert out.read_bytes() == b"old bytes\n"
 
 

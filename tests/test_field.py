@@ -3,11 +3,13 @@ polynomial oracles."""
 
 import random
 import tracemalloc
+from array import array
 from itertools import product
+from math import isqrt
 
 import pytest
 
-from lirg.field import Field, is_prime, make_field
+from lirg.field import PRIME_LIMIT, Field, is_prime, make_field
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -202,6 +204,24 @@ def test_is_prime_small():
     assert [k for k in range(2, 30) if is_prime(k)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def _is_prime_by_trial_division(k):
+    return k >= 2 and all(k % d for d in range(2, isqrt(k) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(k) == _is_prime_by_trial_division(k) for k in range(-3, 10**5))
+
+
+def test_is_prime_strong_pseudoprimes_and_limit():
+    # Strong pseudoprimes to the bases 2..7 and 2..31 respectively.
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(2305843009213693951)  # 2^61 - 1
+    assert is_prime(2**64 - 59) and is_prime(2**80 - 65) and not is_prime(2**80 - 63)
+    assert not is_prime(PRIME_LIMIT - 1)  # even
+    with pytest.raises(ValueError, match="too large"):
+        is_prime(PRIME_LIMIT)
+
+
 def _oracle_add(F: Field, a, b):
     return F.from_coeffs(tuple((x + y) % F.p for x, y in zip(F.coeffs(a), F.coeffs(b))))
 
@@ -247,6 +267,8 @@ def test_large_prime_field_allocates_nothing_of_size_p():
         tracemalloc.stop()
     assert F.modulus == (0, 1)
     assert peak < 1_000_000
-    # The exp/log/Zech tables wait for the first operation.
-    assert not {"_exp", "_log", "_zech"} & vars(F).keys()
-    assert F.mul(2, F.inv(2)) == 1 and {"_exp", "_log"} <= vars(F).keys()
+    # The exp/log/Zech tables wait for the first operation, then all three
+    # are plain attributes.
+    assert not any(isinstance(t, array) for t in (F._exp, F._log, F._zech))
+    assert F.mul(2, F.inv(2)) == 1
+    assert all(isinstance(t, array) for t in (F._exp, F._log, F._zech))

@@ -81,6 +81,25 @@ def test_permutation_roundtrip(graphs):
     assert serialize.render_permutation(n, F, perm) == text
 
 
+def _render_permutation_by_line(n, F, perm):
+    """The per-line rendering that ``render_permutation`` must match byte for byte."""
+    head = "perm " + serialize.field_tokens(n, F, True) + "\n"
+    return head + "".join(f"{v} {int(image)}\n" for v, image in enumerate(perm))
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (1, 11), (1, 101), (1, 1009), (2, 3)])
+def test_render_permutation_matches_per_line_rendering(n, p):
+    # Vertex counts 2, 11, 101, 1009 and 81 put the last vertex one digit
+    # past the widths of the others, or at the widest width.
+    F = make_field(p, 1)
+    N = p ** (n * n)
+    rng = np.random.default_rng(N)
+    for perm in (np.arange(N), rng.permutation(N), np.arange(N)[::-1]):
+        text = serialize.render_permutation(n, F, perm)
+        assert text == _render_permutation_by_line(n, F, perm)
+        assert np.array_equal(serialize.parse_permutation(text)[2], perm)
+
+
 def test_permutation_parse_errors():
     with pytest.raises(ValueError, match="not a permutation"):
         serialize.parse_permutation("graph kind=full\n0 0\n")
@@ -94,6 +113,8 @@ def test_permutation_parse_errors():
         serialize.parse_permutation("perm n=6 p=2 m=1 modulus=0,1 directed=1\n0 0\n")
     with pytest.raises(ValueError, match="empty"):
         serialize.parse_permutation("")
+    with pytest.raises(ValueError, match="not a permutation"):
+        serialize.parse_permutation("  \n0 0\n")
     with pytest.raises(ValueError, match="no n= token"):
         serialize.parse_permutation("perm p=2 m=1 modulus=0,1\n0 0\n")
     with pytest.raises(ValueError, match="does not match the requested ring"):
