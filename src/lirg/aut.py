@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lirg.counting import fiber_size, gaussian_binomial
+from lirg.counting import fiber_size
 from lirg.field import Field
 from lirg.graph import RelationGraph, build_quotient_graph
 from lirg.ideal import LeftIdeal, ideal_of, line_vector
@@ -580,10 +580,7 @@ def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):
 def _quotient_sets(F: Field, n: int, cap: int):
     """Up-sets, down-sets and ranks of the quotient's classes, refused
     above ``cap`` subspaces before anything is built."""
-    count = sum(gaussian_binomial(n, r, F.q) for r in range(n + 1))
-    if count > cap:
-        raise ValueError(f"quotient has {count} vertices, above the cap {cap}")
-    Q = build_quotient_graph(F, n)
+    Q = build_quotient_graph(F, n, cap=cap)
     return Q.super_classes, Q.sub_classes, Q.class_rank
 
 

@@ -68,23 +68,53 @@ def _poly_mod(a, mod, p):
     return r
 
 
-def _monics(p: int, d: int):
-    """Monic polynomials of degree d over Z_p, low to high, ordered by their
-    coefficients from the constant term upward; nothing of size p is built."""
-    for k in range(p**d):
-        yield tuple(k // p**i % p for i in reversed(range(d))) + (1,)
+def _mul_mod(a, b, mod, p):
+    """a * b modulo a monic polynomial, coefficients reduced mod p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return [x % p for x in _poly_mod(prod, mod, p)]
+
+
+def _pow_mod(a, k: int, mod, p):
+    """a^k modulo a monic polynomial, k >= 1, by left-to-right squaring."""
+    out = a
+    for bit in bin(k)[3:]:
+        out = _mul_mod(out, out, mod, p)
+        if bit == "1":
+            out = _mul_mod(out, a, mod, p)
+    return out
+
+
+def _has_common_factor(f, g, p) -> bool:
+    """Whether gcd(f, g) over Z_p has positive degree; f is monic."""
+    a, b = list(f), list(g)
+    while any(b):
+        while not b[-1]:
+            b.pop()
+        inv = pow(b[-1], -1, p)
+        b = [x * inv % p for x in b]
+        a, b = b, _poly_mod(a, b, p)
+    return len(a) > 1
 
 
 def is_irreducible(coeffs, p: int) -> bool:
-    """Trial division against every lower-degree monic polynomial."""
+    """Ben-Or's test: a monic f of degree m is irreducible exactly when
+    gcd(f, x^(p^i) - x) = 1 for every i <= m/2, since x^(p^i) - x is the
+    product of the monic irreducibles of degree dividing i.  x^(p^i) mod f
+    comes from the previous one by one power, so the test takes
+    polynomially many steps in m and log p."""
     c = tuple(x % p for x in coeffs)
     deg = len(c) - 1
     if deg < 1 or c[-1] != 1:
         return False
-    for d in range(1, deg // 2 + 1):
-        for g in _monics(p, d):
-            if not any(_poly_mod(c, g, p)):
-                return False
+    x = [0, 1] + [0] * (deg - 2)
+    h = x
+    for _ in range(deg // 2):
+        h = _pow_mod(h, p, c, p)
+        if _has_common_factor(c, [(a - b) % p for a, b in zip(h, x)], p):
+            return False
     return True
 
 
@@ -92,9 +122,12 @@ def smallest_irreducible(p: int, m: int):
     """Lexicographically smallest monic irreducible of degree m over Z_p.
 
     Candidates are ordered by their coefficient vector read from the
-    constant term upward, so the choice is deterministic across runs.
+    constant term upward, so the choice is deterministic across runs.  For
+    m >= 2 the scan starts at constant term 1: x divides every candidate
+    with constant term 0.
     """
-    for cand in _monics(p, m):
+    for k in range(p ** (m - 1) if m > 1 else 0, p**m):
+        cand = tuple(k // p**i % p for i in reversed(range(m))) + (1,)
         if is_irreducible(cand, p):
             return cand
     raise ValueError(f"no irreducible of degree {m} over Z_{p}")  # unreachable

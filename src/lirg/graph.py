@@ -23,7 +23,13 @@ import numpy as np
 from lirg.counting import gaussian_binomial
 from lirg.field import Field
 from lirg.ideal import LeftIdeal, is_subideal
-from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded, _digit_sum, _span_codes
+from lirg.matrix import (
+    DEFAULT_VERTEX_CAP,
+    VertexCapExceeded,
+    _check_vertex_cap,
+    _digit_sum,
+    _span_codes,
+)
 
 
 def subspaces(F: Field, n: int):
@@ -221,11 +227,7 @@ def build_full_graph(
     F: Field, n: int, directed: bool = True, cap: int | None = DEFAULT_VERTEX_CAP
 ) -> RelationGraph:
     """Relation graph on all matrices, bucketed by canonical ideal."""
-    N = F.q ** (n * n)
-    if cap is not None and N > cap:
-        raise VertexCapExceeded(
-            f"q^(n^2) = {N} exceeds the vertex cap {cap}; raise the cap to proceed"
-        )
+    _check_vertex_cap(F, n, cap)
     ideals = tuple(subspaces(F, n))
     vertex_class = _assign_classes(F, n, ideals)
     return RelationGraph(
@@ -243,12 +245,20 @@ def build_full_graph(
 def build_quotient_graph(
     F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP, directed: bool = True
 ) -> RelationGraph:
-    """Graph on ideal classes themselves: the subspace lattice of F_q^n."""
-    count = sum(gaussian_binomial(n, r, F.q) for r in range(n + 1))
-    if cap is not None and count > cap:
-        raise VertexCapExceeded(
-            f"subspace count {count} exceeds the vertex cap {cap}"
-        )
+    """Graph on ideal classes themselves: the subspace lattice of F_q^n.
+
+    The subspace count is summed rank by rank and refused at the first rank
+    that passes ``cap``, before the huge middle Gaussian binomials of a
+    large n.  Rank 1 alone has at least 2^(n-1) subspaces, so an n beyond
+    the bit length of cap is refused before any power of q is formed.
+    """
+    count = 0
+    for r in range(n + 1):
+        count += gaussian_binomial(n, r, F.q)
+        if cap is not None and (n > cap.bit_length() or count > cap):
+            raise VertexCapExceeded(
+                f"subspace count of F_{F.q}^{n} exceeds the vertex cap {cap}"
+            )
     ideals = tuple(subspaces(F, n))
     assert len(ideals) == count
     vertex_class = np.arange(len(ideals), dtype=np.int64)

@@ -1,11 +1,12 @@
 """Graph invariants of the undirected relation graph, with closed forms.
 
-Adjacency is comparability of ideals, so cliques are chains of nested row
-spaces and the clique number is the longest chain in the class-containment
-order, computed by dynamic programming, never by generic clique search.
-All other invariants (girth, eccentricities, domination, strong metric
-dimension, Euler parity) likewise reduce to the class-level structure plus
-fiber sizes, which keeps the 19683-vertex cases instant.
+Adjacency is comparability of ideals, so every invariant reduces to the
+class containment matrix ``G.lt``, the class comparability lists and the
+fiber sizes, which keeps the 19683-vertex cases instant.  Two routines do
+the class-level work.  ``_longest_chain`` gives the clique number and the
+reduced clique number behind the strong metric dimension, since cliques
+are chains of nested row spaces; there is no generic clique search.
+``_bfs`` gives the distances and the shortest cycle from one class.
 
 Functions in this module treat their input graph as undirected regardless
 of the flag it was built with.
@@ -14,11 +15,13 @@ of the flag it was built with.
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 from lirg.counting import matrix_space_size, predicted_degree
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import ideal_of, proper_subset
-from lirg.matrix import first_row_matrix, stacked_matrix, unit_vector
+from lirg.matrix import first_row_matrix, rank_marker, stacked_matrix, unit_vector, vertex_encode
 
 ACYCLIC = "acyclic"
 
@@ -46,24 +49,17 @@ def _require_full(G: RelationGraph):
         raise ValueError("invariants are defined on the full matrix graph")
 
 
-def _longest_chain(lt, nodes=None, node_lt=None):
-    """Longest chain (number of nodes) in a strict containment relation."""
-    if node_lt is None:
-        C = len(lt)
-        node_lt = lambda a, b: lt[a, b]  # noqa: E731
-        nodes = range(C)
-    nodes = list(nodes)
-    best = {}
-    # containment is acyclic, so process by number of predecessors via memo
-    def depth(a):
-        if a in best:
-            return best[a]
-        best[a] = 1  # guard against cycles; overwritten below
-        d = 1 + max((depth(b) for b in nodes if node_lt(b, a)), default=0)
-        best[a] = d
-        return d
+def _longest_chain(lt) -> int:
+    """Number of nodes in a longest chain of the strict order ``lt``.
 
-    return max(depth(a) for a in nodes) if nodes else 0
+    ``lt`` must be strictly upper triangular (``lt[a, b]`` only for a < b),
+    as a containment matrix over rank-sorted classes is, so the longest
+    chain ending at b extends one ending at a smaller index.
+    """
+    depth = np.zeros(len(lt), dtype=np.int64)
+    for b in range(len(lt)):
+        depth[b] = 1 + depth[:b][lt[:b, b]].max(initial=0)
+    return int(depth.max(initial=0))
 
 
 def clique_and_chromatic(G: RelationGraph):
@@ -83,27 +79,30 @@ def clique_and_chromatic(G: RelationGraph):
     return omega, chi
 
 
-def _class_graph_girth(G: RelationGraph):
-    """Shortest cycle through >= 3 distinct classes (BFS per class)."""
-    C = G.class_count
-    adj = G.comparable_classes
-    best = None
-    for s in range(C):
-        dist = {s: 0}
-        parent = {s: -1}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    cycle = dist[u] + dist[w] + 1
-                    if best is None or cycle < best:
-                        best = cycle
-    return best
+def _bfs(adj, s):
+    """(distances from s, shortest cycle met) by BFS on adjacency lists.
+
+    Distances are a list with None for unreached nodes.  The cycle is the
+    shortest closed by a non-tree edge during the search, or None; its
+    minimum over all start nodes is the girth.
+    """
+    dist = [None] * len(adj)
+    parent = [None] * len(adj)
+    dist[s] = 0
+    cycle = None
+    queue = deque([s])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] is None:
+                dist[w] = dist[u] + 1
+                parent[w] = u
+                queue.append(w)
+            elif parent[u] != w and parent[w] != u:
+                length = dist[u] + dist[w] + 1
+                if cycle is None or length < cycle:
+                    cycle = length
+    return dist, cycle
 
 
 def girth(G: RelationGraph):
@@ -116,13 +115,12 @@ def girth(G: RelationGraph):
     vertices in total.
     """
     _require_full(G)
-    candidates = []
-    through_classes = _class_graph_girth(G)
-    if through_classes is not None:
-        candidates.append(through_classes)
+    adj = G.comparable_classes
+    cycles = (_bfs(adj, s)[1] for s in range(G.class_count))
+    candidates = [c for c in cycles if c is not None]
     fib = G.fiber_sizes
     for c in range(G.class_count):
-        if fib[c] >= 2 and sum(fib[d] for d in G.comparable_classes[c]) >= 2:
+        if fib[c] >= 2 and sum(fib[d] for d in adj[c]) >= 2:
             candidates.append(4)
             break
     return min(candidates) if candidates else ACYCLIC
@@ -130,29 +128,9 @@ def girth(G: RelationGraph):
 
 def triangle_witness(F: Field, n: int):
     """Vertices of the 3-cycle on the rank markers 0, 1 and n (n >= 2)."""
-    from lirg.matrix import rank_marker, vertex_encode
-
     if n < 2:
         raise ValueError("triangle witness requires n >= 2")
     return tuple(vertex_encode(F, rank_marker(n, r)) for r in (0, 1, n))
-
-
-def _class_distances(G: RelationGraph):
-    """All-pairs BFS distances on the class comparability graph."""
-    C = G.class_count
-    adj = G.comparable_classes
-    dist = [[None] * C for _ in range(C)]
-    for s in range(C):
-        row = dist[s]
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if row[w] is None:
-                    row[w] = row[u] + 1
-                    queue.append(w)
-    return dist
 
 
 def metric(G: RelationGraph):
@@ -165,22 +143,17 @@ def metric(G: RelationGraph):
     a construction bug.
     """
     _require_full(G)
-    dist = _class_distances(G)
-    C = G.class_count
+    adj = G.comparable_classes
     fib = G.fiber_sizes
-    if any(d is None for row in dist for d in row):
-        raise ValueError("relation graph is disconnected")
     ecc = []
-    for c in range(C):
-        e = max(dist[c][d] for d in range(C) if d != c) if C > 1 else 0
-        if fib[c] >= 2:
-            if not G.comparable_classes[c]:
-                raise ValueError("relation graph is disconnected")
-            e = max(e, 2)
-        ecc.append(e)
+    for c in range(G.class_count):
+        dist, _ = _bfs(adj, c)
+        if None in dist or (fib[c] >= 2 and not adj[c]):
+            raise ValueError("relation graph is disconnected")
+        # two members of one class are at distance 2, through any neighbor
+        ecc.append(max(dist) if fib[c] == 1 else max(max(dist), 2))
     by_rank = {}
-    for c in range(C):
-        r = G.class_rank[c]
+    for c, r in enumerate(G.class_rank):
         by_rank[r] = max(by_rank.get(r, 0), ecc[c])
     return max(ecc), min(ecc), tuple(sorted(by_rank.items()))
 
@@ -201,63 +174,34 @@ def domination_number(G: RelationGraph) -> int:
     return 1
 
 
-def _merged_groups(G: RelationGraph):
-    """Group classes whose single vertices share a closed neighborhood.
+def _reduced_clique_number(G: RelationGraph) -> int:
+    """Clique number of the reduced graph, which merges vertices with equal
+    closed neighborhoods.
 
-    Two vertices have equal closed neighborhoods only when both their
-    classes have exactly one member, the classes are comparable, and the
-    comparability sets agree outside the pair.  Vertices in classes with
-    two or more members are never merged with anything.
+    A vertex's closed neighborhood holds none of its class-mates, so only
+    vertices of single-member classes merge, and they merge exactly when
+    their classes have equal closed neighborhoods ``comparable | {c}``.
+    The reduced graph is then the subgraph induced on one representative
+    class per group: the members of a larger class are pairwise
+    non-adjacent, so a clique uses at most one of them.
     """
-    C = G.class_count
-    fib = G.fiber_sizes
-    comp = [set(s) for s in G.comparable_classes]
-    parent = list(range(C))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for c in range(C):
-        if fib[c] != 1:
-            continue
-        for d in comp[c]:
-            if d > c and fib[d] == 1 and comp[c] - {d} == comp[d] - {c}:
-                parent[find(c)] = find(d)
     groups = {}
-    for c in range(C):
-        groups.setdefault(find(c), []).append(c)
-    return list(groups.values())
+    for c, comparable in enumerate(G.comparable_classes):
+        key = frozenset(comparable + (c,)) if G.fiber_sizes[c] == 1 else c
+        groups.setdefault(key, c)
+    reps = list(groups.values())
+    return _longest_chain(G.lt[np.ix_(reps, reps)])
 
 
 def strong_metric_dimension(G: RelationGraph) -> int:
-    """|V| minus the clique number of the reduced graph; needs diameter 2.
-
-    The reduced graph merges vertices with equal closed neighborhoods; its
-    cliques pick at most one vertex per merged group and otherwise follow
-    chains of nested classes, so its clique number is a longest chain over
-    merged groups.
-    """
+    """|V| minus the clique number of the reduced graph; needs diameter 2."""
     _require_full(G)
     diameter, _, _ = metric(G)
     if diameter != 2:
         raise ValueError(
             f"strong metric dimension formula requires diameter 2, got {diameter}"
         )
-    groups = _merged_groups(G)
-    lt = G.lt
-
-    def group_lt(ga, gb):
-        # members of one merged group are pairwise comparable but collapse
-        # to a single reduced-graph vertex, so a group never precedes itself
-        if ga == gb:
-            return False
-        return any(lt[c, d] for c in groups[ga] for d in groups[gb])
-
-    omega_reduced = _longest_chain(None, range(len(groups)), group_lt)
-    return G.vertex_count - omega_reduced
+    return G.vertex_count - _reduced_clique_number(G)
 
 
 def eulerian_check(G: RelationGraph):
@@ -279,11 +223,8 @@ def eulerian_check(G: RelationGraph):
     if q % 2 == 0:
         witness = 0  # the zero matrix
     else:
-        top = max(range(G.class_count), key=lambda c: G.class_rank[c])
-        full_rank = [c for c in range(G.class_count) if G.class_rank[c] == G.n]
-        witness = int(G.class_vertices[full_rank[0]][0]) if full_rank else int(
-            G.class_vertices[top][0]
-        )
+        full_rank = max(range(G.class_count), key=lambda c: G.class_rank[c])
+        witness = int(G.class_vertices[full_rank][0])
     wc = G.class_of(witness)
     if degrees[wc] % 2 == 0:
         # fall back to any odd-degree vertex
@@ -331,15 +272,10 @@ def compute_report(G: RelationGraph) -> InvariantReport:
     g = girth(G)
     diameter, radius, ecc = metric(G)
     gamma = domination_number(G)
-    try:
-        sdim = strong_metric_dimension(G)
-    except ValueError:
-        sdim = None
+    sdim = G.vertex_count - _reduced_clique_number(G) if diameter == 2 else None
     eulerian, witness = eulerian_check(G)
     planarity = None
     if n >= 2:
-        from lirg.matrix import vertex_encode
-
         side1, side2 = k33_witness(F, n)
         planarity = (
             tuple(vertex_encode(F, X) for X in side1),

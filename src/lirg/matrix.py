@@ -23,6 +23,20 @@ class VertexCapExceeded(ValueError):
     """Requested enumeration is larger than the configured vertex cap."""
 
 
+def _check_vertex_cap(F: Field, n: int, cap: int | None):
+    """Refuse the q^(n^2) matrices of M_n(F_q) when they number above cap.
+
+    q^(n^2) >= 2^(n^2) > cap once n^2 reaches the bit length of cap, so a
+    huge n is refused without forming the power, and the message names
+    the count as a power of p rather than printing its digits.
+    """
+    if cap is not None and (n * n >= cap.bit_length() or F.q ** (n * n) > cap):
+        raise VertexCapExceeded(
+            f"q^(n^2) = {F.p}^{F.m * n * n} exceeds the vertex cap {cap}; "
+            "raise the cap to proceed"
+        )
+
+
 def zero_matrix(n: int):
     return tuple((0,) * n for _ in range(n))
 
@@ -239,12 +253,8 @@ def _digit_sum(codes, base: int, k: int):
 
 def enumerate_matrices(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP):
     """All q^(n^2) matrices in ascending vertex-index order."""
-    total = F.q ** (n * n)
-    if cap is not None and total > cap:
-        raise VertexCapExceeded(
-            f"q^(n^2) = {total} exceeds the vertex cap {cap}; raise the cap to proceed"
-        )
-    for v in range(total):
+    _check_vertex_cap(F, n, cap)
+    for v in range(F.q ** (n * n)):
         yield vertex_decode(F, n, v)
 
 

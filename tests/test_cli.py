@@ -54,6 +54,31 @@ def test_ring_info_large_prime_is_prompt(capsys):
     assert "p=2305843009213693951 m=1" in out
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        ("ring-info --n 1 --p 1000003 --m 2", 0, ""),
+        ("ring-info --n 1 --p 1000000007 --m 2", 0, ""),
+        ("ring-info --n 1 --p 2 --m 24", 0, ""),
+        ("ring-info --n 1 --p 2 --m 40", 0, ""),
+        ("invariants --n 1 --p 2 --m 40", 2, "q^(n^2) = 2^40 exceeds the vertex cap 100000"),
+        ("invariants --n 3000 --p 2", 2, "q^(n^2) = 2^9000000 exceeds the vertex cap 100000"),
+        ("aut count-quotient --n 400 --p 2", 2, "subspace count of F_2^400 exceeds the vertex cap 40"),
+        ("aut count-quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
+        ("build-graph --quotient --n 400 --p 2", 2, "F_2^400 exceeds the vertex cap 100000"),
+        ("build-graph --quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
+    ],
+)
+def test_large_field_or_dimension_answers_promptly(capsys, argv, code, message):
+    """A large p or m finds its modulus at once; a huge n is refused at the
+    cap without summing Gaussian binomials or printing a huge integer."""
+    start = time.perf_counter()
+    got, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 2.0
+    assert got == code and message in err
+    assert (out == "") == (code == 2)
+
+
 def test_ring_info_refuses_p_beyond_prime_limit(capsys):
     code, out, err = run(capsys, "ring-info", "--n", "2", "--p", str(PRIME_LIMIT))
     assert (code, out) == (2, "")
@@ -246,6 +271,50 @@ def test_invariants_over_gf2_11(capsys):
     assert code == 0
     doc = json.loads(out)
     assert (doc["q"], doc["match"]) == (2048, True)
+
+
+@pytest.mark.parametrize(
+    "ring, fmt, digest",
+    [
+        ("--n 1 --p 2", "text",
+         "3b3be9bf3dd770834fe13a824a604754317f3d4be2e441b90a80419dee15fc59"),
+        ("--n 1 --p 2", "json-kv",
+         "5d5c2b5fd28294592d4a3b1aa55b114cb389f935ab22c771b539862d7757c079"),
+        ("--n 1 --p 5", "text",
+         "36dc3e78553c094b1916baaed6d7da742a62e83b145c8e6b6cf6b600612d68cc"),
+        ("--n 1 --p 5", "json-kv",
+         "730116900f453d44e40568a406df7dc6fb2cc026f31da51af99b5dbf61f53fe6"),
+        ("--n 2 --p 2", "text",
+         "c5e1eb631165d45a7418d9e6e8009faf7704b31acc6fca7fce53e6e7d73b4d30"),
+        ("--n 2 --p 2", "json-kv",
+         "385451753453db774d70ea1e8469688a34b4214b7fdfacb33ee2e0de3317010a"),
+        ("--n 2 --p 3", "text",
+         "463187fffe9bb6cf1ddb408afd4f6b731679580aaaf4ed316f5f996d68c6a8df"),
+        ("--n 2 --p 3", "json-kv",
+         "197c9c54acfd549640da2167a1f673618a37be5a1ea8b71d7f0b035e664374f9"),
+        ("--n 2 --p 2 --m 2", "text",
+         "221d7a37b735d495c48dc39809876fa343fe05a66d70c41afb6af16fcd82cf7d"),
+        ("--n 2 --p 2 --m 2", "json-kv",
+         "8d7e98feacdda82132e886caf7c5fe02c8a22de7563057273f4cb63437365943"),
+        ("--n 3 --p 2", "text",
+         "f05ae69eb554620e0029e72eaac81128eb67427c81f355040367523b1bf2e36a"),
+        ("--n 3 --p 2", "json-kv",
+         "032fbb93b3fc92cffee28c43027fa578e84c0267401e589eaa78c81d128d7681"),
+        ("--n 3 --p 5 --cap 2000000", "text",
+         "29d42d2b78707019280a34afc9f1401abc2169800ac5d2eda56a48ad24ec3e13"),
+        ("--n 3 --p 5 --cap 2000000", "json-kv",
+         "184bb505ead244c54b1600170ec0d1a91eaa4715502522bbca10eb6e32396b25"),
+    ],
+    ids=[
+        f"{ring}-{fmt}"
+        for ring in ("gf2-n1", "gf5-n1", "gf2-n2", "gf3-n2", "gf4-n2", "gf2-n3", "gf5-n3")
+        for fmt in ("text", "json")
+    ],
+)
+def test_invariants_bytes_pinned(capsys, ring, fmt, digest):
+    code, out, _ = run(capsys, "invariants", *ring.split(), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_invariants_mismatch_trips_exit_code(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 polynomial oracles."""
 
 import random
+import time
 import tracemalloc
 from array import array
 from itertools import product
@@ -9,7 +10,7 @@ from math import isqrt
 
 import pytest
 
-from lirg.field import PRIME_LIMIT, Field, is_prime, make_field
+from lirg.field import PRIME_LIMIT, Field, is_irreducible, is_prime, make_field
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -88,6 +89,44 @@ def test_default_modulus_is_lexicographically_first(p, m):
             assert F.modulus == cand
             return
     pytest.fail("oracle found no irreducible")
+
+
+@pytest.mark.parametrize(
+    "p,deg", [(2, d) for d in range(1, 8)] + [(3, d) for d in range(1, 5)]
+    + [(5, d) for d in range(1, 4)] + [(7, d) for d in range(1, 4)],
+)
+def test_ben_or_matches_factorization_oracle(p, deg):
+    for lower in product(range(p), repeat=deg):
+        f = lower + (1,)
+        assert is_irreducible(f, p) == (not oracle_reducible(f, p)), f
+        assert not is_irreducible(f[:-1] + (p + 2,), p)  # not monic
+
+
+@pytest.mark.parametrize(
+    "p,m,modulus",
+    [
+        (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
+        (2, 12, (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1)),
+        (2, 16, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1)),
+        (3, 7, (1, 0, 0, 0, 0, 1, 2, 1)),
+        (5, 4, (1, 0, 1, 1, 1)),
+        (7, 3, (1, 0, 1, 1)),
+        (13, 3, (1, 0, 4, 1)),
+        (4099, 2, (1, 0, 1)),
+    ],
+)
+def test_default_modulus_pinned(p, m, modulus):
+    """Default moduli as trial division over every lower-degree monic chose
+    them; element codes in every file format depend on these."""
+    assert make_field(p, m).modulus == modulus
+
+
+@pytest.mark.parametrize("p,m", [(1_000_003, 2), (1_000_000_007, 2), (2, 24), (2, 40)])
+def test_default_modulus_for_large_p_or_m_is_prompt(p, m):
+    start = time.perf_counter()
+    F = make_field(p, m)
+    assert time.perf_counter() - start < 1.0
+    assert F.modulus[0] != 0 and is_irreducible(F.modulus, p)
 
 
 def test_gf4_multiplication_against_polynomial_oracle():

@@ -101,6 +101,8 @@ def test_class_assignment_matches_per_vertex_reduction(F, n):
     members = np.concatenate(G.class_vertices)
     assert np.array_equal(np.sort(members), np.arange(G.vertex_count))
     assert all(np.all(np.diff(part) > 0) for part in G.class_vertices)
+    # classes sorted by rank: every containment goes up in index
+    assert not np.tril(G.lt).any()
 
 
 def test_fiber_size_law():
@@ -152,6 +154,7 @@ def test_quotient_consistency():
         full = build_full_graph(F, n)
         quot = build_quotient_graph(F, n)
         contracted = contract_to_quotient(full)
+        assert not np.tril(full.lt).any() and not np.tril(quot.lt).any()
         assert contracted.class_ideals == quot.class_ideals
         assert np.array_equal(contracted.lt, quot.lt)
         assert set(contracted.iter_edges()) == set(quot.iter_edges())

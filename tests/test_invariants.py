@@ -8,8 +8,10 @@ import pytest
 from conftest import brute_ideal_sets
 from lirg.field import make_field
 from lirg.graph import build_full_graph, build_quotient_graph
+from lirg import invariants
 from lirg.invariants import (
     ACYCLIC,
+    _reduced_clique_number,
     clique_and_chromatic,
     compute_report,
     degree_check,
@@ -181,6 +183,17 @@ def test_sdim_matches_reduced_graph_oracle(F, n):
     assert strong_metric_dimension(build_full_graph(F, n)) == expected
 
 
+def test_twin_merge_on_gf2_n1():
+    """The only ring whose reduced graph merges vertices: over GF(2), n = 1,
+    the zero and identity classes share the closed neighborhood {0, 1}."""
+    G = build_full_graph(F2, 1)
+    assert _reduced_clique_number(G) == 1
+    assert G.vertex_count - 1 == oracle_reduced_sdim(oracle_adjacency(F2, 1))
+    for F, n in [(F2, 2), (F3, 1), (F3, 2)]:
+        H = build_full_graph(F, n)
+        assert _reduced_clique_number(H) == clique_and_chromatic(H)[0]
+
+
 def test_sdim_star_without_closed_form():
     # n = 1, q >= 3: star graph; the reduced-graph method still applies
     assert strong_metric_dimension(build_full_graph(F3, 1)) == 1
@@ -224,6 +237,22 @@ def test_k33_witness():
     for X in side1:
         for Y in side2:
             assert G.has_edge(vertex_encode(F2, X), vertex_encode(F2, Y))
+
+
+def test_compute_report_runs_metric_once(monkeypatch):
+    calls = []
+    real = invariants.metric
+
+    def counted(G):
+        calls.append(G)
+        return real(G)
+
+    monkeypatch.setattr(invariants, "metric", counted)
+    for F, n in [(F2, 2), (F2, 1)]:
+        calls.clear()
+        rep = compute_report(build_full_graph(F, n, directed=False))
+        assert len(calls) == 1
+        assert rep.strong_metric_dimension == (13 if n == 2 else None)
 
 
 def test_compute_report_coherence():
