@@ -224,7 +224,8 @@ def verify(G: RelationGraph, f) -> tuple:
         raise ValueError("not a bijection on the vertex set")
     if np.bincount(perm, minlength=N).max() != 1:
         raise ValueError("not a bijection on the vertex set")
-    src = G.vertex_class
+    # The class index may be as narrow as uint8; pair codes need int64.
+    src = G.vertex_class.astype(np.int64)
     dst = G.vertex_class[perm]
     pair_codes = src * G.class_count + dst
     uniq = np.unique(pair_codes)

@@ -9,14 +9,15 @@ Twister (random.Random).
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
 
 from lirg import aut, counting, invariants, serialize
-from lirg.field import make_field
+from lirg.field import check_order, make_field
 from lirg.graph import build_full_graph, build_quotient_graph
-from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded
+from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded, _check_vertex_cap
 
 
 class UsageError(Exception):
@@ -30,12 +31,37 @@ def _parse_modulus(text):
         raise UsageError(f"bad modulus {text!r}: {exc}") from exc
 
 
-def _field(args):
+def _field(args, size_check=None):
+    """The field of --p, --m and --modulus.
+
+    ``size_check(args)`` runs after p and m are validated and before the
+    modulus is searched for or tested, which takes long for a huge m.
+    """
     modulus = _parse_modulus(args.modulus) if args.modulus else None
     try:
+        check_order(args.p, args.m)
+        if size_check is not None:
+            size_check(args)
         return make_field(args.p, args.m, modulus)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _vertex_cap(args):
+    _check_vertex_cap(args.p, args.m, args.n, args.cap)
+
+
+def _printable_table(args):
+    """Refuse a ring-info table whose largest entry, q^(n^2), has more
+    decimal digits than Python converts to text.  Only a size near that
+    limit by the logarithm forms the power."""
+    limit = sys.get_int_max_str_digits()
+    e = args.m * args.n * args.n
+    if limit and (e * math.log10(args.p) > limit + 1 or args.p**e >= 10**limit):
+        raise UsageError(
+            f"q^(n^2) = {args.p}^{e} has more than {limit} decimal digits, "
+            "the most Python prints"
+        )
 
 
 def _write_output(chunks, out_path):
@@ -87,7 +113,7 @@ def _add_common(sub):
 
 
 def cmd_ring_info(args) -> int:
-    F = _field(args)
+    F = _field(args, _printable_table)
     rep = counting.count_report(args.n, F.q)
     lines = [f"ring-info {serialize.field_tokens(args.n, F)}"]
     lines.append(
@@ -109,7 +135,7 @@ def cmd_ring_info(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    F = _field(args)
+    F = _field(args, None if args.quotient else _vertex_cap)
     builder = build_quotient_graph if args.quotient else build_full_graph
     G = builder(F, args.n, directed=args.directed, cap=args.cap)
     _write_output(serialize.graph_chunks(G, args.format), args.out)
@@ -117,7 +143,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    F = _field(args)
+    F = _field(args, _vertex_cap)
     G = build_full_graph(F, args.n, directed=False, cap=args.cap)
     report = invariants.compute_report(G)
     preds = invariants.predicted_invariants(args.n, F.q)
@@ -180,7 +206,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    F = _field(args)
+    F = _field(args, None if args.sub == "count-quotient" else _vertex_cap)
     config = serialize.field_tokens(args.n, F)
     if args.sub == "count-quotient":
         order = aut.quotient_aut_order(F, args.n)
@@ -223,7 +249,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_aut_recompose(args) -> int:
-    F = _field(args)
+    F = _field(args, _vertex_cap)
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
     with open(args.report, encoding="utf-8") as fh:
         dec = serialize.parse_decomposition(G, fh.read())

@@ -53,6 +53,15 @@ def is_prime(k: int) -> bool:
     return True
 
 
+def check_order(p: int, m: int):
+    """Refuse a p that is not prime or an m below 1, before any modulus
+    search; raises ValueError."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    if m < 1:
+        raise ValueError(f"m = {m} must be >= 1")
+
+
 def _poly_mod(a, mod, p):
     """Remainder of a modulo a monic polynomial, coefficients mod p, as
     deg(mod) coefficients when a has at least that many."""
@@ -141,10 +150,7 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if m < 1:
-            raise ValueError(f"m = {m} must be >= 1")
+        check_order(p, m)
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         else:

@@ -5,13 +5,15 @@ edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, the graph is stored as
-an ideal-class structure: a class-level containment relation plus the list
-of member vertices per class.  Neighbor lists and edges are expanded on
-demand; degree and distance queries never materialize the (possibly huge)
-edge set.
+an ideal-class structure: a class-level containment relation plus one
+narrow vertex -> class index.  Member lists per class, neighbor lists and
+edges are expanded on demand; degree and distance queries never
+materialize the (possibly huge) edge set, and class sizes are counted
+from the index without sorting it.
 
 Class assignment generates each class's members as the matrices W·B
-rather than classifying vertices one by one (see ``_assign_classes``).
+rather than classifying vertices one by one (see ``_assign_classes``),
+and containment between classes is read off the same spans.
 """
 
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 
 from lirg.counting import gaussian_binomial
 from lirg.field import Field
-from lirg.ideal import LeftIdeal, is_subideal
+from lirg.ideal import LeftIdeal
 from lirg.matrix import (
     DEFAULT_VERTEX_CAP,
     VertexCapExceeded,
@@ -30,6 +32,8 @@ from lirg.matrix import (
     _digit_sum,
     _span_codes,
 )
+
+_COUNT_SLICE = 1 << 16
 
 
 def subspaces(F: Field, n: int):
@@ -58,30 +62,54 @@ def subspaces(F: Field, n: int):
     return out
 
 
-def _assign_classes(F: Field, n: int, ideals):
+def _class_spans(F: Field, n: int, ideals, min_rank: int = 0):
+    """Row codes of the span of every class of rank min_rank to n - 1, by
+    class index.  The rank-n class spans all of F_q^n."""
+    return {
+        c: _span_codes(F, n, ideal.basis)
+        for c, ideal in enumerate(ideals)
+        if min_rank <= ideal.rank < n
+    }
+
+
+def _assign_classes(q: int, n: int, ideals, spans):
     """vertex -> class index array for all q^(n^2) vertices.
 
     The matrices whose rows all lie in span(B) are exactly the W·B, so
     each class writes its index onto the vertex codes of all W·B: the
     n-fold outer sum of the span's row codes, row i shifted by q^(i*n).
-    Classes are visited from highest rank down.  Every other class that
-    contains a vertex's row space has higher rank and is written earlier,
-    so the last write to a vertex comes from its own row space.
+    The rank-n class, last in order, holds every matrix, so it is the fill
+    value, and the other classes are visited from highest rank down.
+    Every other class that contains a vertex's row space has higher rank
+    and is written earlier, so the last write to a vertex comes from its
+    own row space.  The index has the narrowest unsigned type that holds
+    the class count.
     """
-    q = F.q
-    vertex_class = np.empty(q ** (n * n), dtype=np.int64)
-    for c in sorted(range(len(ideals)), key=lambda c: -ideals[c].rank):
-        vertex_class[_digit_sum(_span_codes(F, n, ideals[c].basis), q**n, n)] = c
+    top = len(ideals) - 1
+    vertex_class = np.full(q ** (n * n), top, dtype=np.min_scalar_type(top))
+    for c in sorted(spans, key=lambda c: -ideals[c].rank):
+        vertex_class[_digit_sum(spans[c], q**n, n)] = c
     return vertex_class
 
 
-def _containment_matrix(F: Field, ideals):
-    C = len(ideals)
-    lt = np.zeros((C, C), dtype=bool)
-    for a in range(C):
-        for b in range(C):
-            if ideals[a].rank < ideals[b].rank:
-                lt[a, b] = is_subideal(F, ideals[a], ideals[b])
+def _containment_matrix(q: int, n: int, ideals, spans):
+    """lt[a, b]: rank a < rank b and every basis row of a lies in span(b).
+
+    Rank decides every pair but those with 2 <= rank b < n: a class of
+    rank 1 contains only the zero class below it, and the rank-n class
+    contains every class.  Those columns come from one membership test of
+    all basis row codes in span(b).
+    """
+    ranks = np.array([ideal.rank for ideal in ideals])
+    rows = np.zeros((len(ideals), n), dtype=np.int64)  # padded with the zero row
+    for a, ideal in enumerate(ideals):
+        rows[a, : ideal.rank] = [
+            sum(x * q**j for j, x in enumerate(row)) for row in ideal.basis
+        ]
+    lt = ranks[:, None] < ranks[None, :]
+    for b, span in spans.items():
+        if ranks[b] >= 2:
+            lt[:, b] &= np.isin(rows, span).all(axis=1)
     return lt
 
 
@@ -94,8 +122,7 @@ class RelationGraph:
     n: int
     field: Field
     class_ideals: tuple
-    vertex_class: np.ndarray
-    class_vertices: tuple
+    vertex_class: np.ndarray  # narrowest unsigned type for full graphs
     lt: np.ndarray  # lt[c, d]: class c properly contained in class d
 
     @property
@@ -112,7 +139,21 @@ class RelationGraph:
 
     @cached_property
     def fiber_sizes(self):
-        return tuple(len(vs) for vs in self.class_vertices)
+        # Counted in fixed slices: one bincount would copy the whole index
+        # to intp first.
+        counts = np.zeros(self.class_count, dtype=np.int64)
+        for start in range(0, self.vertex_count, _COUNT_SLICE):
+            part = self.vertex_class[start : start + _COUNT_SLICE]
+            counts += np.bincount(part, minlength=self.class_count)
+        return tuple(counts.tolist())
+
+    @cached_property
+    def class_vertices(self):
+        """Member vertices of each class, ascending: views of one stable
+        argsort, which numpy runs as a radix sort on 16-bit or narrower
+        keys."""
+        order = np.argsort(self.vertex_class, kind="stable")
+        return tuple(np.split(order, np.cumsum(self.fiber_sizes)[:-1]))
 
     @cached_property
     def sub_classes(self):
@@ -216,29 +257,21 @@ class RelationGraph:
         return render_graph(self, fmt)
 
 
-def _vertex_lists(vertex_class: np.ndarray, C: int):
-    order = np.argsort(vertex_class, kind="stable")
-    counts = np.bincount(vertex_class, minlength=C)
-    # A stable argsort keeps each class's members in ascending order.
-    return tuple(np.split(order, np.cumsum(counts)[:-1]))
-
-
 def build_full_graph(
     F: Field, n: int, directed: bool = True, cap: int | None = DEFAULT_VERTEX_CAP
 ) -> RelationGraph:
     """Relation graph on all matrices, bucketed by canonical ideal."""
-    _check_vertex_cap(F, n, cap)
+    _check_vertex_cap(F.p, F.m, n, cap)
     ideals = tuple(subspaces(F, n))
-    vertex_class = _assign_classes(F, n, ideals)
+    spans = _class_spans(F, n, ideals)
     return RelationGraph(
         kind="full",
         directed=directed,
         n=n,
         field=F,
         class_ideals=ideals,
-        vertex_class=vertex_class,
-        class_vertices=_vertex_lists(vertex_class, len(ideals)),
-        lt=_containment_matrix(F, ideals),
+        vertex_class=_assign_classes(F.q, n, ideals, spans),
+        lt=_containment_matrix(F.q, n, ideals, spans),
     )
 
 
@@ -261,16 +294,14 @@ def build_quotient_graph(
             )
     ideals = tuple(subspaces(F, n))
     assert len(ideals) == count
-    vertex_class = np.arange(len(ideals), dtype=np.int64)
     return RelationGraph(
         kind="quotient",
         directed=directed,
         n=n,
         field=F,
         class_ideals=ideals,
-        vertex_class=vertex_class,
-        class_vertices=tuple(np.array([c]) for c in vertex_class),
-        lt=_containment_matrix(F, ideals),
+        vertex_class=np.arange(count, dtype=np.int64),
+        lt=_containment_matrix(F.q, n, ideals, _class_spans(F, n, ideals, 2)),
     )
 
 
@@ -278,14 +309,12 @@ def contract_to_quotient(G: RelationGraph) -> RelationGraph:
     """Collapse a full graph's ideal classes; must reproduce the quotient."""
     if G.kind != "full":
         raise ValueError("can only contract a full graph")
-    C = G.class_count
     return RelationGraph(
         kind="quotient",
         directed=G.directed,
         n=G.n,
         field=G.field,
         class_ideals=G.class_ideals,
-        vertex_class=np.arange(C, dtype=np.int64),
-        class_vertices=tuple(np.array([c]) for c in range(C)),
+        vertex_class=np.arange(G.class_count, dtype=np.int64),
         lt=G.lt.copy(),
     )

@@ -224,12 +224,12 @@ def eulerian_check(G: RelationGraph):
         witness = 0  # the zero matrix
     else:
         full_rank = max(range(G.class_count), key=lambda c: G.class_rank[c])
-        witness = int(G.class_vertices[full_rank][0])
+        witness = int(np.argmax(G.vertex_class == full_rank))
     wc = G.class_of(witness)
     if degrees[wc] % 2 == 0:
         # fall back to any odd-degree vertex
         wc = next(c for c in range(G.class_count) if degrees[c] % 2 == 1)
-        witness = int(G.class_vertices[wc][0])
+        witness = int(np.argmax(G.vertex_class == wc))
     assert degrees[wc] % 2 == 1
     return False, witness
 

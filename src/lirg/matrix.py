@@ -23,16 +23,19 @@ class VertexCapExceeded(ValueError):
     """Requested enumeration is larger than the configured vertex cap."""
 
 
-def _check_vertex_cap(F: Field, n: int, cap: int | None):
-    """Refuse the q^(n^2) matrices of M_n(F_q) when they number above cap.
+def _check_vertex_cap(p: int, m: int, n: int, cap: int | None):
+    """Refuse the q^(n^2) matrices of M_n(F_q), q = p^m, when they number
+    above cap.
 
-    q^(n^2) >= 2^(n^2) > cap once n^2 reaches the bit length of cap, so a
-    huge n is refused without forming the power, and the message names
-    the count as a power of p rather than printing its digits.
+    It needs no field, so a caller can refuse before searching for a
+    modulus.  q^(n^2) >= 2^(m*n^2) > cap once m*n^2 reaches the bit length
+    of cap, so a huge m or n is refused without forming the power, and the
+    message names the count as a power of p rather than printing its digits.
     """
-    if cap is not None and (n * n >= cap.bit_length() or F.q ** (n * n) > cap):
+    e = m * n * n
+    if cap is not None and (e >= cap.bit_length() or p**e > cap):
         raise VertexCapExceeded(
-            f"q^(n^2) = {F.p}^{F.m * n * n} exceeds the vertex cap {cap}; "
+            f"q^(n^2) = {p}^{e} exceeds the vertex cap {cap}; "
             "raise the cap to proceed"
         )
 
@@ -253,7 +256,7 @@ def _digit_sum(codes, base: int, k: int):
 
 def enumerate_matrices(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP):
     """All q^(n^2) matrices in ascending vertex-index order."""
-    _check_vertex_cap(F, n, cap)
+    _check_vertex_cap(F.p, F.m, n, cap)
     for v in range(F.q ** (n * n)):
         yield vertex_decode(F, n, v)
 

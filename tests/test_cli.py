@@ -1,14 +1,16 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import re
+import sys
 import time
 
 import pytest
 
 from lirg import serialize
-from lirg.cli import _write_output, main
+from lirg.cli import UsageError, _printable_table, _write_output, main
 from lirg.field import PRIME_LIMIT, Field
 
 
@@ -77,6 +79,49 @@ def test_large_field_or_dimension_answers_promptly(capsys, argv, code, message):
     assert time.perf_counter() - start < 2.0
     assert got == code and message in err
     assert (out == "") == (code == 2)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("build-graph --n 1 --p 2 --m 600", "q^(n^2) = 2^600 exceeds the vertex cap 100000"),
+        ("aut sample --n 1 --p 2 --m 400", "q^(n^2) = 2^400 exceeds the vertex cap 100000"),
+        ("invariants --n 1 --p 2 --m 300", "q^(n^2) = 2^300 exceeds the vertex cap 100000"),
+        ("ring-info --n 400 --p 2", "q^(n^2) = 2^160000 has more than"),
+    ],
+)
+def test_oversized_ring_refused_before_modulus_search(capsys, argv, message):
+    """The size is decided from p, m and n; Ben-Or's test on a modulus of
+    degree 300 to 600 would take seconds."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_primality_and_degree_refused_before_size(capsys):
+    code, _, err = run(capsys, "invariants", "--n", "1", "--p", "4", "--m", "300")
+    assert code == 2 and "p = 4 is not prime" in err
+    code, _, err = run(capsys, "ring-info", "--n", "400", "--p", "2", "--m", "0")
+    assert code == 2 and "m = 0 must be >= 1" in err
+
+
+def test_ring_info_digit_limit_boundary(monkeypatch):
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    # 2^14284 has 4300 decimal digits, 2^14285 has 4301
+    assert 10**4299 < 2**14284 < 10**4300 < 2**14285
+    _printable_table(argparse.Namespace(p=2, m=14284, n=1))
+    with pytest.raises(UsageError, match=r"2\^14285 has more than 4300"):
+        _printable_table(argparse.Namespace(p=2, m=14285, n=1))
+
+
+def test_ring_info_n65_bytes_pinned(capsys):
+    code, out, _ = run(capsys, "ring-info", "--n", "65", "--p", "2")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9a30160974e01e0e95ea70e7297a43ed7d39738cd63eab22d013658aa6feb08a"
+    )
 
 
 def test_ring_info_refuses_p_beyond_prime_limit(capsys):
@@ -315,6 +360,18 @@ def test_invariants_bytes_pinned(capsys, ring, fmt, digest):
     code, out, _ = run(capsys, "invariants", *ring.split(), "--format", fmt)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_invariants_bytes_pinned_16_bit_class_index(capsys):
+    # 374 classes over 2^25 vertices: the class index is uint16
+    code, out, _ = run(
+        capsys, "invariants", "--n", "5", "--p", "2", "--cap", "40000000",
+        "--format", "json-kv",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a1555ecb1ad506084f0bf33a2ad67533b9c7c050d3a38735e8846dddd19dfb5c"
+    )
 
 
 def test_invariants_mismatch_trips_exit_code(capsys, monkeypatch):

@@ -12,7 +12,7 @@ from lirg.graph import (
     contract_to_quotient,
     subspaces,
 )
-from lirg.ideal import ideal_of
+from lirg.ideal import ideal_of, is_subideal
 from lirg.matrix import VertexCapExceeded, rref_and_rank, vertex_decode
 
 F2 = make_field(2, 1)
@@ -25,6 +25,13 @@ def brute_edges(F, n):
     sets = brute_ideal_sets(F, n)
     N = len(sets)
     return {(u, v) for u in range(N) for v in range(N) if sets[u] < sets[v]}
+
+
+def containment_by_row_reduction(F, ideals):
+    """lt by one scalar row reduction per class pair."""
+    return np.array(
+        [[a.rank < b.rank and is_subideal(F, a, b) for b in ideals] for a in ideals]
+    )
 
 
 def test_trivial_ring_graph():
@@ -96,13 +103,27 @@ def test_subspace_enumeration_is_canonical():
 )
 def test_class_assignment_matches_per_vertex_reduction(F, n):
     G = build_full_graph(F, n, cap=None)
+    assert G.vertex_class.dtype == np.min_scalar_type(G.class_count - 1)
+    assert G.vertex_class.dtype.kind == "u"
     for v in range(G.vertex_count):
         assert G.ideal_of_vertex(v) == ideal_of(F, vertex_decode(F, n, v))
+    counts = np.bincount(G.vertex_class.astype(np.int64), minlength=G.class_count)
+    assert G.fiber_sizes == tuple(counts.tolist())
     members = np.concatenate(G.class_vertices)
     assert np.array_equal(np.sort(members), np.arange(G.vertex_count))
     assert all(np.all(np.diff(part) > 0) for part in G.class_vertices)
+    assert np.array_equal(G.lt, containment_by_row_reduction(F, G.class_ideals))
     # classes sorted by rank: every containment goes up in index
     assert not np.tril(G.lt).any()
+
+
+def test_class_index_widens_past_256_classes():
+    # GF(2)^5 has 374 subspaces: the first ring whose index needs 16 bits.
+    G = build_full_graph(F2, 5, cap=None)
+    assert G.class_count == 374 and G.vertex_class.dtype == np.uint16
+    assert G.fiber_sizes == tuple(
+        fiber_size(5, r, 2) for r in G.class_rank
+    )
 
 
 def test_fiber_size_law():
@@ -147,6 +168,14 @@ def test_rank_monotonicity_of_edges():
         assert all(
             G.rank_of_vertex(u) < G.rank_of_vertex(v) for u, v in G.iter_edges()
         )
+
+
+def test_quotient_containment_against_row_reduction():
+    for F, n in [(F2, 2), (F2, 4), (F3, 3), (make_field(2, 3), 3), (make_field(31, 1), 2)]:
+        G = build_quotient_graph(F, n, cap=None)
+        assert np.array_equal(G.lt, containment_by_row_reduction(F, G.class_ideals))
+        assert G.fiber_sizes == (1,) * G.class_count
+        assert [part.tolist() for part in G.class_vertices] == [[c] for c in range(G.class_count)]
 
 
 def test_quotient_consistency():

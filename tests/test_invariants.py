@@ -255,6 +255,16 @@ def test_compute_report_runs_metric_once(monkeypatch):
         assert rep.strong_metric_dimension == (13 if n == 2 else None)
 
 
+def test_compute_report_builds_no_member_lists():
+    # invariants need class sizes and witnesses, never the sorted members
+    G = build_full_graph(F5, 3, directed=False, cap=None)
+    rep = compute_report(G)
+    # the first full-rank vertex: the anti-diagonal has the lowest high digits
+    anti_diagonal = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    assert rep.odd_degree_witness == vertex_encode(F5, anti_diagonal)
+    assert "class_vertices" not in G.__dict__
+
+
 def test_compute_report_coherence():
     for F, n in [(F2, 2), (F3, 2), (F2, 1)]:
         rep = compute_report(build_full_graph(F, n, directed=False))
