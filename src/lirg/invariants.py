@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lirg.counting import matrix_space_size, predicted_degree
+from lirg.counting import matrix_space_size
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import ideal_of, proper_subset
@@ -318,19 +318,3 @@ def predicted_invariants(n: int, q: int):
     else:
         preds.update(girth=None, diameter=None, radius=None, strong_metric_dimension=None)
     return preds
-
-
-def degree_check(G: RelationGraph):
-    """Per-class degrees against the closed-form prediction; raises on any
-    mismatch."""
-    _require_full(G)
-    q = G.field.q
-    for c in range(G.class_count):
-        r = G.class_rank[c]
-        d_i, d_o, und = predicted_degree(G.n, r, q)
-        got = (G.class_in_weight[c], G.class_out_weight[c])
-        if got != (d_i, d_o):
-            raise AssertionError(
-                f"class {c} (rank {r}): degrees {got} != predicted {(d_i, d_o)}"
-            )
-    return True

@@ -267,10 +267,8 @@ def random_matrix(F: Field, n: int, rng: random.Random):
     )
 
 
-def random_invertible(F: Field, n: int, rng):
+def random_invertible(F: Field, n: int, rng: random.Random):
     """Uniform member of GL(n, q) by rejection sampling; deterministic per seed."""
-    if isinstance(rng, int):
-        rng = random.Random(rng)
     while True:
         A = random_matrix(F, n, rng)
         if is_invertible(F, A):

@@ -2,8 +2,10 @@
 
 Every header carries the field spec as p, m and the modulus coefficients
 low-to-high, so any consumer can reconstruct the exact arithmetic.  All
-writers emit byte-identical output for identical inputs; all machine
-formats round-trip through the parsers here.
+writers emit byte-identical output for identical inputs.  Graphs stream
+out as text chunks, one source vertex per chunk, and are not read back;
+permutation and decomposition files round-trip through the parsers here,
+which check each header against the requested ring.
 """
 
 import io
@@ -13,7 +15,7 @@ from array import array
 import numpy as np
 
 from lirg.aut import Automorphism, Decomposition
-from lirg.field import Field, make_field
+from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import LeftIdeal
 
@@ -41,31 +43,21 @@ def _parse_tokens(tokens):
     return out
 
 
-def parse_field_tokens(parts, ring=None):
-    """(n, field, directed) from header tokens.
-
-    With ``ring = (n, F)`` the header's n, p, m and modulus must equal the
-    ring's, compared as integers before any field is built, and F itself is
-    returned: an untrusted header never drives the primality and
-    irreducibility tests of ``make_field``.
-    """
+def parse_field_tokens(parts, ring):
+    """Check header tokens against ``ring = (n, F)``: the header's n, p, m
+    and modulus must equal the ring's, compared as integers, so an
+    untrusted header never builds a field."""
     vals = _parse_tokens(parts)
     try:
         n, p, m = (int(vals[key]) for key in ("n", "p", "m"))
         modulus = tuple(int(c) for c in vals["modulus"].split(","))
     except KeyError as exc:
         raise ValueError(f"header has no {exc.args[0]}= token") from exc
-    if ring is None:
-        F = make_field(p, m, modulus)
-    else:
-        F = ring[1]
-        if (n, p, m, modulus) != (ring[0], F.p, F.m, F.modulus):
-            raise ValueError(
-                "file header does not match the requested ring "
-                + field_tokens(ring[0], F)
-            )
-    directed = bool(int(vals["directed"])) if "directed" in vals else None
-    return n, F, directed
+    ring_n, F = ring
+    if (n, p, m, modulus) != (ring_n, F.p, F.m, F.modulus):
+        raise ValueError(
+            "file header does not match the requested ring " + field_tokens(ring_n, F)
+        )
 
 
 # -- graphs -----------------------------------------------------------------
@@ -100,31 +92,6 @@ def edge_list_chunks(G: RelationGraph):
     yield from _edge_chunks(G, "", " ", "\n")
 
 
-def render_edge_list(G: RelationGraph) -> str:
-    return "".join(edge_list_chunks(G))
-
-
-def parse_edge_list(text: str):
-    lines = _lines_of(text, "edge list")
-    head = lines[0].split()
-    if head[:1] != ["graph"]:
-        raise ValueError("not an edge list file")
-    vals = _parse_tokens(head[1:])
-    n, F, directed = parse_field_tokens(head[1:])
-    edges = [tuple(int(x) for x in line.split()) for line in lines[1:]]
-    meta = {
-        "kind": vals["kind"],
-        "n": n,
-        "field": F,
-        "directed": directed,
-        "vertices": int(vals["vertices"]),
-        "edges": int(vals["edges"]),
-    }
-    if len(edges) != meta["edges"]:
-        raise ValueError(f"edge count {len(edges)} does not match header")
-    return meta, edges
-
-
 def dot_chunks(G: RelationGraph):
     """The DOT text as chunks: one per vertex label, then the edges of one
     source vertex per chunk."""
@@ -137,10 +104,6 @@ def dot_chunks(G: RelationGraph):
     yield "}\n"
 
 
-def render_dot(G: RelationGraph) -> str:
-    return "".join(dot_chunks(G))
-
-
 def graph_chunks(G: RelationGraph, fmt: str):
     """Text chunks of G in ``fmt`` ('edges' or 'dot'); an unknown format
     raises here, before any chunk is produced."""
@@ -149,10 +112,6 @@ def graph_chunks(G: RelationGraph, fmt: str):
     if fmt == "dot":
         return dot_chunks(G)
     raise ValueError(f"unknown graph format {fmt!r}")
-
-
-def render_graph(G: RelationGraph, fmt: str) -> str:
-    return "".join(graph_chunks(G, fmt))
 
 
 # -- matrices ---------------------------------------------------------------
@@ -236,9 +195,9 @@ def _bad_mapping_line(body: str) -> str:
     return "mapping lines are not pairs of integers"
 
 
-def parse_permutation(text: str, ring=None):
-    """(n, field, perm) from a permutation file; ``ring = (n, F)``, when
-    given, must match the header (see ``parse_field_tokens``).
+def parse_permutation(text: str, ring):
+    """The permutation of a file whose header matches ``ring = (n, F)``
+    (see ``parse_field_tokens``).
 
     Each mapping line holds two integers separated by any whitespace; a
     line with any other number of fields is refused.
@@ -249,7 +208,8 @@ def parse_permutation(text: str, ring=None):
     head = header.split()
     if head[:1] != ["perm"]:
         raise ValueError("not a permutation file")
-    n, F, _ = parse_field_tokens(head[1:], ring)
+    parse_field_tokens(head[1:], ring)
+    n, F = ring
     count = body.count("\n") + 1 if newline else 0
     # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
     # header alone never sizes a power or an array beyond the file read.
@@ -271,7 +231,7 @@ def parse_permutation(text: str, ring=None):
     disorder = np.flatnonzero(pairs[:, 0] != np.arange(count))
     if disorder.size:
         raise ValueError(f"mapping lines out of order at {pairs[disorder[0], 0]}")
-    return n, F, np.ascontiguousarray(pairs[:, 1])
+    return np.ascontiguousarray(pairs[:, 1])
 
 
 # -- decompositions ----------------------------------------------------------

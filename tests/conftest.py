@@ -5,11 +5,15 @@ arithmetic over explicitly enumerated matrices) and stay independent of
 the canonical-form code paths they check.
 """
 
+import random
+
 import pytest
 
+from lirg.aut import right_mul_automorphism
 from lirg.field import make_field
 from lirg.graph import build_full_graph
-from lirg.matrix import enumerate_matrices, mat_mul, vertex_encode
+from lirg.matrix import enumerate_matrices, mat_mul, random_invertible, vertex_encode
+from lirg.serialize import edge_list_chunks
 
 
 @pytest.fixture(scope="session")
@@ -38,3 +42,63 @@ def brute_ideal_sets(F, n):
     """Vertex index -> brute-force ideal set, for every matrix."""
     all_matrices = list(enumerate_matrices(F, n, cap=None))
     return [brute_ideal_set(F, n, X, all_matrices) for X in all_matrices]
+
+
+def random_right_mul(G, seed):
+    """X -> X P for a P drawn from GL(n, q) by random.Random(seed)."""
+    return right_mul_automorphism(G, random_invertible(G.field, G.n, random.Random(seed)))
+
+
+def exported_edges(G):
+    """The (u, v) lines of G's edge-list stream, in stream order."""
+    lines = "".join(edge_list_chunks(G)).splitlines()[1:]
+    return [tuple(map(int, line.split())) for line in lines]
+
+
+def exported_neighbors(G):
+    """Out- and in-neighbour sets of every vertex, read off the edge-list
+    stream of a directed graph."""
+    outs = [set() for _ in range(G.vertex_count)]
+    ins = [set() for _ in range(G.vertex_count)]
+    for u, v in exported_edges(G):
+        outs[u].add(v)
+        ins[v].add(u)
+    return outs, ins
+
+
+def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):
+    """All automorphisms of a small digraph by plain backtracking; an
+    oracle for ``digraph_aut_order`` that shares none of its code."""
+    nverts = len(out_sets)
+    out_sets = [set(s) for s in out_sets]
+    in_sets = [set(s) for s in in_sets]
+    if colors is None:
+        colors = [0] * nverts
+    sig = [(colors[v], len(out_sets[v]), len(in_sets[v])) for v in range(nverts)]
+    cand = [[w for w in range(nverts) if sig[w] == sig[v]] for v in range(nverts)]
+    order = sorted(range(nverts), key=lambda v: len(cand[v]))
+    found = []
+
+    def rec(pos, mapping, used):
+        if len(found) > limit:
+            raise ValueError("too many automorphisms to enumerate")
+        if pos == nverts:
+            found.append(dict(mapping))
+            return
+        v = order[pos]
+        for w in cand[v]:
+            if used[w]:
+                continue
+            if all(
+                ((v in out_sets[u]) == (w in out_sets[mu]))
+                and ((v in in_sets[u]) == (w in in_sets[mu]))
+                for u, mu in mapping.items()
+            ):
+                mapping[v] = w
+                used[w] = True
+                rec(pos + 1, mapping, used)
+                del mapping[v]
+                used[w] = False
+
+    rec(0, {}, [False] * nverts)
+    return found

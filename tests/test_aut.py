@@ -6,6 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from conftest import (
+    enumerate_digraph_auts,
+    exported_edges,
+    exported_neighbors,
+    random_right_mul,
+)
 from lirg import aut
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
@@ -46,7 +52,7 @@ def test_right_mul_matches_matrix_action(graphs):
     for p, m, n in [(2, 1, 2), (2, 2, 2), (2, 3, 2), (3, 1, 2), (2, 1, 3), (4099, 1, 1)]:
         G = graphs(p, m, n)
         F = G.field
-        P = random_invertible(F, n, 7)
+        P = random_invertible(F, n, random.Random(7))
         f = aut.right_mul_automorphism(G, P)
         for v, X in enumerate(enumerate_matrices(F, n, cap=None)):
             XP = mat_mul(F, X, P)
@@ -139,7 +145,7 @@ def test_rank_class_permutation_guards(graphs):
 def test_sampled_rank_class_permutations_verify(graphs):
     G = graphs(2, 1, 2)
     for seed in range(1, 11):
-        f = aut.random_rank_class_permutation(G, seed)
+        f = aut.random_rank_class_permutation(G, random.Random(seed))
         assert aut.verify(G, f) == (True, None)
 
 
@@ -148,7 +154,7 @@ def test_sampled_rank_class_permutations_verify(graphs):
 
 def test_compose_inverse_identity(graphs):
     G = graphs(2, 1, 2)
-    f = aut.random_right_mul(G, 5)
+    f = random_right_mul(G, 5)
     assert aut.compose(f, aut.inverse(f)) == aut.identity_automorphism(G)
     assert aut.compose(aut.identity_automorphism(G), f) == f
 
@@ -193,27 +199,28 @@ def test_verify_rejects_cross_rank_transposition(graphs):
     G = graphs(2, 1, 2)
     bad = np.arange(16, dtype=np.int64)
     bad[0], bad[1] = 1, 0  # zero matrix (out-degree 15) with a rank-1 vertex
-    ok, witness = aut.verify(G, bad)
+    ok, witness = aut.verify(G, aut.Automorphism(2, F2, bad))
     assert not ok and witness is not None
     u, v = witness
-    assert G.has_edge(u, v) != G.has_edge(int(bad[u]), int(bad[v]))
+    edges = set(exported_edges(G))
+    assert ((u, v) in edges) != ((int(bad[u]), int(bad[v])) in edges)
 
 
 def test_verify_rejects_non_bijection(graphs):
     G = graphs(2, 1, 2)
     with pytest.raises(ValueError, match="bijection"):
-        aut.verify(G, np.zeros(16, dtype=np.int64))
+        aut.verify(G, aut.Automorphism(2, F2, np.zeros(16, dtype=np.int64)))
     with pytest.raises(ValueError, match="length"):
-        aut.verify(G, np.arange(5))
+        aut.verify(G, aut.Automorphism(2, F2, np.arange(5)))
 
 
 def test_rank_preservation_of_verified_automorphisms(graphs):
     G = graphs(2, 1, 2)
     for seed in range(1, 6):
         for f in (
-            aut.random_right_mul(G, seed),
-            aut.random_class_permutation(G, seed),
-            aut.random_rank_class_permutation(G, seed),
+            random_right_mul(G, seed),
+            aut.random_class_permutation(G, random.Random(seed)),
+            aut.random_rank_class_permutation(G, random.Random(seed)),
         ):
             assert aut.verify(G, f) == (True, None)
             assert aut.preserves_rank(G, f)
@@ -273,10 +280,10 @@ def test_decompose_rank_classes(graphs):
     ident = aut.identity_automorphism(G)
     assert aut.decompose_rank_classes(G, ident) == {0: {}, 1: {}, 2: {}}
     for seed in range(1, 6):
-        f = aut.random_right_mul(G, seed)
+        f = random_right_mul(G, seed)
         assignment = aut.decompose_rank_classes(G, f)
         assert aut.rank_class_automorphism(G, assignment) == f
-        rho = aut.random_rank_class_permutation(G, seed)
+        rho = aut.random_rank_class_permutation(G, random.Random(seed))
         assignment = aut.decompose_rank_classes(G, rho)
         assert aut.rank_class_automorphism(G, assignment) == rho
     G3 = graphs(2, 1, 3)
@@ -327,8 +334,7 @@ def test_quotient_aut_order_every_default_cap_input():
 
 def test_digraph_aut_order_vertex_level_gf2_n3(graphs):
     G = graphs(2, 1, 3)
-    out_sets = [G.out_neighbors(v) for v in range(G.vertex_count)]
-    in_sets = [G.in_neighbors(v) for v in range(G.vertex_count)]
+    out_sets, in_sets = exported_neighbors(G)
     assert aut.digraph_aut_order(out_sets, in_sets) == aut.full_aut_order(F2, 3).value
 
 
@@ -340,7 +346,7 @@ def test_quotient_aut_order_matches_enumeration():
         out_sets = [set(Q.super_classes[c]) for c in range(Q.class_count)]
         in_sets = [set(Q.sub_classes[c]) for c in range(Q.class_count)]
         colors = list(Q.class_rank)
-        enumerated = aut.enumerate_digraph_auts(out_sets, in_sets, colors)
+        enumerated = enumerate_digraph_auts(out_sets, in_sets, colors)
         assert aut.quotient_aut_order(F, n) == len(enumerated)
 
 
@@ -359,9 +365,8 @@ def test_full_aut_order_small_cases():
 
 def test_full_aut_order_n1_q3_matches_enumeration(graphs):
     G = graphs(3, 1, 1)
-    out_sets = [set(G.out_neighbors(v)) for v in range(3)]
-    in_sets = [set(G.in_neighbors(v)) for v in range(3)]
-    assert len(aut.enumerate_digraph_auts(out_sets, in_sets)) == 2
+    out_sets, in_sets = exported_neighbors(G)
+    assert len(enumerate_digraph_auts(out_sets, in_sets)) == 2
     assert aut.full_aut_order(F3, 1).value == 2
 
 
@@ -371,8 +376,7 @@ def test_full_aut_order_n2_q2_counts_rank_class_permutations(graphs):
     factorials; the orbit-counting search over the 16-vertex digraph must
     agree."""
     G = graphs(2, 1, 2)
-    out_sets = [set(G.out_neighbors(v)) for v in range(16)]
-    in_sets = [set(G.in_neighbors(v)) for v in range(16)]
+    out_sets, in_sets = exported_neighbors(G)
     brute = aut.digraph_aut_order(out_sets, in_sets)
     expected = math.factorial(1) * math.factorial(9) * math.factorial(6)
     assert brute == expected == 261273600
@@ -384,7 +388,7 @@ def test_digraph_aut_order_against_enumeration():
     out_sets = [{1}, {2}, {3}, {0}]
     in_sets = [{3}, {0}, {1}, {2}]
     assert aut.digraph_aut_order(out_sets, in_sets) == 4
-    assert len(aut.enumerate_digraph_auts(out_sets, in_sets)) == 4
+    assert len(enumerate_digraph_auts(out_sets, in_sets)) == 4
     # two isolated vertices plus an edge
     out_sets = [set(), set(), {3}, set()]
     in_sets = [set(), set(), set(), {2}]

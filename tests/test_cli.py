@@ -11,7 +11,7 @@ import pytest
 
 from lirg import serialize
 from lirg.cli import UsageError, _printable_table, _write_output, main
-from lirg.field import PRIME_LIMIT, Field
+from lirg.field import PRIME_LIMIT, Field, make_field
 
 
 def run(capsys, *argv):
@@ -98,6 +98,23 @@ def test_oversized_ring_refused_before_modulus_search(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "ring-info --n 1 --p 2 --m 600",
+        "aut count-quotient --n 1 --p 2 --m 600",
+        "build-graph --quotient --n 1 --p 2 --m 600",
+    ],
+)
+def test_field_order_limit_refused_before_modulus_search(capsys, argv):
+    """No size bound stops these commands; the field order limit does."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == "error: q = 2^600 is at least 2^82, the field order limit\n"
 
 
 def test_primality_and_degree_refused_before_size(capsys):
@@ -592,7 +609,7 @@ def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
 def test_malformed_mapping_lines_refused(capsys, tmp_path, body):
     head = "perm n=1 p=3 m=1 modulus=0,1 directed=1\n"
     with pytest.raises(ValueError):
-        serialize.parse_permutation(head + body + "\n")
+        serialize.parse_permutation(head + body + "\n", (1, make_field(3, 1)))
     perm, out = tmp_path / "f.perm", tmp_path / "out.txt"
     perm.write_text(head + body + "\n")
     out.write_bytes(b"old bytes\n")
@@ -623,11 +640,15 @@ def test_malformed_perm_file(capsys, tmp_path):
 def test_foreign_header_refused_before_field_checks(
     capsys, tmp_path, monkeypatch, sub, flag, head
 ):
-    # Validating this header's field would run trial division for hours.
-    def no_field(*args):
-        raise AssertionError("a field was built from the file header")
+    # Only the requested GF(2) may be built, never the header's GF(100049^4).
+    real_init = Field.__init__
 
-    monkeypatch.setattr(serialize, "make_field", no_field)
+    def no_header_field(self, p, m, modulus=None):
+        if p != 2:
+            raise AssertionError("a field was built from the file header")
+        real_init(self, p, m, modulus)
+
+    monkeypatch.setattr(Field, "__init__", no_header_field)
     path = tmp_path / "foreign.txt"
     path.write_text(head + "\n0 0\n")
     code, out, err = run(capsys, "aut", sub, "--n", "1", "--p", "2", flag, str(path))

@@ -10,7 +10,7 @@ from math import isqrt
 
 import pytest
 
-from lirg.field import PRIME_LIMIT, Field, is_irreducible, is_prime, make_field
+from lirg.field import ORDER_BITS, PRIME_LIMIT, Field, is_irreducible, is_prime, make_field
 
 
 def poly_mul_mod(a, b, modulus, p):
@@ -127,6 +127,18 @@ def test_default_modulus_for_large_p_or_m_is_prompt(p, m):
     F = make_field(p, m)
     assert time.perf_counter() - start < 1.0
     assert F.modulus[0] != 0 and is_irreducible(F.modulus, p)
+
+
+def test_field_order_limit():
+    assert 2**81 < PRIME_LIMIT < 2**ORDER_BITS
+    assert make_field(2, ORDER_BITS - 1).q == 2**81
+    assert make_field(3317044064679887385961813, 1).q < PRIME_LIMIT
+    start = time.perf_counter()
+    for args in [(2, ORDER_BITS), (2, ORDER_BITS, (1,) + (0,) * 81 + (1,)),
+                 (2, 10**12), (2305843009213693951, 2), (3, 52)]:
+        with pytest.raises(ValueError, match=r"is at least 2\^82, the field order limit"):
+            make_field(*args)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_gf4_multiplication_against_polynomial_oracle():

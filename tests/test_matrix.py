@@ -150,7 +150,7 @@ def test_random_invertible_deterministic_and_valid():
     gl = [X for X in enumerate_matrices(F2, 2) if is_invertible(F2, X)]
     assert len(gl) == 6  # |GL(2, 2)|
     for seed in range(1, 41):
-        A = random_invertible(F2, 2, seed)
+        A = random_invertible(F2, 2, random.Random(seed))
         assert A in gl
         assert A == random_invertible(F2, 2, random.Random(seed))
 
