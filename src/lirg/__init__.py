@@ -1,5 +1,11 @@
 """Left-ideal relation graphs of full matrix rings over finite fields."""
 
+import os
+
+# lirg does no floating-point linear algebra (its matrix products are int64,
+# which numpy computes without BLAS), so numpy need not start BLAS threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from lirg.counting import (
     count_report,
     fiber_size,

@@ -66,10 +66,6 @@ class Automorphism:
     def __call__(self, v: int) -> int:
         return int(self.perm[v])
 
-    def apply_matrix(self, X):
-        F = self.field
-        return vertex_decode(F, self.n, int(self.perm[vertex_encode(F, X)]))
-
     @property
     def size(self) -> int:
         return len(self.perm)
@@ -224,9 +220,12 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
     # The class index may be as narrow as uint8; pair codes need int64.
     src = G.vertex_class.astype(np.int64)
     dst = G.vertex_class[perm]
-    pair_codes = src * G.class_count + dst
-    uniq = np.unique(pair_codes)
-    cs, ds = np.divmod(uniq, G.class_count)
+    C = G.class_count
+    pair_codes = src * C + dst
+    # The distinct pair codes, ascending.  C^2 <= 2N on every full graph, so
+    # counting them costs no more than the bijection check above.
+    uniq = np.flatnonzero(np.bincount(pair_codes, minlength=C * C))
+    cs, ds = np.divmod(uniq, C)
     lt = G.lt
     before = lt[np.ix_(cs, cs)]
     after = lt[np.ix_(ds, ds)]

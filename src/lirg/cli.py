@@ -64,6 +64,27 @@ def _printable_table(args):
         )
 
 
+# An input file for a ring of N vertices may hold 4(w + 2) characters per
+# vertex plus INPUT_SLACK, w being the width of N - 1.  A permutation file
+# needs 2w + 2 per vertex and a decomposition's cycles w + 2, so the rest is
+# room for other spacing, CRLF line ends, class lines and headers.
+INPUT_SLACK = 1 << 16
+
+
+def _read_input(path, vertex_count):
+    """The text of an input file for a ring of ``vertex_count`` vertices,
+    refused before it is read in full if it is longer than such a file can
+    be."""
+    limit = vertex_count * 4 * (len(str(vertex_count - 1)) + 2) + INPUT_SLACK
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read(limit + 1)
+    if len(text) > limit:
+        raise UsageError(
+            f"{path} is longer than {limit} characters, the most an input for this ring may hold"
+        )
+    return text
+
+
 def _write_output(chunks, out_path):
     """Write a string, or an iterable of string chunks in order.
 
@@ -222,8 +243,7 @@ def cmd_aut(args) -> int:
         _write_output(serialize.render_permutation(G.n, F, f.perm), args.out)
         return 0
 
-    with open(args.perm, encoding="utf-8") as fh:
-        perm = serialize.parse_permutation(fh.read(), (args.n, F))
+    perm = serialize.parse_permutation(_read_input(args.perm, G.vertex_count), (args.n, F))
     f = aut.Automorphism(args.n, F, perm)
 
     ok, witness = aut.verify(G, f)
@@ -251,8 +271,7 @@ def cmd_aut(args) -> int:
 def cmd_aut_recompose(args) -> int:
     F = _field(args, _vertex_cap)
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
-    with open(args.report, encoding="utf-8") as fh:
-        dec = serialize.parse_decomposition(G, fh.read())
+    dec = serialize.parse_decomposition(G, _read_input(args.report, G.vertex_count))
     f = aut.recompose(G, dec)
     _write_output(serialize.render_permutation(G.n, F, f.perm), args.out)
     return 0

@@ -205,15 +205,6 @@ class Field:
             out.append(r)
         return tuple(out)
 
-    def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) != self.m:
-            raise ValueError(f"expected {self.m} coefficients, got {len(coeffs)}")
-        a = 0
-        for c in reversed(coeffs):
-            c = int(c) % self.p
-            a = a * self.p + c
-        return a
-
     def elements(self):
         return range(self.q)
 

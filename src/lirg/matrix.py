@@ -48,15 +48,6 @@ def identity_matrix(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def unit_matrix(n: int, s: int, t: int):
-    """Single 1 in row s, column t."""
-    if not (0 <= s < n and 0 <= t < n):
-        raise ValueError(f"unit matrix index ({s}, {t}) out of range for n = {n}")
-    return tuple(
-        tuple(1 if (i, j) == (s, t) else 0 for j in range(n)) for i in range(n)
-    )
-
-
 def column_swap_matrix(n: int, i: int, j: int):
     """Identity with columns i and j interchanged."""
     if not (0 <= i < n and 0 <= j < n):

@@ -318,7 +318,8 @@ def _parse_cycles(text: str):
     chars[space] = ord(" ")  # a lone \r would end a line for loadtxt
     starts = np.flatnonzero(~space & np.r_[True, space[:-1]])
     ends = np.r_[np.searchsorted(starts, breaks), len(starts)]
-    ends = np.unique(ends[ends > 0])  # empty cycles "()" hold nothing
+    # ends does not decrease; an empty cycle "()" repeats its predecessor's.
+    ends = ends[np.diff(ends, prepend=0) > 0]
     if not len(starts):
         return np.empty(0, dtype=np.int64), ends
     # loadtxt holds ~64 bytes per field of a row, so the numbers go to it in

@@ -12,7 +12,13 @@ import pytest
 from lirg.aut import right_mul_automorphism
 from lirg.field import make_field
 from lirg.graph import build_full_graph
-from lirg.matrix import enumerate_matrices, mat_mul, random_invertible, vertex_encode
+from lirg.matrix import (
+    enumerate_matrices,
+    mat_mul,
+    random_invertible,
+    vertex_decode,
+    vertex_encode,
+)
 from lirg.serialize import edge_list_chunks
 
 
@@ -29,6 +35,24 @@ def graphs():
         return cache[key]
 
     return get
+
+
+def unit_matrix(n, s, t):
+    """Single 1 in row s, column t."""
+    return tuple(tuple(1 if (i, j) == (s, t) else 0 for j in range(n)) for i in range(n))
+
+
+def from_coeffs(F, coeffs):
+    """The element code of a coefficient vector, low to high; the inverse of
+    ``F.coeffs``."""
+    assert len(coeffs) == F.m
+    return sum(int(c) % F.p * F.p**i for i, c in enumerate(coeffs))
+
+
+def apply_matrix(f, X):
+    """The image of matrix X under the automorphism f."""
+    F = f.field
+    return vertex_decode(F, f.n, int(f.perm[vertex_encode(F, X)]))
 
 
 def brute_ideal_set(F, n, X, all_matrices=None):

@@ -3,14 +3,18 @@
 import argparse
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import lirg
 from lirg import serialize
-from lirg.cli import UsageError, _printable_table, _write_output, main
+from lirg.cli import INPUT_SLACK, UsageError, _printable_table, _read_input, _write_output, main
 from lirg.field import PRIME_LIMIT, Field, make_field
 
 
@@ -480,6 +484,98 @@ def test_aut_verify_detects_tampering(capsys, tmp_path):
     code, out, _ = run(capsys, "aut", "verify", "--n", "2", "--p", "2", "--perm", str(perm))
     assert code == 1
     assert "verification failed" in out
+
+
+GF4_N3 = ["--n", "3", "--p", "2", "--m", "2", "--cap", "262144"]
+
+
+@pytest.fixture(scope="module")
+def gf4_perm(tmp_path_factory):
+    """A sampled automorphism of GF(4), n = 3, as (path, text)."""
+    path = tmp_path_factory.mktemp("gf4") / "perm.txt"
+    assert main(["aut", "sample", *GF4_N3, "--seed", "7", "--out", str(path)]) == 0
+    return path, path.read_text()
+
+
+@pytest.mark.parametrize("u, v, witness", [(0, 1, "(0, 16)"), (5, 200000, "(16, 5)")])
+def test_aut_verify_failure_witness_pinned(capsys, tmp_path, gf4_perm, u, v, witness):
+    # Swap the images of vertices u and v.  The witness is the first broken
+    # (source class, image class) pair in ascending code order, each code
+    # carried by its first vertex.
+    lines = gf4_perm[1].splitlines()
+    a, b = lines[1 + u].split()[1], lines[1 + v].split()[1]
+    lines[1 + u], lines[1 + v] = f"{u} {b}", f"{v} {a}"
+    perm = tmp_path / "tampered.txt"
+    perm.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "aut", "verify", *GF4_N3, "--perm", str(perm)) == (
+        1,
+        "verify n=3 p=2 m=2 modulus=1,1,1\n"
+        f"verification failed: edge relation broken at pair {witness}\n",
+        "",
+    )
+
+
+def test_aut_recompose_skips_empty_cycles(capsys, tmp_path):
+    ring = ["--n", "3", "--p", "2"]
+    perm, dec, out = tmp_path / "f.perm", tmp_path / "f.dec", tmp_path / "g.perm"
+    assert run(capsys, "aut", "sample", *ring, "--seed", "3", "--out", str(perm))[0] == 0
+    assert run(capsys, "aut", "decompose", *ring, "--perm", str(perm), "--out", str(dec))[0] == 0
+    text = dec.read_text()
+    # "()" before the first cycle, between every two, and after the last.
+    padded = re.sub(r"cycles=(.*)", lambda mt: "cycles=()" + mt[1].replace(")(", ")()(") + "()", text)
+    assert padded.count(")()(") > padded.count("cycles=()(") > 1
+    dec.write_text(padded)
+    assert run(capsys, "aut", "recompose", *ring, "--report", str(dec), "--out", str(out))[0] == 0
+    assert out.read_bytes() == perm.read_bytes()
+
+
+def test_aut_verify_accepts_crlf_and_spacing_variants(capsys, tmp_path):
+    perm = tmp_path / "perm.txt"
+    ring = ["--n", "2", "--p", "3"]
+    assert run(capsys, "aut", "sample", *ring, "--seed", "5", "--out", str(perm))[0] == 0
+    lines = perm.read_text().splitlines()
+    body = ["\t" + line.replace(" ", " \t  ") + "  " for line in lines[1:]]
+    perm.write_bytes(("\r\n".join([lines[0], *body]) + "\r\n").encode())
+    code, out, _ = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
+    assert (code, out) == (0, "verify n=2 p=3 m=1 modulus=0,1\nautomorphism verified\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+def test_aut_verify_reads_a_pipe(gf4_perm):
+    # The 3.4 MB GF(4), n = 3 permutation through /dev/stdin, as a pipe.
+    src = Path(lirg.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "lirg.cli", "aut", "verify", *GF4_N3, "--perm", "/dev/stdin"],
+        input=gf4_perm[1].encode(),
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=False,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.endswith(b"\nautomorphism verified\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+@pytest.mark.parametrize(
+    "sub, flag", [("verify", "--perm"), ("decompose", "--perm"), ("recompose", "--report")]
+)
+def test_endless_input_refused_promptly(capsys, sub, flag):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "aut", sub, "--n", "1", "--p", "2", flag, "/dev/zero")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: /dev/zero is longer than ") and err.count("\n") == 1
+
+
+def test_input_size_limit_boundary(tmp_path):
+    # N = 512 vertices, numbers up to 3 digits wide: 512 * 4 * 5 + slack.
+    limit = 512 * 20 + INPUT_SLACK
+    path = tmp_path / "input.txt"
+    path.write_text("x" * limit)
+    assert len(_read_input(str(path), 512)) == limit
+    path.write_text("x" * (limit + 1))
+    with pytest.raises(UsageError, match=f"longer than {limit} characters"):
+        _read_input(str(path), 512)
 
 
 def test_aut_decompose_recompose_byte_identical(capsys, tmp_path):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from conftest import unit_matrix
 from lirg.field import make_field
 from lirg.ideal import ideal_of
 from lirg.matrix import (
@@ -21,7 +22,6 @@ from lirg.matrix import (
     random_invertible,
     rref_and_rank,
     stacked_matrix,
-    unit_matrix,
     unit_vector,
     vertex_decode,
     vertex_encode,
