@@ -9,11 +9,17 @@ class-fixing permutation followed by an entrywise Frobenius map followed
 by right multiplication; for n = 2 into per-rank-class permutations.
 
 Permutations are dense int64 arrays indexed by vertex; composition is
-"right factor acts first": compose(f, g) applies g, then f.
+"right factor acts first": compose(f, g) applies g, then f.  Sampling,
+decomposition and recomposition apply one factor at a time, so at most
+three permutations of the vertex set are held at once.  Random class
+permutations shuffle each class in an ``array('q')`` with exactly the
+draws of ``random.Random.shuffle``, so a seed gives the same permutation,
+and leaves the generator in the same state, as shuffling Python lists.
 """
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -218,10 +224,10 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
     if np.bincount(perm, minlength=N).max() != 1:
         raise ValueError("not a bijection on the vertex set")
     # The class index may be as narrow as uint8; pair codes need int64.
-    src = G.vertex_class.astype(np.int64)
-    dst = G.vertex_class[perm]
     C = G.class_count
-    pair_codes = src * C + dst
+    pair_codes = G.vertex_class.astype(np.int64)
+    pair_codes *= C
+    pair_codes += G.vertex_class[perm]
     # The distinct pair codes, ascending.  C^2 <= 2N on every full graph, so
     # counting them costs no more than the bijection check above.
     uniq = np.flatnonzero(np.bincount(pair_codes, minlength=C * C))
@@ -350,9 +356,10 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
             f"induced field map {field_map} matches no Frobenius power"
         )
 
-    phi_acc = right_mul_automorphism(G, P_acc)
-    upsilon = frobenius_automorphism(G, t)
-    sigma = compose(inverse(upsilon), compose(phi_acc, f))
+    # One factor at a time, so that at most three permutations are held;
+    # the inverse of the Frobenius power t is the power m - t.
+    sigma = compose(right_mul_automorphism(G, P_acc), f)
+    sigma = compose(frobenius_automorphism(G, -t % F.m), sigma)
     fixed = G.vertex_class[sigma.perm] == G.vertex_class
     if not fixed.all():
         v = int(np.flatnonzero(~fixed)[0])
@@ -365,9 +372,8 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
 
 def recompose(G: RelationGraph, dec: Decomposition) -> Automorphism:
     """sigma first, then the Frobenius power, then right multiplication."""
-    phi = right_mul_automorphism(G, dec.P)
-    upsilon = frobenius_automorphism(G, dec.t)
-    return compose(phi, compose(upsilon, dec.sigma))
+    f = compose(frobenius_automorphism(G, dec.t), dec.sigma)
+    return compose(right_mul_automorphism(G, dec.P), f)
 
 
 def decompose_rank_classes(G: RelationGraph, f: Automorphism):
@@ -389,17 +395,34 @@ def decompose_rank_classes(G: RelationGraph, f: Automorphism):
 
 
 def _shuffle_within(G: RelationGraph, groups, rng) -> Automorphism:
-    """A random permutation inside each vertex group, identity elsewhere."""
+    """A random permutation inside each vertex group, identity elsewhere.
+
+    Each group is shuffled in place in an ``array('q')`` by the swaps and
+    ``getrandbits`` calls of ``random.Random.shuffle``: the result, and the
+    state rng is left in, are those of shuffling a list of the group's
+    vertices, but no Python int is held per vertex.
+    """
     perm = np.arange(G.vertex_count, dtype=np.int64)
+    getrandbits = rng.getrandbits
     for verts in groups:
-        shuffled = verts.tolist()
-        rng.shuffle(shuffled)
-        perm[verts] = np.array(shuffled, dtype=np.int64)
+        items = array("q")
+        items.frombytes(np.ascontiguousarray(verts, dtype=np.int64).data.cast("B"))
+        for i in range(len(items) - 1, 0, -1):
+            # random.Random._randbelow(i + 1), inlined.
+            k = (i + 1).bit_length()
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            items[i], items[j] = items[j], items[i]
+        perm[verts] = np.frombuffer(items, dtype=np.int64)
     return Automorphism(G.n, G.field, perm)
 
 
 def random_class_permutation(G: RelationGraph, rng) -> Automorphism:
-    return _shuffle_within(G, G.class_vertices, rng)
+    # Each class's members are found as it is shuffled, so no member list
+    # of every vertex is held (or cached on G).
+    classes = (np.flatnonzero(G.vertex_class == c) for c in range(G.class_count))
+    return _shuffle_within(G, classes, rng)
 
 
 def random_rank_class_permutation(G: RelationGraph, rng) -> Automorphism:
@@ -415,11 +438,8 @@ def random_triple(G: RelationGraph, seed: int):
     P = random_invertible(G.field, G.n, rng)
     t = rng.randrange(G.field.m)
     sigma = random_class_permutation(G, rng)
-    f = compose(
-        right_mul_automorphism(G, P),
-        compose(frobenius_automorphism(G, t), sigma),
-    )
-    return P, t, sigma, f
+    f = compose(frobenius_automorphism(G, t), sigma)
+    return P, t, sigma, compose(right_mul_automorphism(G, P), f)
 
 
 # -- exact automorphism group orders ---------------------------------------

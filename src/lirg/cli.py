@@ -72,35 +72,45 @@ INPUT_SLACK = 1 << 16
 
 
 def _read_input(path, vertex_count):
-    """The text of an input file for a ring of ``vertex_count`` vertices,
+    """The bytes of an input file for a ring of ``vertex_count`` vertices,
     refused before it is read in full if it is longer than such a file can
-    be."""
+    be, or if it is not UTF-8.  Line ends are read as a text file reads
+    them: CR LF and a lone CR become LF."""
     limit = vertex_count * 4 * (len(str(vertex_count - 1)) + 2) + INPUT_SLACK
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read(limit + 1)
-    if len(text) > limit:
+    with open(path, "rb") as fh:
+        data = fh.read(limit + 1)
+    if len(data) > limit:
         raise UsageError(
             f"{path} is longer than {limit} characters, the most an input for this ring may hold"
         )
-    return text
+    if not data.isascii():
+        data.decode()  # raises on a file that is not UTF-8
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return data
 
 
 def _write_output(chunks, out_path):
-    """Write a string, or an iterable of string chunks in order.
+    """Write bytes, a string, or an iterable of string chunks in order.
 
     With a path the chunks go to a temp file that replaces the path only
     once every chunk is written, so a failure leaves the old file intact;
-    without one they go to stdout.
+    without one they go to stdout.  Bytes go to the binary stream; strings
+    through the text layer, which writes an ASCII string without an
+    encoded copy.
     """
-    if isinstance(chunks, str):
+    binary = isinstance(chunks, (bytes, bytearray))
+    if binary or isinstance(chunks, str):
         chunks = (chunks,)
     if out_path is None:
-        sys.stdout.writelines(chunks)
+        if binary:
+            sys.stdout.flush()  # the bytes follow anything written as text
+        (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lirg-")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="\n") as fh:
             fh.writelines(chunks)
         os.replace(tmp, out_path)
     except BaseException:
@@ -237,11 +247,16 @@ def cmd_aut(args) -> int:
         )
         return 0
 
-    G = build_full_graph(F, args.n, directed=True, cap=args.cap)
     if args.sub == "sample":
-        _, _, _, f = aut.random_triple(G, args.seed)
-        _write_output(serialize.render_permutation(G.n, F, f.perm), args.out)
+        # Only the composed map outlives the sampling: the graph and sigma
+        # are freed before the text is rendered.
+        G = build_full_graph(F, args.n, directed=True, cap=args.cap)
+        f = aut.random_triple(G, args.seed)[3]
+        del G
+        _write_output(serialize.render_permutation(args.n, F, f.perm), args.out)
         return 0
+
+    G = build_full_graph(F, args.n, directed=True, cap=args.cap)
 
     perm = serialize.parse_permutation(_read_input(args.perm, G.vertex_count), (args.n, F))
     f = aut.Automorphism(args.n, F, perm)
@@ -273,6 +288,7 @@ def cmd_aut_recompose(args) -> int:
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
     dec = serialize.parse_decomposition(G, _read_input(args.report, G.vertex_count))
     f = aut.recompose(G, dec)
+    del dec  # its sigma is not needed to render f
     _write_output(serialize.render_permutation(G.n, F, f.perm), args.out)
     return 0
 

@@ -6,9 +6,21 @@ writers emit byte-identical output for identical inputs.  Graphs stream
 out as text chunks, one source vertex per chunk, and are not read back;
 permutation and decomposition files round-trip through the parsers here,
 which check each header against the requested ring.
+
+Permutation and decomposition files go in and out as ASCII bytes, and each
+is held once.  A renderer writes blocks of _RENDER_ROWS rows into one
+bytearray of the largest size the text can have, then cuts it to length.
+A parser reads a ``bytes`` object in place: it finds lines one at a time,
+hands loadtxt blocks of about _PARSE_BYTES (whole mapping lines, or whole
+rows of cycle numbers) and writes each block's numbers into one int64
+array, so no per-vertex Python object and no second copy of the text is
+made.  The block sizes change nothing but memory: every result and every
+refusal message is the one a single block would give.
 """
 
+import functools
 import io
+import itertools
 import re
 from array import array
 
@@ -18,13 +30,6 @@ from lirg.aut import Automorphism, Decomposition
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import LeftIdeal
-
-
-def _lines_of(text: str, kind: str):
-    lines = text.strip("\n").split("\n")
-    if not lines or not lines[0]:
-        raise ValueError(f"empty {kind} file")
-    return lines
 
 
 def field_tokens(n: int, F: Field, directed=None) -> str:
@@ -126,83 +131,168 @@ def matrix_block(A) -> str:
     return "\n".join(lines)
 
 
-def parse_matrix_block(lines, start: int):
-    n = int(lines[start])
+def parse_matrix_block(lines):
+    """The matrix of ``matrix_block`` from an iterator of text lines;
+    StopIteration if they end first."""
+    n = int(next(lines))
     rows = []
-    for i in range(n):
-        rows.append(tuple(int(c) for c in lines[start + 1 + i].split()))
+    for _ in range(n):
+        rows.append(tuple(int(c) for c in next(lines).split()))
         if len(rows[-1]) != n:
             raise ValueError("matrix row has wrong length")
-    return tuple(rows), start + 1 + n
+    return tuple(rows)
+
+
+# -- bytes ------------------------------------------------------------------
+
+# Rows per block when rendering: block buffers stay ~300 KB.
+_RENDER_ROWS = 1 << 14
+# Bytes per block when parsing, before the cut at the next line end.
+_PARSE_BYTES = 1 << 16
+
+
+@functools.cache
+def _quad_tables():
+    """The ASCII digits of 0..9999, zero-padded to four, as uint32 words;
+    and two keep masks (one byte per digit): from the first nonzero digit,
+    and the same but keeping the last digit of 0.  Built on first use, so
+    that commands which render no permutation do not pay for them."""
+    digits = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10).astype(np.uint8)
+    lead = np.maximum.accumulate(digits != 0, axis=1).view(np.uint8)
+    last = lead.copy()
+    last[0, 3] = 1
+    return tuple(a.view(np.uint32).ravel() for a in (digits + ord("0"), lead, last))
+
+
+_QUAD_ALL = np.uint32(0x01010101)
+
+
+def _limbs(N: int) -> int:
+    """Four-digit groups needed for the numbers 0..N-1."""
+    return -(-len(str(N - 1)) // 4)
+
+
+def _decimal(values, limbs: int):
+    """The ASCII decimal digits of non-negative ``values`` below
+    10^(4 limbs): an (r, 4 limbs) uint8 matrix, zero-padded on the left, and
+    the mask that keeps all but the leading zeros."""
+    groups = []
+    for _ in range(limbs - 1):
+        values, low = np.divmod(values, 10000)
+        groups.append(low)
+    groups.append(values)
+    quad_digits, quad_lead, quad_last = _quad_tables()
+    digits = np.empty((len(values), limbs), dtype=np.uint32)
+    keep = np.empty_like(digits)
+    started = np.zeros(len(values), dtype=bool)  # a nonzero group to the left
+    for k, group in enumerate(reversed(groups)):
+        digits[:, k] = quad_digits[group]
+        kept = (quad_last if k == limbs - 1 else quad_lead)[group]
+        keep[:, k] = np.where(started, _QUAD_ALL, kept)
+        started |= group > 0
+    return digits.view(np.uint8), keep.view(bool)
+
+
+def _stripped(data: bytes):
+    """The bounds of data without its leading and trailing newlines."""
+    lo, hi = 0, len(data)
+    while lo < hi and data[lo] == 10:
+        lo += 1
+    while hi > lo and data[hi - 1] == 10:
+        hi -= 1
+    return lo, hi
+
+
+def _line_spans(data: bytes, lo: int, hi: int, size: int):
+    """(start, end) of consecutive blocks of whole lines of data[lo:hi], found
+    as they are read: each runs to the first line end at least ``size``
+    bytes on, so size 0 gives single lines.  The newline at each end is in
+    neither block."""
+    while lo < hi:
+        end = data.find(b"\n", min(lo + size, hi), hi)
+        end = hi if end < 0 else end
+        yield lo, end
+        lo = end + 1
 
 
 # -- permutations -----------------------------------------------------------
 
-# Rows per block when rendering a permutation: block buffers stay ~1 MB.
-_RENDER_ROWS = 1 << 16
+
+def _joined(size: int, parts) -> bytearray:
+    """The parts (bytes or uint8 arrays) end to end, written into one buffer
+    of ``size`` bytes, at least their total, that is then cut to length."""
+    text = bytearray(size)
+    view = np.frombuffer(text, dtype=np.uint8)
+    pos = 0
+    for part in parts:
+        part = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
+        view[pos : pos + len(part)] = part
+        pos += len(part)
+    del view  # a buffer with a view on it cannot shrink
+    del text[pos:]
+    return text
 
 
-def _digit_table(N: int):
-    """The ASCII decimal digits of 0..N-1, right-aligned in an (N, D) uint8
-    matrix, and the (N, D) mask that keeps all but their leading zeros."""
-    width = len(str(N - 1))
-    ascii = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    digits = np.empty((N, width), dtype=np.uint8)
-    kept = np.ones((N, width), dtype=bool)
-    for j in range(width):
-        # Column j counts 0..9 over and over, each digit held for `run`
-        # numbers; below `run`, it and every column left of it are zeros.
-        run = 10 ** (width - 1 - j)
-        cycle = np.repeat(ascii[: -(-N // run)], run)
-        digits[:, j] = np.tile(cycle, -(-N // len(cycle)))[:N]
-        if j < width - 1:
-            kept[:run, j] = False
-    return digits, kept
-
-
-def render_permutation(n: int, F: Field, perm) -> str:
+def render_permutation(n: int, F: Field, perm) -> bytearray:
+    """The permutation file of ``perm``, held once: blocks of _RENDER_ROWS
+    lines are written into one buffer of the largest possible size."""
     perm = np.asarray(perm)
     N = len(perm)
     if perm.min() < 0 or perm.max() >= N:
         raise ValueError(f"permutation image out of range [0, {N})")
-    digits, kept = _digit_table(N)
-    width = digits.shape[1]
-    # One row per line: "{v} {image}\n" with v and image zero-padded,
-    # compressed by the mask that drops the padding.
-    chars = np.empty((min(N, _RENDER_ROWS), 2 * width + 2), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, width], chars[:, -1] = ord(" "), ord("\n")
-    text = bytearray(("perm " + field_tokens(n, F, True) + "\n").encode())
-    for lo in range(0, N, _RENDER_ROWS):
-        hi = min(lo + _RENDER_ROWS, N)
-        rows, image = hi - lo, perm[lo:hi]
-        chars[:rows, :width], keep[:rows, :width] = digits[lo:hi], kept[lo:hi]
-        chars[:rows, width + 1 : -1] = np.take(digits, image, axis=0)
-        keep[:rows, width + 1 : -1] = np.take(kept, image, axis=0)
-        text += chars[:rows][keep[:rows]].data
-    return text.decode("ascii")
+    head = ("perm " + field_tokens(n, F, True) + "\n").encode()
+    limbs = _limbs(N)
+    width = 4 * limbs
+
+    def blocks():
+        yield head
+        for lo in range(0, N, _RENDER_ROWS):
+            hi = min(lo + _RENDER_ROWS, N)
+            # One row per line: "{v} {image}\n" with v and image zero-padded,
+            # compressed by the mask that drops the padding.
+            chars = np.empty((hi - lo, 2 * width + 2), dtype=np.uint8)
+            keep = np.ones(chars.shape, dtype=bool)
+            chars[:, width], chars[:, -1] = ord(" "), ord("\n")
+            chars[:, :width], keep[:, :width] = _decimal(np.arange(lo, hi), limbs)
+            chars[:, width + 1 : -1], keep[:, width + 1 : -1] = _decimal(perm[lo:hi], limbs)
+            yield chars[keep]
+
+    # A line holds two numbers below N, a space and a newline.
+    return _joined(len(head) + N * (2 * len(str(N - 1)) + 2), blocks())
 
 
-def _bad_mapping_line(body: str) -> str:
-    """The refusal message naming the first line of body that is not two
-    integers within int64."""
-    for number, line in enumerate(body.split("\n"), 1):
-        fields = line.split()
-        if len(fields) != 2 or not all(
-            re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
-        ):
-            return f"mapping line {number} is not two integers: {line[:60]!r}"
+def _mapping_text(data: bytes, lo: int, hi: int) -> bytes:
+    # A lone \r is whitespace inside a line here, but a line break to loadtxt.
+    block = data[lo:hi]
+    return block.replace(b"\r", b" ") if b"\r" in block else block
+
+
+def _bad_mapping_line(data: bytes, lo: int, hi: int) -> str:
+    """The refusal message naming the first line of data[lo:hi] that is not
+    two integers within int64."""
+    number = 0
+    for start, end in _line_spans(data, lo, hi, _PARSE_BYTES):
+        for line in _mapping_text(data, start, end).decode().split("\n"):
+            number += 1
+            fields = line.split()
+            if len(fields) != 2 or not all(
+                re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
+            ):
+                return f"mapping line {number} is not two integers: {line[:60]!r}"
     return "mapping lines are not pairs of integers"
 
 
-def parse_permutation(text: str, ring):
+def parse_permutation(data: bytes, ring):
     """The permutation of a file whose header matches ``ring = (n, F)``
     (see ``parse_field_tokens``).
 
     Each mapping line holds two integers separated by any whitespace; a
-    line with any other number of fields is refused.
+    line with any other number of fields is refused.  The lines are parsed
+    in blocks of about _PARSE_BYTES straight into the result.
     """
-    header, newline, body = text.strip("\n").partition("\n")
+    lo, hi = _stripped(data)
+    eol = data.find(b"\n", lo, hi)
+    header = data[lo : hi if eol < 0 else eol].decode()
     if not header:
         raise ValueError("empty permutation file")
     head = header.split()
@@ -210,28 +300,35 @@ def parse_permutation(text: str, ring):
         raise ValueError("not a permutation file")
     parse_field_tokens(head[1:], ring)
     n, F = ring
-    count = body.count("\n") + 1 if newline else 0
+    start = eol + 1
+    count = data.count(b"\n", start, hi) + 1 if eol >= 0 else 0
     # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
     # header alone never sizes a power or an array beyond the file read.
     if n * n > count.bit_length() or F.q ** (n * n) != count:
         raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {count}")
-    # A lone \r is whitespace inside a line here, but a line break to loadtxt.
-    if "\r" in body:
-        body = body.replace("\r", " ")
-    try:
-        # loadtxt skips blank lines and refuses a change in field count; the
-        # shape check then refuses blank lines and a uniform wrong count.
-        pairs = None if body.isspace() else np.loadtxt(
-            io.BytesIO(body.encode()), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
-        )
-    except ValueError:
-        pairs = None
-    if pairs is None or pairs.shape != (count, 2):
-        raise ValueError(_bad_mapping_line(body))
-    disorder = np.flatnonzero(pairs[:, 0] != np.arange(count))
-    if disorder.size:
-        raise ValueError(f"mapping lines out of order at {pairs[disorder[0], 0]}")
-    return np.ascontiguousarray(pairs[:, 1])
+    perm = np.empty(count, dtype=np.int64)
+    row, disorder = 0, None
+    for lo, end in _line_spans(data, start, hi, _PARSE_BYTES):
+        block = _mapping_text(data, lo, end)
+        rows = block.count(b"\n") + 1
+        try:
+            # loadtxt skips blank lines and refuses a change in field count;
+            # the shape check then refuses blank lines and a uniform wrong count.
+            pairs = None if block.decode().isspace() else np.loadtxt(
+                io.BytesIO(block), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+            )
+        except ValueError:
+            pairs = None
+        if pairs is None or pairs.shape != (rows, 2):
+            raise ValueError(_bad_mapping_line(data, start, hi))
+        wrong = np.flatnonzero(pairs[:, 0] != np.arange(row, row + rows))
+        if wrong.size and disorder is None:
+            disorder = pairs[wrong[0], 0]
+        perm[row : row + rows] = pairs[:, 1]
+        row += rows
+    if disorder is not None:
+        raise ValueError(f"mapping lines out of order at {disorder}")
+    return perm
 
 
 # -- decompositions ----------------------------------------------------------
@@ -266,130 +363,198 @@ def _sigma_cycles(G: RelationGraph, sigma: Automorphism):
     ]
 
 
-def _cycle_text(digits, kept, verts, ends) -> str:
-    """'(a b c)(d e)' for cycles laid end to end, from ``_digit_table``."""
-    width = digits.shape[1]
-    # One row per vertex: "(" or " ", the zero-padded number, then ")"
-    # kept only at a cycle's end.
-    chars = np.empty((len(verts), width + 2), dtype=np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, 0], chars[:, -1] = ord(" "), ord(")")
-    chars[np.r_[0, ends[:-1]], 0] = ord("(")
-    chars[:, 1:-1] = np.take(digits, verts, axis=0)
-    keep[:, 1:-1] = np.take(kept, verts, axis=0)
-    keep[:, -1] = False
-    keep[ends - 1, -1] = True
-    return chars[keep].tobytes().decode("ascii")
+def _cycle_blocks(verts, ends, limbs: int):
+    """'(a b c)(d e)' for cycles laid end to end, in blocks of _RENDER_ROWS
+    vertices."""
+    width = 4 * limbs
+    starts = np.r_[0, ends[:-1]]
+    for lo in range(0, len(verts), _RENDER_ROWS):
+        hi = min(lo + _RENDER_ROWS, len(verts))
+        # One row per vertex: "(" or " ", the zero-padded number, then ")"
+        # kept only at a cycle's end.
+        chars = np.empty((hi - lo, width + 2), dtype=np.uint8)
+        keep = np.ones(chars.shape, dtype=bool)
+        chars[:, 0], chars[:, -1] = ord(" "), ord(")")
+        chars[:, 1:-1], keep[:, 1:-1] = _decimal(verts[lo:hi], limbs)
+        opening = starts[np.searchsorted(starts, lo) : np.searchsorted(starts, hi)]
+        closing = ends[np.searchsorted(ends, lo, "right") : np.searchsorted(ends, hi, "right")]
+        chars[opening - lo, 0] = ord("(")
+        keep[:, -1] = False
+        keep[closing - 1 - lo, -1] = True
+        yield chars[keep]
 
 
-def render_decomposition(G: RelationGraph, dec: Decomposition) -> str:
-    lines = ["decomposition " + field_tokens(G.n, G.field)]
-    lines.append("P")
-    lines.append(matrix_block(dec.P))
-    lines.append(f"t {dec.t}")
-    lines.append("sigma")
-    digits, kept = _digit_table(G.vertex_count)
+def render_decomposition(G: RelationGraph, dec: Decomposition) -> bytearray:
+    """The decomposition file of ``dec``, held once like a permutation's."""
+    head = ["decomposition " + field_tokens(G.n, G.field), "P", matrix_block(dec.P)]
+    head = "\n".join([*head, f"t {dec.t}", "sigma", ""]).encode()
+    classes = []
     for c, verts, ends in _sigma_cycles(G, dec.sigma):
         ideal = G.class_ideals[c]
         basis = ";".join(",".join(str(x) for x in row) for row in ideal.basis)
-        cyc = _cycle_text(digits, kept, verts, ends)
-        lines.append(f"class rank={ideal.rank} basis={basis} cycles={cyc}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
+        classes.append((f"class rank={ideal.rank} basis={basis} cycles=".encode(), verts, ends))
+    limbs = _limbs(G.vertex_count)
+
+    def parts():
+        yield head
+        for line, verts, ends in classes:
+            yield line
+            yield from _cycle_blocks(verts, ends, limbs)
+            yield b"\n"
+        yield b"end\n"
+
+    # A cycle takes at most a separator, a number below N and ")" per vertex.
+    width = len(str(G.vertex_count - 1)) + 2
+    size = len(head) + sum(len(line) + len(verts) * width + 1 for line, verts, _ in classes) + 4
+    return _joined(size, parts())
 
 
-# Numbers per loadtxt row when parsing sigma cycles.
+# Numbers per loadtxt row when parsing sigma cycles, and rows per block.
 _CYCLE_ROW = 1024
+_CYCLE_BLOCK = 16
 # The ASCII characters that str.split() splits on.
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
 
-def _parse_cycles(text: str):
-    """(vertices, ends) from '(a b c)(d e)', as ``_sigma_cycles`` lays them
-    out; cycles are split at ')(' and their numbers at any whitespace."""
-    body = text.strip("()")
-    if not body.isascii():
-        body = " ".join(body.split())  # Unicode whitespace to spaces
-    chars = np.frombuffer(body.encode(), dtype=np.uint8).copy()
-    breaks = np.flatnonzero((chars[:-1] == ord(")")) & (chars[1:] == ord("(")))
-    chars[breaks] = chars[breaks + 1] = ord(" ")
-    space = _SPACE[chars]
-    chars[space] = ord(" ")  # a lone \r would end a line for loadtxt
-    starts = np.flatnonzero(~space & np.r_[True, space[:-1]])
-    ends = np.r_[np.searchsorted(starts, breaks), len(starts)]
+def _separators(data: bytes, lo: int, hi: int, a: int, b: int):
+    """The separator mask of data[a - 1 : b] inside the cycles text
+    data[lo:hi] (str.split() whitespace and both characters of each ')(';
+    the position before lo counts as one), and the positions of the ')('
+    pairs that start in [a, b)."""
+    # Whether a - 1 is a separator can depend on a - 2, and b - 1 on b.
+    left, right = max(a - 2, lo), min(b + 1, hi)
+    window = np.frombuffer(data, dtype=np.uint8, count=right - left, offset=left)
+    breaks = (window[:-1] == ord(")")) & (window[1:] == ord("("))
+    sep = _SPACE[window]
+    sep[:-1] |= breaks
+    sep[1:] |= breaks
+    sep = sep[max(a - 1, lo) - left : b - left]
+    return np.r_[True, sep] if a == lo else sep, a + np.flatnonzero(breaks[a - left :])
+
+
+def _parse_cycles(data: bytes, lo: int, hi: int):
+    """(vertices, ends) from the cycles text '(a b c)(d e)' in data[lo:hi],
+    as ``_sigma_cycles`` lays them out; cycles are split at ')(' and their
+    numbers at any whitespace.
+
+    A first pass over blocks of _PARSE_BYTES counts the numbers, finds the
+    cycle ends and the start of every row of _CYCLE_ROW numbers; loadtxt
+    then reads those rows, with every separator made a space, into one
+    array of that size.
+    """
+    # One parenthesis off each end: a doubled one is left in a number.
+    lo += data.startswith(b"(", lo, hi)
+    hi -= data.endswith(b")", lo, hi)
+    if np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo).max(initial=0) > 127:
+        text = " ".join(data[lo:hi].decode().split()).encode()  # Unicode whitespace to spaces
+        data, lo, hi = text, 0, len(text)
+    count, row_starts, ends = 0, [], []
+    for a in range(lo, hi, _PARSE_BYTES):
+        sep, breaks = _separators(data, lo, hi, a, min(a + _PARSE_BYTES, hi))
+        starts = a + np.flatnonzero(sep[:-1] & ~sep[1:])
+        ends.append(count + np.searchsorted(starts, breaks))
+        row_starts.append(starts[-count % _CYCLE_ROW :: _CYCLE_ROW])
+        count += len(starts)
+    ends = np.concatenate([*ends, [count]]).astype(np.int64)
     # ends does not decrease; an empty cycle "()" repeats its predecessor's.
     ends = ends[np.diff(ends, prepend=0) > 0]
-    if not len(starts):
+    if not count:
         return np.empty(0, dtype=np.int64), ends
-    # loadtxt holds ~64 bytes per field of a row, so the numbers go to it in
-    # rows of _CYCLE_ROW, the last row padded with zeros.
-    chars[starts[_CYCLE_ROW::_CYCLE_ROW] - 1] = ord("\n")
-    pad = b" 0" * (-len(starts) % _CYCLE_ROW)
-    verts = np.loadtxt(
-        io.BytesIO(chars.tobytes() + pad), dtype=np.int64, comments=None, encoding="utf-8"
-    )
-    return verts.reshape(-1)[: len(starts)], ends
+    row_starts = np.r_[np.concatenate(row_starts), hi]
+    last = len(row_starts) - 2
+
+    def rows():
+        # The rows as lines, a block of _CYCLE_BLOCK rows at a time; the
+        # last is padded with zeros to the full row length.
+        for r in range(0, last + 1, _CYCLE_BLOCK):
+            cuts = row_starts[r : r + _CYCLE_BLOCK + 1]
+            a, b = cuts[0], cuts[-1]
+            sep = _separators(data, lo, hi, a, b)[0][1:]
+            chars = np.where(sep, np.uint8(32), np.frombuffer(data, np.uint8, b - a, a))
+            for k, (i, j) in enumerate(zip(cuts[:-1] - a, cuts[1:] - a), r):
+                yield chars[i:j].tobytes() + (b" 0" * (-count % _CYCLE_ROW) if k == last else b"")
+
+    verts = np.loadtxt(rows(), dtype=np.int64, comments=None, encoding="utf-8", max_rows=last + 1)
+    return verts.reshape(-1)[:count], ends
 
 
-def parse_decomposition(G: RelationGraph, text: str) -> Decomposition:
-    lines = _lines_of(text, "decomposition")
-    head = lines[0].split()
+def parse_decomposition(G: RelationGraph, data: bytes) -> Decomposition:
+    """The decomposition of a file whose header matches G's ring.
+
+    Lines are found one at a time and each class's cycles are parsed in
+    blocks (see ``_parse_cycles``), so no line is split into Python objects.
+    """
+    lo, hi = _stripped(data)
+    lines = _line_spans(data, lo, hi, 0)
+
+    def text(span):
+        return data[span[0] : span[1]].decode()
+
+    first = next(lines, None)
+    if first is None:
+        raise ValueError("empty decomposition file")
+    head = text(first).split()
     if head[:1] != ["decomposition"]:
         raise ValueError("not a decomposition file")
     parse_field_tokens(head[1:], (G.n, G.field))
-    if len(lines) < 3 or lines[1] != "P":
+    label, size = next(lines, None), next(lines, None)
+    if size is None or data[label[0] : label[1]] != b"P":
         raise ValueError("missing P block")
     try:
-        P, pos = parse_matrix_block(lines, 2)
-    except IndexError as exc:
+        P = parse_matrix_block(map(text, itertools.chain([size], lines)))
+    except StopIteration as exc:
         raise ValueError("truncated P block") from exc
     if len(P) != G.n:
         raise ValueError(f"P block is {len(P)}x{len(P)}, expected {G.n}x{G.n}")
-    if pos >= len(lines):
+    span = next(lines, None)
+    if span is None:
         raise ValueError("truncated decomposition file")
-    if not lines[pos].startswith("t "):
+    line = text(span)
+    if not line.startswith("t "):
         raise ValueError("missing t line")
-    t = int(lines[pos][2:])
-    pos += 1
-    if pos >= len(lines) or lines[pos] != "sigma":
+    t = int(line[2:])
+    span = next(lines, None)
+    if span is None or data[span[0] : span[1]] != b"sigma":
         raise ValueError("missing sigma block")
-    pos += 1
-    perm = np.arange(G.vertex_count, dtype=np.int64)
+    N = G.vertex_count
+    perm = np.arange(N, dtype=np.int64)
+    # Times each vertex is listed; no count can exceed the file's length.
+    listed = np.zeros(N, dtype=np.min_scalar_type(len(data)))
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
-    cycle_verts = []
     while True:
-        if pos >= len(lines):
+        span = next(lines, None)
+        if span is None:
             raise ValueError("decomposition file missing end marker")
-        if lines[pos] == "end":
+        start, end = span
+        if end - start == 3 and data.startswith(b"end", start):
             break
-        head_text, _, cyc_text = lines[pos].partition(" cycles=")
-        vals = _parse_tokens(head_text.split()[1:])
-        if not cyc_text or "basis" not in vals:
+        cut = data.find(b" cycles=", start, end)
+        head = text((start, end if cut < 0 else cut)).split()
+        vals = _parse_tokens(head[1:])
+        well_formed = head[:1] == ["class"] and {"rank", "basis"} <= vals.keys()
+        if cut < 0 or cut + 8 == end or not well_formed:
             # Quote only the start: a sigma line can run to megabytes.
-            raise ValueError(f"malformed sigma line: {lines[pos][:60]!r}")
-        basis = tuple(
-            tuple(int(x) for x in row.split(","))
-            for row in vals["basis"].split(";")
-            if row
-        )
-        ideal = LeftIdeal(G.n, basis)
+            raise ValueError(f"malformed sigma line: {text(span)[:60]!r}")
+        rows = vals["basis"].split(";") if vals["basis"] else []
+        if not all(rows):
+            raise ValueError(f"empty row in class basis {vals['basis']!r}")
+        ideal = LeftIdeal(G.n, tuple(tuple(int(x) for x in row.split(",")) for row in rows))
         if ideal not in ideal_index:
             raise ValueError(f"unknown ideal class in sigma block: {ideal}")
-        verts, ends = _parse_cycles(cyc_text)
+        if int(vals["rank"]) != ideal.rank:
+            raise ValueError(f"class rank={vals['rank']} but its basis has rank {ideal.rank}")
+        verts, ends = _parse_cycles(data, cut + 8, end)
         # Range first: the class gather would wrap -1 and raise on N.
-        bad = len(verts) and (verts.min() < 0 or verts.max() >= G.vertex_count)
+        bad = len(verts) and (verts.min() < 0 or verts.max() >= N)
         if bad or (G.vertex_class[verts] != ideal_index[ideal]).any():
             raise ValueError("cycle leaves its ideal class")
+        np.add.at(listed, verts, listed.dtype.type(1))  # one dtype: numpy's fast path
         # Each vertex maps to the next one of its cycle, the last to the first.
-        images = np.roll(verts, -1)
-        images[ends - 1] = verts[np.r_[0, ends[:-1]]]
-        perm[verts] = images
-        cycle_verts.append(verts)
-        pos += 1
-    verts = np.concatenate([np.empty(0, dtype=np.int64), *cycle_verts])
-    counts = np.bincount(verts, minlength=G.vertex_count)
-    if counts.max() > 1:
-        raise ValueError(f"vertex {int(counts.argmax())} appears twice in the sigma cycles")
+        perm[verts[:-1]] = verts[1:]
+        if len(ends):
+            perm[verts[ends - 1]] = verts[np.r_[0, ends[:-1]]]
+    if listed.max() > 1:
+        raise ValueError(f"vertex {int(listed.argmax())} appears twice in the sigma cycles")
     sigma = Automorphism(G.n, G.field, perm)
     return Decomposition(P=P, t=t, sigma=sigma)

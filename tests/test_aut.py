@@ -153,6 +153,52 @@ def test_sampled_rank_class_permutations_verify(graphs):
 # -- group structure ---------------------------------------------------------
 
 
+def test_shuffle_within_matches_random_shuffle(graphs):
+    # Every group size 0..300 under 20 seeds: the in-place array shuffle
+    # draws what random.Random.shuffle draws on a list, and leaves the
+    # generator in the same state for the calls after it.
+    G = graphs(2, 1, 3)
+    for seed in range(20):
+        for size in range(301):
+            # Two groups: a descending run, then an ascending one after it.
+            first, second = np.arange(size)[::-1], np.arange(size, size + 5)
+            rng, ref = random.Random(seed), random.Random(seed)
+            perm = aut._shuffle_within(G, [first, second], rng).perm
+            for verts in (first, second):
+                shuffled = verts.tolist()
+                ref.shuffle(shuffled)
+                assert perm[verts].tolist() == shuffled
+            assert rng.random() == ref.random()
+
+
+def test_random_draws_unchanged(graphs):
+    # random_triple draws P, t and sigma in that order from one generator;
+    # sigma equals each class shuffled as a list in ascending class order.
+    G = graphs(2, 2, 2)
+    P, t, sigma, f = aut.random_triple(G, 11)
+    rng = random.Random(11)
+    assert random_invertible(G.field, G.n, rng) == P and rng.randrange(G.field.m) == t
+    expected = np.arange(G.vertex_count)
+    for verts in G.class_vertices:
+        shuffled = verts.tolist()
+        rng.shuffle(shuffled)
+        expected[verts] = shuffled
+    assert np.array_equal(sigma.perm, expected)
+    phi, ups = aut.right_mul_automorphism(G, P), aut.frobenius_automorphism(G, t)
+    assert f == aut.compose(phi, aut.compose(ups, sigma))
+    # Rank classes of n = 2 are shuffled as lists too, rank 0 first.
+    G = graphs(3, 1, 2)
+    ranks = np.array(G.class_rank)[G.vertex_class]
+    for seed in range(5):
+        rng = random.Random(seed)
+        expected = np.arange(G.vertex_count)
+        for r in range(3):
+            shuffled = np.flatnonzero(ranks == r).tolist()
+            rng.shuffle(shuffled)
+            expected[ranks == r] = shuffled
+        assert np.array_equal(aut.random_rank_class_permutation(G, random.Random(seed)).perm, expected)
+
+
 def test_compose_inverse_identity(graphs):
     G = graphs(2, 1, 2)
     f = random_right_mul(G, 5)

@@ -540,6 +540,22 @@ def test_aut_verify_accepts_crlf_and_spacing_variants(capsys, tmp_path):
     assert (code, out) == (0, "verify n=2 p=3 m=1 modulus=0,1\nautomorphism verified\n")
 
 
+def test_input_line_ends_and_encoding(capsys, tmp_path):
+    # Read as a text file is read: a lone CR ends a line, and a file that
+    # is not UTF-8 is refused.
+    perm = tmp_path / "perm.txt"
+    ring = ["--n", "2", "--p", "3"]
+    assert run(capsys, "aut", "sample", *ring, "--seed", "5", "--out", str(perm))[0] == 0
+    text = perm.read_bytes()
+    perm.write_bytes(text.replace(b"\n", b"\r"))
+    code, out, _ = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
+    assert (code, out) == (0, "verify n=2 p=3 m=1 modulus=0,1\nautomorphism verified\n")
+    perm.write_bytes(text[:60] + b"\xff" + text[60:])
+    code, out, err = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 60: invalid start byte\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
 def test_aut_verify_reads_a_pipe(gf4_perm):
     # The 3.4 MB GF(4), n = 3 permutation through /dev/stdin, as a pipe.
@@ -668,10 +684,21 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 99999999999999999999)"), "int64"),
         (lambda text: text.replace(" basis=", " basis:", 1), "malformed sigma line"),
         (lambda text: "   \n" + text, "not a decomposition file"),
+        (lambda text: text.replace("cycles=(4 36 32)", "cycles=((4 36 32)"), "string '(4'"),
+        (lambda text: text.replace("(256 292 288)", "(256 292 288))"), "string '288)'"),
+        (lambda text: text.replace("class rank=1 basis=0,0,1 ", "class rank=2 basis=0,0,1 "),
+         "class rank=2 but its basis has rank 1"),
+        (lambda text: text.replace(" basis=0,0,1 ", " basis=;0,0,1 "), "empty row in class basis"),
+        (lambda text: text.replace("class rank=1 basis=0,0,1 ", "class basis=0,0,1 "),
+         "malformed sigma line"),
+        (lambda text: text.replace("class rank=1 basis=0,0,1 ", "klass rank=1 basis=0,0,1 "),
+         "malformed sigma line"),
     ],
     ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex",
          "cycle-vertex-past-N", "cycle-vertex-beyond-int64", "sigma-line-without-basis",
-         "blank-header"],
+         "blank-header", "doubled-opening-parenthesis", "doubled-closing-parenthesis",
+         "rank-not-the-basis-rank", "empty-basis-row", "class-line-without-rank",
+         "line-not-a-class"],
 )
 def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     ring = ["--n", "3", "--p", "2"]
@@ -686,6 +713,25 @@ def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     assert (code, stdout) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert out.read_bytes() == b"old bytes\n"
+
+
+def test_recompose_accepts_a_class_line_of_empty_cycles(capsys, tmp_path):
+    # A class whose cycles are all empty moves no vertex, as if its line
+    # were left out.
+    ring = ["--n", "3", "--p", "2"]
+    perm, dec = tmp_path / "f.perm", tmp_path / "f.dec"
+    assert run(capsys, "aut", "sample", *ring, "--seed", "3", "--out", str(perm))[0] == 0
+    assert run(capsys, "aut", "decompose", *ring, "--perm", str(perm), "--out", str(dec))[0] == 0
+    text = dec.read_text()
+    line = "class rank=1 basis=0,1,0 cycles=(2 130 146 16)\n"
+    assert line in text
+    outs = []
+    for edited in (text.replace(line, line.split("cycles=")[0] + "cycles=()()\n"), text.replace(line, "")):
+        dec.write_text(edited)
+        code, out, err = run(capsys, "aut", "recompose", *ring, "--report", str(dec))
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] != perm.read_text()
 
 
 @pytest.mark.parametrize(
@@ -705,7 +751,7 @@ def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
 def test_malformed_mapping_lines_refused(capsys, tmp_path, body):
     head = "perm n=1 p=3 m=1 modulus=0,1 directed=1\n"
     with pytest.raises(ValueError):
-        serialize.parse_permutation(head + body + "\n", (1, make_field(3, 1)))
+        serialize.parse_permutation((head + body + "\n").encode(), (1, make_field(3, 1)))
     perm, out = tmp_path / "f.perm", tmp_path / "out.txt"
     perm.write_text(head + body + "\n")
     out.write_bytes(b"old bytes\n")
