@@ -7,11 +7,11 @@ space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, the graph is stored as
 an ideal-class structure: a class-level containment relation plus one
 narrow vertex -> class index.  Member lists per class are built on
-demand, and each class's sorted edge targets (``class_targets``) are the
-one way edges leave a graph: ``serialize`` streams them one source vertex
-at a time.  Degree and distance queries never materialize the (possibly
-huge) edge set, and class sizes are counted from the index without
-sorting it.
+demand; the one way edges leave a graph is ``serialize``, which streams
+them one source vertex at a time from each class's super (or comparable)
+classes' members.  Degree and distance queries never materialize the
+(possibly huge) edge set, and class sizes are counted from the index
+without sorting it.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
@@ -218,14 +218,6 @@ class RelationGraph:
             for d in self.super_classes[c]:
                 total += fib[c] * fib[d]
         return total
-
-    @cached_property
-    def class_targets(self):
-        """Per class, the sorted edge targets shared by all its members:
-        the super classes' vertices when directed, the comparable classes'
-        when undirected."""
-        rel = self.super_classes if self.directed else self.comparable_classes
-        return tuple(self._members(rel[c]) for c in range(self.class_count))
 
 
 def build_full_graph(
