@@ -553,7 +553,9 @@ def _quotient_sets(F: Field, n: int, cap: int):
     """Up-sets, down-sets and ranks of the quotient's classes, refused
     above ``cap`` subspaces before anything is built."""
     Q = build_quotient_graph(F, n, cap=cap)
-    return Q.super_classes, Q.sub_classes, Q.class_rank
+    up = [np.flatnonzero(row).tolist() for row in Q.lt]
+    down = [np.flatnonzero(col).tolist() for col in Q.lt.T]
+    return up, down, Q.class_rank
 
 
 def quotient_aut_order(F: Field, n: int, cap: int = 40) -> int:

@@ -5,13 +5,15 @@ edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, the graph is stored as
-an ideal-class structure: a class-level containment relation plus one
-narrow vertex -> class index.  Member lists per class are built on
-demand; the one way edges leave a graph is ``serialize``, which streams
-them one source vertex at a time from each class's super (or comparable)
-classes' members.  Degree and distance queries never materialize the
-(possibly huge) edge set, and class sizes are counted from the index
-without sorting it.
+an ideal-class structure: the class containment matrix ``lt``, the only
+form of the class relation, plus one narrow vertex -> class index.
+Degrees and edge counts read rows and columns of ``lt`` weighted by the
+class sizes, which are counted from the index without sorting it.
+Member lists per class are built on demand; the one way edges leave a
+graph is ``serialize``, which streams them one source vertex at a time
+from the members of the classes in each class's row of ``lt`` (or row
+and column, undirected).  No query materializes the (possibly huge)
+edge set.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
@@ -157,35 +159,6 @@ class RelationGraph:
         order = np.argsort(self.vertex_class, kind="stable")
         return tuple(np.split(order, np.cumsum(self.fiber_sizes)[:-1]))
 
-    @cached_property
-    def sub_classes(self):
-        return tuple(
-            tuple(np.flatnonzero(self.lt[:, c]).tolist()) for c in range(self.class_count)
-        )
-
-    @cached_property
-    def super_classes(self):
-        return tuple(
-            tuple(np.flatnonzero(self.lt[c, :]).tolist()) for c in range(self.class_count)
-        )
-
-    @cached_property
-    def comparable_classes(self):
-        return tuple(
-            tuple(sorted(self.sub_classes[c] + self.super_classes[c]))
-            for c in range(self.class_count)
-        )
-
-    @cached_property
-    def class_in_weight(self):
-        fib = self.fiber_sizes
-        return tuple(sum(fib[d] for d in self.sub_classes[c]) for c in range(self.class_count))
-
-    @cached_property
-    def class_out_weight(self):
-        fib = self.fiber_sizes
-        return tuple(sum(fib[d] for d in self.super_classes[c]) for c in range(self.class_count))
-
     # -- vertex queries ---------------------------------------------------
 
     def class_of(self, v: int) -> int:
@@ -200,7 +173,8 @@ class RelationGraph:
     def degrees(self, v: int):
         """(d_i, d_o) on the directed graph, a single degree otherwise."""
         c = self.class_of(v)
-        d_i, d_o = self.class_in_weight[c], self.class_out_weight[c]
+        fib = np.array(self.fiber_sizes)
+        d_i, d_o = int(fib[self.lt[:, c]].sum()), int(fib[self.lt[c]].sum())
         return (d_i, d_o) if self.directed else d_i + d_o
 
     def _members(self, classes) -> np.ndarray:
@@ -212,12 +186,10 @@ class RelationGraph:
         """Directed edge count; the undirected graph has the same number of
         (unordered) edges because containment between distinct classes is
         one-directional."""
-        fib = self.fiber_sizes
-        total = 0
-        for c in range(self.class_count):
-            for d in self.super_classes[c]:
-                total += fib[c] * fib[d]
-        return total
+        # Out-weights summed under the mask of lt: no C x C copy is made.
+        fib = np.broadcast_to(np.array(self.fiber_sizes), self.lt.shape)
+        out = fib.sum(axis=1, where=self.lt).tolist()
+        return sum(f * w for f, w in zip(self.fiber_sizes, out))
 
 
 def build_full_graph(

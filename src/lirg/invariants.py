@@ -1,18 +1,18 @@
 """Graph invariants of the undirected relation graph, with closed forms.
 
 Adjacency is comparability of ideals, so every invariant reduces to the
-class containment matrix ``G.lt``, the class comparability lists and the
-fiber sizes, which keeps the 19683-vertex cases instant.  Two routines do
-the class-level work.  ``_longest_chain`` gives the clique number and the
-reduced clique number behind the strong metric dimension, since cliques
-are chains of nested row spaces; there is no generic clique search.
-``_bfs`` gives the distances and the shortest cycle from one class.
+class containment matrix ``G.lt`` and the fiber sizes, which keeps the
+19683-vertex cases instant.  Two routines do the class-level work.
+``_longest_chain`` gives the clique number and the reduced clique number
+behind the strong metric dimension, since cliques are chains of nested
+row spaces; there is no generic clique search.  ``_class_bfs`` gives the
+distances between all classes and the shortest cycle, by one
+breadth-first search from every class at once.
 
 Functions in this module treat their input graph as undirected regardless
 of the flag it was built with.
 """
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,29 +79,36 @@ def clique_and_chromatic(G: RelationGraph):
     return omega, chi
 
 
-def _bfs(adj, s):
-    """(distances from s, shortest cycle met) by BFS on adjacency lists.
+def _class_bfs(A):
+    """(distance matrix, shortest cycle) of the symmetric adjacency ``A``.
 
-    Distances are a list with None for unreached nodes.  The cycle is the
-    shortest closed by a non-tree edge during the search, or None; its
-    minimum over all start nodes is the girth.
+    One breadth-first search from every node at once (Itai and Rodeh,
+    Finding a minimum circuit in a graph, 1978): ``front[s]`` is level k of
+    source s, and ``nbrs[s, v]`` counts v's neighbours in it.  An edge
+    inside level k closes a cycle of at most 2k + 1, and a level-(k+1)
+    node with two neighbours in level k one of at most 2k + 2.  No level
+    below (g - 1) // 2 shows either for a girth g, and that level shows
+    one from every node of a shortest cycle, so the first cycle found is
+    the girth.  Distances are -1 for unreachable pairs; the cycle is None
+    for a forest.  Counts stay below 2^24, so the float32 product is exact.
     """
-    dist = [None] * len(adj)
-    parent = [None] * len(adj)
-    dist[s] = 0
+    adj = A.astype(np.float32)
+    front = np.eye(len(A), dtype=bool)
+    seen = front.copy()
+    dist = np.where(front, 0, -1)
     cycle = None
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] is None:
-                dist[w] = dist[u] + 1
-                parent[w] = u
-                queue.append(w)
-            elif parent[u] != w and parent[w] != u:
-                length = dist[u] + dist[w] + 1
-                if cycle is None or length < cycle:
-                    cycle = length
+    k = 0
+    while front.any():
+        nbrs = front.astype(np.float32) @ adj
+        nxt = (nbrs > 0) & ~seen
+        if cycle is None and (front & (nbrs > 0)).any():
+            cycle = 2 * k + 1
+        elif cycle is None and (nxt & (nbrs > 1)).any():
+            cycle = 2 * k + 2
+        k += 1
+        dist[nxt] = k
+        seen |= nxt
+        front = nxt
     return dist, cycle
 
 
@@ -115,14 +122,12 @@ def girth(G: RelationGraph):
     vertices in total.
     """
     _require_full(G)
-    adj = G.comparable_classes
-    cycles = (_bfs(adj, s)[1] for s in range(G.class_count))
-    candidates = [c for c in cycles if c is not None]
-    fib = G.fiber_sizes
-    for c in range(G.class_count):
-        if fib[c] >= 2 and sum(fib[d] for d in adj[c]) >= 2:
-            candidates.append(4)
-            break
+    A = G.lt | G.lt.T
+    _, cycle = _class_bfs(A)
+    candidates = [] if cycle is None else [cycle]
+    fib = np.array(G.fiber_sizes)
+    if ((fib >= 2) & (A @ fib >= 2)).any():
+        candidates.append(4)
     return min(candidates) if candidates else ACYCLIC
 
 
@@ -143,15 +148,15 @@ def metric(G: RelationGraph):
     a construction bug.
     """
     _require_full(G)
-    adj = G.comparable_classes
-    fib = G.fiber_sizes
-    ecc = []
-    for c in range(G.class_count):
-        dist, _ = _bfs(adj, c)
-        if None in dist or (fib[c] >= 2 and not adj[c]):
-            raise ValueError("relation graph is disconnected")
-        # two members of one class are at distance 2, through any neighbor
-        ecc.append(max(dist) if fib[c] == 1 else max(max(dist), 2))
+    A = G.lt | G.lt.T
+    dist, _ = _class_bfs(A)
+    shared = np.array(G.fiber_sizes) >= 2
+    if (dist < 0).any() or (shared & ~A.any(axis=1)).any():
+        raise ValueError("relation graph is disconnected")
+    ecc = dist.max(axis=1)
+    # two members of one class are at distance 2, through any neighbor
+    ecc[shared] = np.maximum(ecc[shared], 2)
+    ecc = ecc.tolist()
     by_rank = {}
     for c, r in enumerate(G.class_rank):
         by_rank[r] = max(by_rank.get(r, 0), ecc[c])
@@ -168,8 +173,8 @@ def domination_number(G: RelationGraph) -> int:
     zero_class = G.class_of(0)
     if G.class_rank[zero_class] != 0:
         raise AssertionError("vertex 0 is not the zero matrix")
-    comparable = set(G.comparable_classes[zero_class])
-    if comparable != set(range(G.class_count)) - {zero_class}:
+    others = np.arange(G.class_count) != zero_class
+    if not np.array_equal(G.lt[zero_class] | G.lt[:, zero_class], others):
         raise AssertionError("zero matrix fails to dominate")
     return 1
 
@@ -180,14 +185,15 @@ def _reduced_clique_number(G: RelationGraph) -> int:
 
     A vertex's closed neighborhood holds none of its class-mates, so only
     vertices of single-member classes merge, and they merge exactly when
-    their classes have equal closed neighborhoods ``comparable | {c}``.
+    their classes have equal closed neighborhoods, rows of ``lt | lt.T | I``.
     The reduced graph is then the subgraph induced on one representative
     class per group: the members of a larger class are pairwise
     non-adjacent, so a clique uses at most one of them.
     """
+    closed = G.lt | G.lt.T | np.eye(G.class_count, dtype=bool)
     groups = {}
-    for c, comparable in enumerate(G.comparable_classes):
-        key = frozenset(comparable + (c,)) if G.fiber_sizes[c] == 1 else c
+    for c, size in enumerate(G.fiber_sizes):
+        key = closed[c].tobytes() if size == 1 else c
         groups.setdefault(key, c)
     reps = list(groups.values())
     return _longest_chain(G.lt[np.ix_(reps, reps)])
@@ -213,9 +219,7 @@ def eulerian_check(G: RelationGraph):
     from all class degrees.
     """
     _require_full(G)
-    degrees = [
-        G.class_in_weight[c] + G.class_out_weight[c] for c in range(G.class_count)
-    ]
+    degrees = ((G.lt | G.lt.T) @ np.array(G.fiber_sizes)).tolist()
     eulerian = all(d % 2 == 0 for d in degrees)
     if eulerian:
         return True, None

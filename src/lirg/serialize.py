@@ -83,27 +83,29 @@ def _vertex_names(G: RelationGraph):
 
 def _class_targets(G: RelationGraph, names):
     """Per class, its sorted edge targets as references into ``names``: the
-    super classes' vertices when directed, the comparable classes' when
-    undirected.  Classes related to the same classes share one list (every
-    rank n-1 class of a digraph has only the top class above it), and each
-    list's integer targets are dropped once it is built.  Undirected graphs
-    also get ``cut``: cut[u] counts the targets of u's class that are at
-    most u, read through a memoryview of the narrowest unsigned type."""
-    rel = G.super_classes if G.directed else G.comparable_classes
+    vertices of the classes in its row of ``lt`` when directed, in its row
+    or column when undirected.  Classes related to the same classes share
+    one list (every rank n-1 class of a digraph has only the top class
+    above it), and each list's integer targets are dropped once it is
+    built.  Undirected graphs also get ``cut``: cut[u] counts the targets
+    of u's class that are at most u, read through a memoryview of the
+    narrowest unsigned type."""
     N = G.vertex_count
     cut = None if G.directed else np.empty(N, dtype=np.min_scalar_type(N - 1))
     shared = {}  # one list per distinct set of related classes
     targets = []
     for c in range(G.class_count):
-        fresh = rel[c] not in shared
+        rel = np.flatnonzero(G.lt[c] if G.directed else G.lt[c] | G.lt[:, c])
+        key = rel.tobytes()
+        fresh = key not in shared
         if fresh or cut is not None:
-            members = G._members(rel[c])
+            members = G._members(rel)
         if fresh:
-            shared[rel[c]] = [names[v] for v in members.tolist()]
+            shared[key] = [names[v] for v in members.tolist()]
         if cut is not None:
             own = G.class_vertices[c]
             cut[own] = np.searchsorted(members, own, side="right")
-        targets.append(shared[rel[c]])
+        targets.append(shared[key])
     return targets, cut if cut is None else memoryview(cut)
 
 

@@ -390,8 +390,8 @@ def test_quotient_aut_order_matches_enumeration():
 
     for F, n in [(F2, 2), (F3, 2), (F2, 3), (F2, 1)]:
         Q = build_quotient_graph(F, n)
-        out_sets = [set(Q.super_classes[c]) for c in range(Q.class_count)]
-        in_sets = [set(Q.sub_classes[c]) for c in range(Q.class_count)]
+        out_sets = [set(np.flatnonzero(row).tolist()) for row in Q.lt]
+        in_sets = [set(np.flatnonzero(col).tolist()) for col in Q.lt.T]
         colors = list(Q.class_rank)
         enumerated = enumerate_digraph_auts(out_sets, in_sets, colors)
         assert aut.quotient_aut_order(F, n) == len(enumerated)

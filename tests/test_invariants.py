@@ -1,8 +1,11 @@
 """Invariants against vertex-level BFS oracles and brute-force cliques."""
 
+import math
+import random
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from conftest import brute_ideal_sets, exported_edges
@@ -114,7 +117,7 @@ def test_clique_number_matches_brute_force_on_quotient(F, n):
     H = nx.Graph()
     H.add_nodes_from(range(Q.class_count))
     for c in range(Q.class_count):
-        for d in Q.super_classes[c]:
+        for d in np.flatnonzero(Q.lt[c]).tolist():
             H.add_edge(c, d)
     brute = max(len(c) for c in nx.find_cliques(H))
     assert clique_and_chromatic(build_full_graph(F, n))[0] == brute
@@ -129,6 +132,50 @@ def test_girth_examples():
 @pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F2, 1), (F3, 1), (F5, 1)])
 def test_girth_matches_vertex_level_oracle(F, n):
     assert girth(build_full_graph(F, n)) == oracle_girth(oracle_adjacency(F, n))
+
+
+def assert_class_bfs_matches_networkx(H):
+    """``_class_bfs`` on H's adjacency against networkx: distances from
+    ``all_pairs_shortest_path_length`` (-1 where unreachable), and the cycle
+    from ``girth`` (inf for a forest, where ``_class_bfs`` gives None)."""
+    N = H.number_of_nodes()
+    A = nx.to_numpy_array(H, nodelist=range(N), dtype=bool)
+    dist, cycle = invariants._class_bfs(A)
+    expected = np.full((N, N), -1)
+    for s, lengths in nx.all_pairs_shortest_path_length(H):
+        for t, d in lengths.items():
+            expected[s, t] = d
+    assert np.array_equal(dist, expected)
+    g = nx.girth(H)
+    assert cycle == (None if g == math.inf else g)
+
+
+@pytest.mark.parametrize(
+    "H, g",
+    [(nx.cycle_graph(k), k) for k in range(4, 8)]
+    + [
+        (nx.petersen_graph(), 5),
+        (nx.convert_node_labels_to_integers(nx.hypercube_graph(3)), 4),
+    ],
+    ids=["C4", "C5", "C6", "C7", "petersen", "3-cube"],
+)
+def test_class_bfs_matches_networkx_on_cycles_petersen_and_cube(H, g):
+    # Even girths, and odd girths past level 1: the relation graphs only
+    # ever have girth 3 or no cycle.
+    assert nx.girth(H) == g
+    assert_class_bfs_matches_networkx(H)
+
+
+def test_class_bfs_matches_networkx_on_random_graphs_and_forests():
+    rng = random.Random(1978)
+    for _ in range(150):
+        N = rng.randrange(1, 16)
+        H = nx.gnp_random_graph(N, rng.random() * 0.4, seed=rng.getrandbits(32))
+        assert_class_bfs_matches_networkx(H)
+        forest = nx.random_labeled_tree(N, seed=rng.getrandbits(32))
+        cut = rng.randrange(N)  # a tree on N nodes has N - 1 edges
+        forest.remove_edges_from(rng.sample(sorted(forest.edges), cut))
+        assert_class_bfs_matches_networkx(forest)
 
 
 def test_triangle_witness_is_a_triangle():
@@ -290,10 +337,11 @@ def degree_check(G: RelationGraph):
     mismatch."""
     _require_full(G)
     q = G.field.q
+    fib = np.array(G.fiber_sizes)
     for c in range(G.class_count):
         r = G.class_rank[c]
         d_i, d_o, und = predicted_degree(G.n, r, q)
-        got = (G.class_in_weight[c], G.class_out_weight[c])
+        got = (int(fib[G.lt[:, c]].sum()), int(fib[G.lt[c]].sum()))
         if got != (d_i, d_o):
             raise AssertionError(
                 f"class {c} (rank {r}): degrees {got} != predicted {(d_i, d_o)}"

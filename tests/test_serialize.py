@@ -71,10 +71,8 @@ def test_edge_stream_memory_follows_vertices_and_pairs(directed):
     # reaches the stream's peak.  Measured: 3.6 MB directed, 4.9 MB
     # undirected; a str per (class, target) pair took 23.6 and 24.4 MB.
     G = build_full_graph(make_field(3, 1), 3, directed=directed)
-    weights = G.class_out_weight
-    if not directed:
-        weights = [a + b for a, b in zip(G.class_in_weight, weights)]
-    pairs = sum(weights)
+    related = G.lt if directed else G.lt | G.lt.T
+    pairs = int((related @ np.array(G.fiber_sizes)).sum())
     assert pairs == (344_162 if directed else 353_991)
     tracemalloc.start()
     try:

@@ -49,16 +49,33 @@ def roundtrip_files(tmp_path_factory):
     return {"--perm": perm, "--report": dec}
 
 
+# Runs the CLI on its arguments, then prints the exit code and whether
+# numpy.ma (which np.unique imports) was loaded.
+RUN_MAIN = (
+    "import sys\n"
+    "from lirg.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(code, 'numpy.ma' in sys.modules)\n"
+)
+
+
 @pytest.mark.parametrize(
     "sub, flag", [("verify", "--perm"), ("decompose", "--perm"), ("recompose", "--report")]
 )
 def test_aut_commands_do_not_load_numpy_ma(tmp_path, roundtrip_files, sub, flag):
-    code = (
-        "import sys\n"
-        "from lirg.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, 'numpy.ma' in sys.modules)\n"
-    )
     argv = ["aut", sub, "--n", "3", "--p", "2", flag, str(roundtrip_files[flag])]
-    out = fresh(code, *argv, "--out", str(tmp_path / "out.txt"))
+    out = fresh(RUN_MAIN, *argv, "--out", str(tmp_path / "out.txt"))
+    assert out == "0 False\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--n", "2", "--p", "3"],
+        ["build-graph", "--n", "2", "--p", "3", "--undirected"],
+    ],
+    ids=["invariants", "build-graph-undirected"],
+)
+def test_class_level_commands_do_not_load_numpy_ma(tmp_path, argv):
+    out = fresh(RUN_MAIN, *argv, "--out", str(tmp_path / "out.txt"))
     assert out == "0 False\n"
