@@ -9,17 +9,22 @@ class-fixing permutation followed by an entrywise Frobenius map followed
 by right multiplication; for n = 2 into per-rank-class permutations.
 
 Permutations are dense int64 arrays indexed by vertex; composition is
-"right factor acts first": compose(f, g) applies g, then f.  Sampling,
-decomposition and recomposition apply one factor at a time, so at most
-three permutations of the vertex set are held at once.  Random class
-permutations shuffle each class in an ``array('q')`` with exactly the
-draws of ``random.Random.shuffle``, so a seed gives the same permutation,
-and leaves the generator in the same state, as shuffling Python lists.
+"right factor acts first": compose(f, g) applies g, then f.  Right
+multiplication and the entrywise Frobenius power act on each row of a
+matrix alone, so together they are one table on the q^n row codes (see
+``_row_table``).  Sampling, decomposition and recomposition apply that
+table to the images of sigma, or its inverse to those of f, in place and
+a block of vertices at a time: ``decompose`` rewrites f's array into
+sigma's and ``recompose`` rewrites sigma's into the composition, so one
+permutation of the vertex set is held at once (pass a copy to keep the
+input).  Random class permutations shuffle each class's member array in
+place with exactly the draws of ``random.Random.shuffle``, so a seed gives
+the same permutation, and leaves the generator in the same state, as
+shuffling Python lists.
 """
 
 import math
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 
@@ -92,35 +97,59 @@ def identity_automorphism(G: RelationGraph) -> Automorphism:
     return Automorphism(G.n, G.field, np.arange(G.vertex_count, dtype=np.int64))
 
 
-def right_mul_automorphism(G: RelationGraph, P) -> Automorphism:
-    """X -> X P for invertible P; an automorphism by construction.
-
-    Each row of X maps on its own, u -> uP, so the permutation is built
-    from that map on the q^n row codes (the span codes of P's rows).
-    """
-    _check_context(G)
-    F, n = G.field, G.n
-    if not is_invertible(F, P):
-        raise ValueError("right multiplication requires an invertible matrix")
-    return Automorphism(n, F, _digit_sum(_span_codes(F, n, P), F.q**n, n))
+# Vertices per block when a permutation is checked or rewritten in place.
+_BLOCK = 1 << 14
 
 
-def frobenius_automorphism(G: RelationGraph, t: int) -> Automorphism:
-    """Entrywise a -> a^(p^t) on every matrix, built from that map on the
-    q element codes.
+def _row_table(G: RelationGraph, P, t: int):
+    """The map u -> (u^(p^t)) P on the q^n row codes: the entrywise
+    Frobenius power t, then right multiplication by P.
 
-    The map is F_p-linear on the base-p digits of a code, so only the m
-    digit units p^i are raised to p^t; the other images are digit sums.
+    Both act on each row of a matrix alone, so a vertex maps row by row
+    through this table.  The field map is F_p-linear on the base-p digits
+    of an element code, so only the m digit units p^i are raised to p^t;
+    the other images are digit sums.  Row u's image is then the span code
+    of P's rows at the Frobenius image of u.
     """
     _check_context(G)
     F, n, p = G.field, G.n, G.field.p
     if not 0 <= t < F.m:
         raise ValueError(f"Frobenius exponent {t} out of range [0, {F.m})")
+    if not is_invertible(F, P):
+        raise ValueError("right multiplication requires an invertible matrix")
     powers = p ** np.arange(F.m, dtype=np.int64)
     digits = np.arange(F.q, dtype=np.int64)[:, None] // powers % p
     unit_images = digits[[F.frobenius(int(u), t) for u in powers]]
     image = (digits @ unit_images % p) @ powers
-    return Automorphism(n, F, _digit_sum(image, F.q, n * n))
+    return _span_codes(F, n, P)[_digit_sum(image, F.q, n)]
+
+
+def _map_rows(G: RelationGraph, perm, table):
+    """Send every image perm[v] through ``table`` row by row, in place, a
+    block of _BLOCK vertices at a time; yields (first vertex, block) as
+    each block is done."""
+    Q = len(table)
+    for lo in range(0, len(perm), _BLOCK):
+        block = perm[lo : lo + _BLOCK]
+        rest, image = block, np.zeros_like(block)
+        for i in range(G.n):
+            rest, row = np.divmod(rest, Q)
+            image += table[row] * Q**i
+        block[:] = image
+        yield lo, block
+
+
+def right_mul_automorphism(G: RelationGraph, P) -> Automorphism:
+    """X -> X P for invertible P; an automorphism by construction, built
+    from its row table."""
+    F, n = G.field, G.n
+    return Automorphism(n, F, _digit_sum(_row_table(G, P, 0), F.q**n, n))
+
+
+def frobenius_automorphism(G: RelationGraph, t: int) -> Automorphism:
+    """Entrywise a -> a^(p^t) on every matrix, built from its row table."""
+    F, n = G.field, G.n
+    return Automorphism(n, F, _digit_sum(_row_table(G, identity_matrix(n), t), F.q**n, n))
 
 
 def _perm_from_blocks(G: RelationGraph, blocks):
@@ -210,7 +239,8 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
 
     Adjacency depends only on ideal classes, so it suffices to compare the
     containment bits over the distinct (source class, image class) pairs:
-    exact, and linear in the vertex count.
+    exact, and linear in the vertex count.  Images and pairs are read a
+    block of _BLOCK vertices at a time.
     """
     _check_context(G)
     if f.n != G.n or f.field != G.field:
@@ -221,16 +251,27 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
         raise ValueError(f"permutation length {len(perm)} != vertex count {N}")
     if len(perm) == 0 or perm.min() < 0 or perm.max() >= N:
         raise ValueError("not a bijection on the vertex set")
-    if np.bincount(perm, minlength=N).max() != 1:
-        raise ValueError("not a bijection on the vertex set")
-    # The class index may be as narrow as uint8; pair codes need int64.
     C = G.class_count
-    pair_codes = G.vertex_class.astype(np.int64)
-    pair_codes *= C
-    pair_codes += G.vertex_class[perm]
-    # The distinct pair codes, ascending.  C^2 <= 2N on every full graph, so
-    # counting them costs no more than the bijection check above.
-    uniq = np.flatnonzero(np.bincount(pair_codes, minlength=C * C))
+
+    def pair_codes():
+        # The class index may be as narrow as uint8; pair codes need int64.
+        for lo in range(0, N, _BLOCK):
+            images = perm[lo : lo + _BLOCK]
+            codes = G.vertex_class[lo : lo + _BLOCK].astype(np.int64)
+            codes *= C
+            codes += G.vertex_class[images]
+            yield lo, images, codes
+
+    # N images in range hit every vertex exactly when f is a bijection.
+    hit = np.zeros(N, dtype=bool)
+    seen = np.zeros(C * C, dtype=bool)
+    for _, images, codes in pair_codes():
+        hit[images] = True
+        seen[codes] = True
+    if not hit.all():
+        raise ValueError("not a bijection on the vertex set")
+    del hit
+    uniq = np.flatnonzero(seen)  # the distinct pair codes, ascending
     cs, ds = np.divmod(uniq, C)
     lt = G.lt
     before = lt[np.ix_(cs, cs)]
@@ -241,9 +282,11 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
     # lt has a False diagonal, so before and after agree where a == b: the
     # two pair codes differ, and so do the vertices carrying them.
     a, b = bad[0]
-    u = int(np.flatnonzero(pair_codes == uniq[a])[0])
-    v = int(np.flatnonzero(pair_codes == uniq[b])[0])
-    return False, (u, v)
+
+    def first_carrier(code):
+        return next(lo + int(np.argmax(c == code)) for lo, _, c in pair_codes() if (c == code).any())
+
+    return False, (first_carrier(uniq[a]), first_carrier(uniq[b]))
 
 
 def preserves_rank(G: RelationGraph, f: Automorphism) -> bool:
@@ -301,7 +344,8 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
     matrix; reads the induced field map off the lines through e_0 + a e_1
     and matches it to a Frobenius exponent; the residual must fix every
     ideal class and becomes sigma.  Only composition equality is
-    guaranteed, not uniqueness of the triple.
+    guaranteed, not uniqueness of the triple.  f's array is rewritten into
+    sigma's: f is not to be used afterwards.
     """
     _check_context(G)
     F, n = G.field, G.n
@@ -356,24 +400,29 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
             f"induced field map {field_map} matches no Frobenius power"
         )
 
-    # One factor at a time, so that at most three permutations are held;
-    # the inverse of the Frobenius power t is the power m - t.
-    sigma = compose(right_mul_automorphism(G, P_acc), f)
-    sigma = compose(frobenius_automorphism(G, -t % F.m), sigma)
-    fixed = G.vertex_class[sigma.perm] == G.vertex_class
-    if not fixed.all():
-        v = int(np.flatnonzero(~fixed)[0])
-        raise DecompositionError(
-            f"residual moves vertex {v} across ideal classes; input is not "
-            "an automorphism (or an implementation fault)"
-        )
-    return Decomposition(P=mat_inverse(F, P_acc), t=t, sigma=sigma)
+    # sigma = (row table of (P, t))^-1 applied to f's images, in place.
+    P = mat_inverse(F, P_acc)
+    table = _row_table(G, P, t)
+    inverse = np.empty_like(table)
+    inverse[table] = np.arange(len(table))
+    for lo, block in _map_rows(G, f.perm, inverse):
+        moved = G.vertex_class[block] != G.vertex_class[lo : lo + len(block)]
+        if moved.any():
+            v = lo + int(np.argmax(moved))
+            raise DecompositionError(
+                f"residual moves vertex {v} across ideal classes; input is not "
+                "an automorphism (or an implementation fault)"
+            )
+    return Decomposition(P=P, t=t, sigma=Automorphism(n, F, f.perm))
 
 
 def recompose(G: RelationGraph, dec: Decomposition) -> Automorphism:
-    """sigma first, then the Frobenius power, then right multiplication."""
-    f = compose(frobenius_automorphism(G, dec.t), dec.sigma)
-    return compose(right_mul_automorphism(G, dec.P), f)
+    """sigma first, then the Frobenius power, then right multiplication:
+    the row table of (P, t) applied to sigma's images, in sigma's array."""
+    perm = dec.sigma.perm
+    for _ in _map_rows(G, perm, _row_table(G, dec.P, dec.t)):
+        pass
+    return Automorphism(G.n, G.field, perm)
 
 
 def decompose_rank_classes(G: RelationGraph, f: Automorphism):
@@ -394,19 +443,20 @@ def decompose_rank_classes(G: RelationGraph, f: Automorphism):
 # -- random sampling -------------------------------------------------------
 
 
-def _shuffle_within(G: RelationGraph, groups, rng) -> Automorphism:
-    """A random permutation inside each vertex group, identity elsewhere.
+def _shuffle_within(G: RelationGraph, masks, rng) -> Automorphism:
+    """A random permutation inside each vertex group, given as a bool mask,
+    identity elsewhere.
 
-    Each group is shuffled in place in an ``array('q')`` by the swaps and
-    ``getrandbits`` calls of ``random.Random.shuffle``: the result, and the
-    state rng is left in, are those of shuffling a list of the group's
-    vertices, but no Python int is held per vertex.
+    Each group's member array is shuffled in place, through a memoryview,
+    by the swaps and ``getrandbits`` calls of ``random.Random.shuffle``: the
+    result, and the state rng is left in, are those of shuffling a list of
+    the group's vertices, but no Python int is held per vertex.
     """
     perm = np.arange(G.vertex_count, dtype=np.int64)
     getrandbits = rng.getrandbits
-    for verts in groups:
-        items = array("q")
-        items.frombytes(np.ascontiguousarray(verts, dtype=np.int64).data.cast("B"))
+    for mask in masks:
+        members = np.flatnonzero(mask)
+        items = memoryview(members)
         for i in range(len(items) - 1, 0, -1):
             # random.Random._randbelow(i + 1), inlined.
             k = (i + 1).bit_length()
@@ -414,32 +464,30 @@ def _shuffle_within(G: RelationGraph, groups, rng) -> Automorphism:
             while j > i:
                 j = getrandbits(k)
             items[i], items[j] = items[j], items[i]
-        perm[verts] = np.frombuffer(items, dtype=np.int64)
+        perm[mask] = members
     return Automorphism(G.n, G.field, perm)
 
 
 def random_class_permutation(G: RelationGraph, rng) -> Automorphism:
-    # Each class's members are found as it is shuffled, so no member list
-    # of every vertex is held (or cached on G).
-    classes = (np.flatnonzero(G.vertex_class == c) for c in range(G.class_count))
-    return _shuffle_within(G, classes, rng)
+    # Each class's mask is made as it is shuffled, so no member list of
+    # every vertex is held (or cached on G).
+    masks = (G.vertex_class == c for c in range(G.class_count))
+    return _shuffle_within(G, masks, rng)
 
 
 def random_rank_class_permutation(G: RelationGraph, rng) -> Automorphism:
     if G.n != 2:
         raise ValueError("rank class permutations require n = 2")
     ranks = np.array(G.class_rank)[G.vertex_class]
-    return _shuffle_within(G, [np.flatnonzero(ranks == r) for r in range(3)], rng)
+    return _shuffle_within(G, (ranks == r for r in range(3)), rng)
 
 
-def random_triple(G: RelationGraph, seed: int):
-    """Seeded (P, t, sigma) and their composition, for sampling and tests."""
+def random_decomposition(G: RelationGraph, seed: int) -> Decomposition:
+    """Seeded (P, t, sigma), drawn in that order from one generator."""
     rng = random.Random(seed)
     P = random_invertible(G.field, G.n, rng)
     t = rng.randrange(G.field.m)
-    sigma = random_class_permutation(G, rng)
-    f = compose(frobenius_automorphism(G, t), sigma)
-    return P, t, sigma, compose(right_mul_automorphism(G, P), f)
+    return Decomposition(P=P, t=t, sigma=random_class_permutation(G, rng))
 
 
 # -- exact automorphism group orders ---------------------------------------

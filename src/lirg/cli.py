@@ -8,6 +8,8 @@ Twister (random.Random).
 """
 
 import argparse
+import codecs
+import itertools
 import json
 import math
 import os
@@ -69,39 +71,84 @@ def _printable_table(args):
 # needs 2w + 2 per vertex and a decomposition's cycles w + 2, so the rest is
 # room for other spacing, CRLF line ends, class lines and headers.
 INPUT_SLACK = 1 << 16
+# Bytes per read of an input file.
+_READ_BYTES = 1 << 16
+
+
+def _utf8_error(exc, offset):
+    """UnicodeDecodeError's message for exc, raised at ``offset`` bytes into
+    a stream, as decoding the whole stream at once would word it."""
+    pos, last = offset + exc.start, offset + exc.end - 1
+    if pos == last:
+        return f"'utf-8' codec can't decode byte 0x{exc.object[exc.start]:02x} in position {pos}: {exc.reason}"
+    return f"'utf-8' codec can't decode bytes in position {pos}-{last}: {exc.reason}"
 
 
 def _read_input(path, vertex_count):
     """The bytes of an input file for a ring of ``vertex_count`` vertices,
-    refused before it is read in full if it is longer than such a file can
-    be, or if it is not UTF-8.  Line ends are read as a text file reads
-    them: CR LF and a lone CR become LF."""
+    in blocks as they are read.  A file longer than such a file can be is
+    refused as soon as it is, before the rest is read; one that is not
+    UTF-8 once it has been read to its end, so the length is checked first.
+    Line ends are read as a text file reads them: CR LF and a lone CR
+    become LF."""
     limit = vertex_count * 4 * (len(str(vertex_count - 1)) + 2) + INPUT_SLACK
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    size, error, cr = 0, None, b""
     with open(path, "rb") as fh:
-        data = fh.read(limit + 1)
-    if len(data) > limit:
-        raise UsageError(
-            f"{path} is longer than {limit} characters, the most an input for this ring may hold"
-        )
-    if not data.isascii():
-        data.decode()  # raises on a file that is not UTF-8
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return data
+        while block := fh.read(_READ_BYTES):
+            size += len(block)
+            if size > limit:
+                raise UsageError(
+                    f"{path} is longer than {limit} characters, the most an input for this ring may hold"
+                )
+            if error is None and not (block.isascii() and not decoder.getstate()[0]):
+                pending = len(decoder.getstate()[0])
+                try:
+                    decoder.decode(block)
+                except UnicodeDecodeError as exc:
+                    error = _utf8_error(exc, size - len(block) - pending)
+            # A CR that ends a block may start a CR LF.
+            block, cr = cr + block, b""
+            if block.endswith(b"\r"):
+                block, cr = block[:-1], b"\r"
+            yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
+    if cr:
+        yield b"\n"
+    if error is None:
+        try:
+            decoder.decode(b"", True)
+        except UnicodeDecodeError as exc:
+            error = _utf8_error(exc, size - len(exc.object))
+    if error is not None:
+        raise UsageError(error)
+
+
+def _parse_input(parse, path, vertex_count):
+    """``parse`` of the blocks of an input file (see ``_read_input``).  The
+    file is read to its end whatever parse does, so a file too long or not
+    UTF-8 is refused first, as if it had been read whole before parsing."""
+    blocks = _read_input(path, vertex_count)
+    try:
+        return parse(blocks)
+    finally:
+        for _ in blocks:
+            pass
 
 
 def _write_output(chunks, out_path):
-    """Write bytes, a string, or an iterable of string chunks in order.
+    """Write a string, or an iterable of string chunks or of byte blocks,
+    in order, each chunk as it is made.
 
     With a path the chunks go to a temp file that replaces the path only
     once every chunk is written, so a failure leaves the old file intact;
-    without one they go to stdout.  Bytes go to the binary stream; strings
-    through the text layer, which writes an ASCII string without an
+    without one they go to stdout.  Byte blocks go to the binary stream;
+    strings through the text layer, which writes an ASCII string without an
     encoded copy.
     """
-    binary = isinstance(chunks, (bytes, bytearray))
-    if binary or isinstance(chunks, str):
-        chunks = (chunks,)
+    chunks = iter((chunks,) if isinstance(chunks, str) else chunks)
+    first = next(chunks, "")
+    binary = not isinstance(first, str)
+    chunks = itertools.chain([first], chunks)
     if out_path is None:
         if binary:
             sys.stdout.flush()  # the bytes follow anything written as text
@@ -248,17 +295,18 @@ def cmd_aut(args) -> int:
         return 0
 
     if args.sub == "sample":
-        # Only the composed map outlives the sampling: the graph and sigma
-        # are freed before the text is rendered.
+        # Only the composed map outlives the sampling: the graph is freed
+        # before the text is rendered.
         G = build_full_graph(F, args.n, directed=True, cap=args.cap)
-        f = aut.random_triple(G, args.seed)[3]
+        f = aut.recompose(G, aut.random_decomposition(G, args.seed))
         del G
         _write_output(serialize.render_permutation(args.n, F, f.perm), args.out)
         return 0
 
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
 
-    perm = serialize.parse_permutation(_read_input(args.perm, G.vertex_count), (args.n, F))
+    ring = (args.n, F)
+    perm = _parse_input(lambda data: serialize.parse_permutation(data, ring), args.perm, G.vertex_count)
     f = aut.Automorphism(args.n, F, perm)
 
     ok, witness = aut.verify(G, f)
@@ -275,7 +323,7 @@ def cmd_aut(args) -> int:
         return 0
 
     try:
-        dec = aut.decompose(G, f)
+        dec = aut.decompose(G, f)  # f's array becomes sigma's
     except aut.DecompositionError as exc:
         _write_output(f"decomposition failed: {exc}\n", args.out)
         return 1
@@ -286,10 +334,11 @@ def cmd_aut(args) -> int:
 def cmd_aut_recompose(args) -> int:
     F = _field(args, _vertex_cap)
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
-    dec = serialize.parse_decomposition(G, _read_input(args.report, G.vertex_count))
-    f = aut.recompose(G, dec)
-    del dec  # its sigma is not needed to render f
-    _write_output(serialize.render_permutation(G.n, F, f.perm), args.out)
+    parse = lambda data: serialize.parse_decomposition(G, data)
+    dec = _parse_input(parse, args.report, G.vertex_count)
+    f = aut.recompose(G, dec)  # sigma's array becomes f's
+    del G, dec  # neither is needed to render f
+    _write_output(serialize.render_permutation(args.n, F, f.perm), args.out)
     return 0
 
 

@@ -151,6 +151,15 @@ class RelationGraph:
             counts += np.bincount(part, minlength=self.class_count)
         return tuple(counts.tolist())
 
+    def first_member(self, c: int) -> int:
+        """The smallest vertex of class c, found in fixed slices: comparing
+        the whole index at once would make an N-byte mask."""
+        for start in range(0, self.vertex_count, _COUNT_SLICE):
+            hits = self.vertex_class[start : start + _COUNT_SLICE] == c
+            if hits.any():
+                return start + int(np.argmax(hits))
+        raise ValueError(f"class {c} has no member")
+
     @cached_property
     def class_vertices(self):
         """Member vertices of each class, ascending: views of one stable

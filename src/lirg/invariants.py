@@ -228,12 +228,12 @@ def eulerian_check(G: RelationGraph):
         witness = 0  # the zero matrix
     else:
         full_rank = max(range(G.class_count), key=lambda c: G.class_rank[c])
-        witness = int(np.argmax(G.vertex_class == full_rank))
+        witness = G.first_member(full_rank)
     wc = G.class_of(witness)
     if degrees[wc] % 2 == 0:
         # fall back to any odd-degree vertex
         wc = next(c for c in range(G.class_count) if degrees[c] % 2 == 1)
-        witness = int(np.argmax(G.vertex_class == wc))
+        witness = G.first_member(wc)
     assert degrees[wc] % 2 == 1
     return False, witness
 

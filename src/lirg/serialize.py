@@ -7,18 +7,20 @@ out as text chunks, one source vertex per chunk, and are not read back;
 permutation and decomposition files round-trip through the parsers here,
 which check each header against the requested ring.
 
-Permutation and decomposition files go in and out as ASCII bytes, and each
-is held once.  A renderer writes blocks of _RENDER_ROWS rows into one
-bytearray of the largest size the text can have, then cuts it to length.
-A parser reads a ``bytes`` object in place: it finds lines one at a time,
-hands loadtxt blocks of about _PARSE_BYTES (whole mapping lines, or whole
-rows of cycle numbers) and writes each block's numbers into one int64
-array, so no per-vertex Python object and no second copy of the text is
-made.  The block sizes change nothing but memory: every result and every
-refusal message is the one a single block would give.
+Permutation and decomposition files go in and out as ASCII bytes, a block
+at a time, and neither is ever held whole.  A renderer returns a ``Blocks``
+object: iterating it renders _RENDER_ROWS rows (or cycle vertices) per
+block, and its ``len()`` is the byte count of the whole text.  A parser
+takes bytes or an iterable of byte blocks (a file as it is read) and finds
+lines as it needs them: it hands loadtxt blocks of about _PARSE_BYTES
+(whole mapping lines, or a piece of a line of cycles cut after a
+separator) and writes each block's numbers into the one int64 result, so
+no per-vertex Python object and no copy of the text is made.  The block
+sizes change nothing but memory: every result and every refusal message is
+the one a single block would give.
 """
 
-import collections
+import codecs
 import functools
 import io
 import itertools
@@ -193,6 +195,24 @@ _RENDER_ROWS = 1 << 14
 _PARSE_BYTES = 1 << 16
 
 
+class Blocks:
+    """Byte blocks made as they are iterated, anew on each pass.  ``len()``
+    is their total length, counted by making them once more."""
+
+    def __init__(self, make):
+        self._make = make
+
+    def __iter__(self):
+        return iter(self._make())
+
+    @functools.cached_property
+    def _size(self):
+        return sum(map(len, self._make()))
+
+    def __len__(self):
+        return self._size
+
+
 @functools.cache
 def _quad_tables():
     """The ASCII digits of 0..9999, zero-padded to four, as uint32 words;
@@ -235,49 +255,92 @@ def _decimal(values, limbs: int):
     return digits.view(np.uint8), keep.view(bool)
 
 
-def _stripped(data: bytes):
-    """The bounds of data without its leading and trailing newlines."""
-    lo, hi = 0, len(data)
-    while lo < hi and data[lo] == 10:
-        lo += 1
-    while hi > lo and data[hi - 1] == 10:
-        hi -= 1
-    return lo, hi
+def _unpadded(data):
+    """The bytes of ``data`` (bytes, or an iterable of bytes-like blocks),
+    in blocks, without the newlines before the first other byte and after
+    the last: a run of newlines ending a block is held back until other
+    bytes follow.  Bytes are cut into blocks of _PARSE_BYTES."""
+    if isinstance(data, (bytes, bytearray)):
+        view = memoryview(data)
+        data = (view[lo : lo + _PARSE_BYTES] for lo in range(0, len(view), _PARSE_BYTES))
+    held, started = 0, False  # newlines held back
+    for block in data:
+        block = bytes(block)
+        body = block.rstrip(b"\n")
+        if not body:
+            held += len(block)
+            continue
+        if not started:
+            body, held, started = body.lstrip(b"\n"), 0, True
+        if held:
+            yield b"\n" * held
+        yield body
+        held = len(block) - len(block.rstrip(b"\n"))
 
 
-def _line_spans(data: bytes, lo: int, hi: int, size: int):
-    """(start, end) of consecutive blocks of whole lines of data[lo:hi], found
-    as they are read: each runs to the first line end at least ``size``
-    bytes on, so size 0 gives single lines.  The newline at each end is in
-    neither block."""
-    while lo < hi:
-        end = data.find(b"\n", min(lo + size, hi), hi)
-        end = hi if end < 0 else end
-        yield lo, end
-        lo = end + 1
+class _Reader:
+    """The lines of a byte stream (see ``_unpadded``), read as they are
+    needed: whole lines, blocks of lines, or a long line piece by piece."""
+
+    def __init__(self, data):
+        self._blocks = _unpadded(data)
+        self._buf = bytearray()
+
+    def _more(self) -> bool:
+        block = next(self._blocks, None)
+        if block is not None:
+            self._buf += block
+        return block is not None
+
+    def _take(self, size: int, skip: int = 0) -> bytes:
+        out = bytes(self._buf[:size])
+        del self._buf[: size + skip]
+        return out
+
+    def lines(self, size: int = 0):
+        """The lines from the next one to the first line end at least
+        ``size`` bytes on, joined by newlines; None after the last line.
+        Size 0 gives one line."""
+        start = size
+        while (end := self._buf.find(b"\n", start)) < 0:
+            start = max(start, len(self._buf))
+            if not self._more():
+                return self._take(len(self._buf)) if self._buf else None
+        return self._take(end, 1)
+
+    def until(self, marker: bytes):
+        """(the next line up to the first ``marker`` in it, True), leaving
+        the rest of the line to ``piece``; (the whole line, False) if it
+        holds no marker; None after the last line."""
+        start = 0
+        while True:
+            eol = self._buf.find(b"\n", start)
+            at = self._buf.find(marker, max(start - len(marker), 0), len(self._buf) if eol < 0 else eol)
+            if at >= 0:
+                return self._take(at, len(marker)), True
+            if eol >= 0:
+                return self._take(eol, 1), False
+            start = len(self._buf)
+            if not self._more():
+                return (self._take(start), False) if start else None
+
+    def piece(self, size: int):
+        """(up to ``size`` bytes of the rest of the current line, whether
+        they end it); its newline is read with the last piece."""
+        while (end := self._buf.find(b"\n", 0, size)) < 0 and len(self._buf) < size:
+            if not self._more():
+                return self._take(len(self._buf)), True
+        if end >= 0:
+            return self._take(end, 1), True
+        return self._take(size), False
 
 
 # -- permutations -----------------------------------------------------------
 
 
-def _joined(size: int, parts) -> bytearray:
-    """The parts (bytes or uint8 arrays) end to end, written into one buffer
-    of ``size`` bytes, at least their total, that is then cut to length."""
-    text = bytearray(size)
-    view = np.frombuffer(text, dtype=np.uint8)
-    pos = 0
-    for part in parts:
-        part = np.frombuffer(part, dtype=np.uint8) if isinstance(part, bytes) else part
-        view[pos : pos + len(part)] = part
-        pos += len(part)
-    del view  # a buffer with a view on it cannot shrink
-    del text[pos:]
-    return text
-
-
-def render_permutation(n: int, F: Field, perm) -> bytearray:
-    """The permutation file of ``perm``, held once: blocks of _RENDER_ROWS
-    lines are written into one buffer of the largest possible size."""
+def render_permutation(n: int, F: Field, perm) -> Blocks:
+    """The permutation file of ``perm`` as blocks of _RENDER_ROWS lines,
+    rendered as they are read."""
     perm = np.asarray(perm)
     N = len(perm)
     if perm.min() < 0 or perm.max() >= N:
@@ -299,75 +362,90 @@ def render_permutation(n: int, F: Field, perm) -> bytearray:
             chars[:, width + 1 : -1], keep[:, width + 1 : -1] = _decimal(perm[lo:hi], limbs)
             yield chars[keep]
 
-    # A line holds two numbers below N, a space and a newline.
-    return _joined(len(head) + N * (2 * len(str(N - 1)) + 2), blocks())
+    return Blocks(blocks)
 
 
-def _mapping_text(data: bytes, lo: int, hi: int) -> bytes:
+def _mapping_text(block: bytes) -> bytes:
     # A lone \r is whitespace inside a line here, but a line break to loadtxt.
-    block = data[lo:hi]
     return block.replace(b"\r", b" ") if b"\r" in block else block
 
 
-def _bad_mapping_line(data: bytes, lo: int, hi: int) -> str:
-    """The refusal message naming the first line of data[lo:hi] that is not
-    two integers within int64."""
-    number = 0
-    for start, end in _line_spans(data, lo, hi, _PARSE_BYTES):
-        for line in _mapping_text(data, start, end).decode().split("\n"):
-            number += 1
-            fields = line.split()
-            if len(fields) != 2 or not all(
-                re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
-            ):
-                return f"mapping line {number} is not two integers: {line[:60]!r}"
-    return "mapping lines are not pairs of integers"
+def _bad_mapping_line(block: bytes, row: int):
+    """The refusal message naming the first line of ``block`` (whose first
+    line is mapping line row + 1) that is not two integers within int64, or
+    None."""
+    for number, line in enumerate(_mapping_text(block).decode().split("\n"), row + 1):
+        fields = line.split()
+        if len(fields) != 2 or not all(
+            re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
+        ):
+            return f"mapping line {number} is not two integers: {line[:60]!r}"
+    return None
 
 
-def parse_permutation(data: bytes, ring):
+def parse_permutation(data, ring):
     """The permutation of a file whose header matches ``ring = (n, F)``
-    (see ``parse_field_tokens``).
+    (see ``parse_field_tokens``); ``data`` is its bytes, or an iterable of
+    byte blocks read once, in order.
 
     Each mapping line holds two integers separated by any whitespace; a
     line with any other number of fields is refused.  The lines are parsed
-    in blocks of about _PARSE_BYTES straight into the result.
+    in blocks of about _PARSE_BYTES as they are read.  The q^(n^2) slots of
+    the result are made only once the file has shown 1/64 of that many
+    lines, so the header never sizes an array much beyond the file read.
+    Refusals come in this order, whatever the blocks: a wrong line count,
+    the first line that is not two integers, then the first line out of
+    order.
     """
-    lo, hi = _stripped(data)
-    eol = data.find(b"\n", lo, hi)
-    header = data[lo : hi if eol < 0 else eol].decode()
-    if not header:
+    reader = _Reader(data)
+    header = reader.lines()
+    if header is None:
         raise ValueError("empty permutation file")
-    head = header.split()
+    head = header.decode().split()
     if head[:1] != ["perm"]:
         raise ValueError("not a permutation file")
     parse_field_tokens(head[1:], ring)
     n, F = ring
-    start = eol + 1
-    count = data.count(b"\n", start, hi) + 1 if eol >= 0 else 0
-    # q >= 2, so q^(n^2) > count once n^2 exceeds count's bit length; the
-    # header alone never sizes a power or an array beyond the file read.
-    if n * n > count.bit_length() or F.q ** (n * n) != count:
-        raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {count}")
-    perm = np.empty(count, dtype=np.int64)
-    row, disorder = 0, None
-    for lo, end in _line_spans(data, start, hi, _PARSE_BYTES):
-        block = _mapping_text(data, lo, end)
+    # An int64 array holds fewer than 2^63 slots, and q >= 2.
+    N = F.q ** (n * n) if n * n < 63 else None
+    perm, held = None, []
+    row, disorder, failed, message = 0, None, False, None
+    while (block := reader.lines(_PARSE_BYTES)) is not None:
         rows = block.count(b"\n") + 1
+        if failed:
+            message = message or _bad_mapping_line(block, row)
+            row += rows
+            continue
+        text = _mapping_text(block)
         try:
             # loadtxt skips blank lines and refuses a change in field count;
             # the shape check then refuses blank lines and a uniform wrong count.
-            pairs = None if block.decode().isspace() else np.loadtxt(
-                io.BytesIO(block), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+            pairs = None if text.decode().isspace() else np.loadtxt(
+                io.BytesIO(text), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
             )
         except ValueError:
             pairs = None
         if pairs is None or pairs.shape != (rows, 2):
-            raise ValueError(_bad_mapping_line(data, start, hi))
+            failed, message = True, _bad_mapping_line(block, row)
+            row += rows
+            continue
         wrong = np.flatnonzero(pairs[:, 0] != np.arange(row, row + rows))
         if wrong.size and disorder is None:
             disorder = pairs[wrong[0], 0]
-        perm[row : row + rows] = pairs[:, 1]
+        if perm is None:
+            held.append(pairs[:, 1])
+            if N is not None and (row + rows) * 64 >= N:
+                perm = np.empty(N, dtype=np.int64)
+                images = np.concatenate(held)[:N]
+                perm[: len(images)] = images
+                held = None
+        elif row + rows <= N:
+            perm[row : row + rows] = pairs[:, 1]
         row += rows
+    if N != row:
+        raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {row}")
+    if failed:
+        raise ValueError(message or "mapping lines are not pairs of integers")
     if disorder is not None:
         raise ValueError(f"mapping lines out of order at {disorder}")
     return perm
@@ -376,222 +454,235 @@ def parse_permutation(data: bytes, ring):
 # -- decompositions ----------------------------------------------------------
 
 
-def _sigma_cycles(G: RelationGraph, sigma: Automorphism):
-    """(class, vertices, ends) per class with nontrivial action, ascending by
-    class: the class's cycles laid end to end in ``vertices``, cycle k ending
-    before ``ends[k]``.
+def _class_cycles(G: RelationGraph, sigma: Automorphism):
+    """(class, chunks of its cycles) per class with nontrivial action,
+    ascending by class, for a sigma that fixes every class.  The chunks
+    hold the class's cycles laid end to end, at most _RENDER_ROWS vertices
+    each: (vertices, where cycles open, where they close), a close being
+    the offset just past a cycle's last vertex.  A class's chunks are to be
+    read before the next class is asked for.
 
-    Each cycle starts at its smallest vertex and the cycles ascend by it:
-    ``done`` marks fixed points and traced cycles, and the next cycle
-    starts at the first unmarked vertex past the last start.  Each cycle is
-    walked start to start, then marked, through numpy when it is long.
+    Each cycle starts at its smallest vertex and the cycles ascend by it.
+    ``key`` is a copy of the class index in which fixed points and walked
+    vertices are overwritten with the class count, so the next cycle of
+    class c starts at the first c in it past the last start, which
+    bytearray.find locates.
     """
     # memoryviews hand out Python ints one at a time and array("q") stores
     # them unboxed: no list of N int objects is ever held.
-    perm, N = sigma.perm, G.vertex_count
-    succ, classes = memoryview(perm), memoryview(G.vertex_class)
-    done = bytearray(N)
-    mark = np.frombuffer(done, dtype=bool)
+    perm, N, C = sigma.perm, G.vertex_count, G.class_count
+    succ = memoryview(perm)
+    dtype = np.min_scalar_type(C)  # C itself fits: it is the mark
+    key = bytearray(N * dtype.itemsize)
+    marks = np.frombuffer(key, dtype=dtype)
+    marks[:] = G.vertex_class
+    done = memoryview(key).cast(dtype.char)
     for lo in range(0, N, _RENDER_ROWS):
         hi = min(lo + _RENDER_ROWS, N)
-        np.equal(perm[lo:hi], np.arange(lo, hi), out=mark[lo:hi])
-    walks = collections.defaultdict(lambda: (array("q"), []))
-    start = done.find(0)
-    while start >= 0:
-        verts, ends = walks[classes[start]]
-        first = len(verts)
-        verts.append(start)
-        v = succ[start]
-        while v != start:
-            verts.append(v)
-            v = succ[v]
-        ends.append(len(verts))
+        marks[lo:hi][perm[lo:hi] == np.arange(lo, hi)] = C
+
+    def start_from(c: int, v: int) -> int:
+        """The first unmarked vertex of class c from v on, or -1."""
+        code = dtype.type(c).tobytes()
+        at = key.find(code, v * dtype.itemsize)
+        while at >= 0 and at % dtype.itemsize:  # a match across two entries
+            at = key.find(code, at + 1)
+        return at // dtype.itemsize if at >= 0 else -1
+
+    def mark(verts, first: int):
         # One numpy call costs about as much as marking 30 vertices here.
         if len(verts) - first > 32:
-            mark[np.frombuffer(verts, dtype=np.int64)[first:]] = True
+            marks[np.frombuffer(verts, dtype=np.int64)[first:]] = C
         else:
-            for v in verts[first + 1 :]:
-                done[v] = 1
-        start = done.find(0, start + 1)
-    return [
-        (c, np.frombuffer(verts, dtype=np.int64), np.array(ends))
-        for c, (verts, ends) in sorted(walks.items())
-    ]
+            for v in verts[first:]:
+                done[v] = C
+
+    def chunks(c: int, s: int):
+        verts, opens, closes = array("q"), [], []
+        while s >= 0:
+            if len(verts) == _RENDER_ROWS:
+                yield verts, opens, closes
+                verts, opens, closes = array("q"), [], []
+            first = len(verts)
+            opens.append(first)
+            v = s
+            while True:
+                for _ in itertools.repeat(None, _RENDER_ROWS - len(verts)):
+                    verts.append(v)
+                    v = succ[v]
+                    if v == s:
+                        break
+                else:  # the chunk is full inside this cycle
+                    mark(verts, first)
+                    yield verts, opens, closes
+                    verts, opens, closes, first = array("q"), [], [], 0
+                    continue
+                break
+            closes.append(len(verts))
+            mark(verts, first)
+            s = start_from(c, s + 1)
+        if verts:
+            yield verts, opens, closes
+
+    for c in range(C):
+        s = start_from(c, 0)
+        if s >= 0:
+            yield c, chunks(c, s)
 
 
-def _cycle_blocks(verts, ends, limbs: int):
-    """'(a b c)(d e)' for cycles laid end to end, in blocks of _RENDER_ROWS
-    vertices."""
+def _cycle_text(verts, opens, closes, limbs: int):
+    """'(a b c)(d e' for a chunk of ``_cycle_chunks``."""
     width = 4 * limbs
-    starts = np.r_[0, ends[:-1]]
-    for lo in range(0, len(verts), _RENDER_ROWS):
-        hi = min(lo + _RENDER_ROWS, len(verts))
-        # One row per vertex: "(" or " ", the zero-padded number, then ")"
-        # kept only at a cycle's end.
-        chars = np.empty((hi - lo, width + 2), dtype=np.uint8)
-        keep = np.ones(chars.shape, dtype=bool)
-        chars[:, 0], chars[:, -1] = ord(" "), ord(")")
-        chars[:, 1:-1], keep[:, 1:-1] = _decimal(verts[lo:hi], limbs)
-        opening = starts[np.searchsorted(starts, lo) : np.searchsorted(starts, hi)]
-        closing = ends[np.searchsorted(ends, lo, "right") : np.searchsorted(ends, hi, "right")]
-        chars[opening - lo, 0] = ord("(")
-        keep[:, -1] = False
-        keep[closing - 1 - lo, -1] = True
-        yield chars[keep]
+    # One row per vertex: "(" or " ", the zero-padded number, then ")"
+    # kept only at a cycle's end.
+    chars = np.empty((len(verts), width + 2), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, 0], chars[:, -1] = ord(" "), ord(")")
+    chars[:, 1:-1], keep[:, 1:-1] = _decimal(np.frombuffer(verts, dtype=np.int64), limbs)
+    chars[opens, 0] = ord("(")
+    keep[:, -1] = False
+    keep[np.array(closes, dtype=np.intp) - 1, -1] = True
+    return chars[keep]
 
 
-def render_decomposition(G: RelationGraph, dec: Decomposition) -> bytearray:
-    """The decomposition file of ``dec``, held once like a permutation's."""
+def render_decomposition(G: RelationGraph, dec: Decomposition) -> Blocks:
+    """The decomposition file of ``dec`` as blocks, rendered as they are
+    read: each class's cycles are walked a chunk at a time (see
+    ``_class_cycles``)."""
     head = ["decomposition " + field_tokens(G.n, G.field), "P", matrix_block(dec.P)]
     head = "\n".join([*head, f"t {dec.t}", "sigma", ""]).encode()
-    classes = []
-    for c, verts, ends in _sigma_cycles(G, dec.sigma):
-        ideal = G.class_ideals[c]
-        basis = ";".join(",".join(str(x) for x in row) for row in ideal.basis)
-        classes.append((f"class rank={ideal.rank} basis={basis} cycles=".encode(), verts, ends))
     limbs = _limbs(G.vertex_count)
 
-    def parts():
+    def blocks():
         yield head
-        for line, verts, ends in classes:
-            yield line
-            yield from _cycle_blocks(verts, ends, limbs)
+        for c, chunks in _class_cycles(G, dec.sigma):
+            ideal = G.class_ideals[c]
+            basis = ";".join(",".join(str(x) for x in row) for row in ideal.basis)
+            yield f"class rank={ideal.rank} basis={basis} cycles=".encode()
+            for chunk in chunks:
+                yield _cycle_text(*chunk, limbs)
             yield b"\n"
         yield b"end\n"
 
-    # A cycle takes at most a separator, a number below N and ")" per vertex.
-    width = len(str(G.vertex_count - 1)) + 2
-    size = len(head) + sum(len(line) + len(verts) * width + 1 for line, verts, _ in classes) + 4
-    return _joined(size, parts())
+    return Blocks(blocks)
 
 
-# Numbers per loadtxt row when parsing sigma cycles, and rows per block.
-_CYCLE_ROW = 1024
-_CYCLE_BLOCK = 16
 # The ASCII characters that str.split() splits on.
 _SPACE = np.zeros(256, dtype=bool)
 _SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+# Any whitespace character, Unicode ones too.
+_WHITESPACE = re.compile(r"\s")
+# Where loadtxt's refusals place the field they could not read.
+_LOADTXT_PLACE = re.compile(r" at row \d+, column (\d+)")
 
 
-def _separators(data: bytes, lo: int, hi: int, a: int, b: int):
-    """The separator mask of data[a - 1 : b] inside the cycles text
-    data[lo:hi] (str.split() whitespace and both characters of each ')(';
-    the position before lo counts as one), and the positions of the ')('
-    pairs that start in [a, b)."""
-    # Whether a - 1 is a separator can depend on a - 2, and b - 1 on b.
-    left, right = max(a - 2, lo), min(b + 1, hi)
-    window = np.frombuffer(data, dtype=np.uint8, count=right - left, offset=left)
-    breaks = (window[:-1] == ord(")")) & (window[1:] == ord("("))
-    sep = _SPACE[window]
-    sep[:-1] |= breaks
-    sep[1:] |= breaks
-    sep = sep[max(a - 1, lo) - left : b - left]
-    return np.r_[True, sep] if a == lo else sep, a + np.flatnonzero(breaks[a - left :])
+def _cycle_numbers(reader: _Reader, piece):
+    """(numbers, before) per chunk of a class line's cycles text
+    '(a b c)(d e)', from its first ``piece`` on: the chunk's int64 numbers,
+    and for each ')(' in it how many of them come before it.
 
-
-def _parse_cycles(data: bytes, lo: int, hi: int):
-    """(vertices, ends) from the cycles text '(a b c)(d e)' in data[lo:hi],
-    as ``_sigma_cycles`` lays them out; cycles are split at ')(' and their
-    numbers at any whitespace.
-
-    A first pass over blocks of _PARSE_BYTES counts the numbers, finds the
-    cycle ends and the start of every row of _CYCLE_ROW numbers; loadtxt
-    then reads those rows, with every separator made a space, into one
-    array of that size.
+    One parenthesis comes off each end of the text (a doubled one is left
+    in a number), numbers are split at any whitespace and cycles at ')('.
+    A chunk ends after the last separator read, so no number or ')(' is cut
+    in two; loadtxt reads its numbers, with every separator made a space.
     """
-    # One parenthesis off each end: a doubled one is left in a number.
-    lo += data.startswith(b"(", lo, hi)
-    hi -= data.endswith(b")", lo, hi)
-    if np.frombuffer(data, dtype=np.uint8, count=hi - lo, offset=lo).max(initial=0) > 127:
-        text = " ".join(data[lo:hi].decode().split()).encode()  # Unicode whitespace to spaces
-        data, lo, hi = text, 0, len(text)
-    count, row_starts, ends = 0, [], []
-    for a in range(lo, hi, _PARSE_BYTES):
-        sep, breaks = _separators(data, lo, hi, a, min(a + _PARSE_BYTES, hi))
-        starts = a + np.flatnonzero(sep[:-1] & ~sep[1:])
-        ends.append(count + np.searchsorted(starts, breaks))
-        row_starts.append(starts[-count % _CYCLE_ROW :: _CYCLE_ROW])
-        count += len(starts)
-    ends = np.concatenate([*ends, [count]]).astype(np.int64)
-    # ends does not decrease; an empty cycle "()" repeats its predecessor's.
-    ends = ends[np.diff(ends, prepend=0) > 0]
-    if not count:
-        return np.empty(0, dtype=np.int64), ends
-    row_starts = np.r_[np.concatenate(row_starts), hi]
-    last = len(row_starts) - 2
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    carry, (piece, last), read = b"", piece, 0
+    piece = piece[piece.startswith(b"(") :]
+    while True:
+        if not piece.isascii() or decoder.getstate()[0]:
+            # Unicode whitespace becomes spaces; other characters stay.
+            piece = _WHITESPACE.sub(" ", decoder.decode(piece, last)).encode()
+        text = carry + piece
+        if last:
+            text = text[: len(text) - text.endswith(b")")]
+        chars = np.frombuffer(text, dtype=np.uint8)
+        breaks = (chars[:-1] == ord(")")) & (chars[1:] == ord("("))
+        sep = _SPACE[chars]
+        sep[:-1] |= breaks
+        sep[1:] |= breaks
+        cut = len(text) if last else int(np.flatnonzero(sep)[-1]) + 1 if sep.any() else 0
+        carry = text[cut:]
+        sep = sep[:cut]
+        starts = np.flatnonzero(~sep & np.r_[True, sep[:-1]])
+        numbers = np.empty(0, dtype=np.int64)
+        if len(starts):
+            line = np.where(sep, np.uint8(32), chars[:cut]).tobytes()
+            try:
+                numbers = np.loadtxt([line], dtype=np.int64, comments=None, encoding="utf-8", ndmin=1)
+            except ValueError as exc:
+                # loadtxt places the number in this chunk; place it in the line.
+                place = lambda m: f" at number {read + int(m[1])} of the cycles"
+                raise ValueError(_LOADTXT_PLACE.sub(place, str(exc))) from None
+        read += len(numbers)
+        yield numbers, np.searchsorted(starts, np.flatnonzero(breaks[:cut]))
+        if last:
+            return
+        piece, last = reader.piece(_PARSE_BYTES)
 
-    def rows():
-        # The rows as lines, a block of _CYCLE_BLOCK rows at a time; the
-        # last is padded with zeros to the full row length.
-        for r in range(0, last + 1, _CYCLE_BLOCK):
-            cuts = row_starts[r : r + _CYCLE_BLOCK + 1]
-            a, b = cuts[0], cuts[-1]
-            sep = _separators(data, lo, hi, a, b)[0][1:]
-            chars = np.where(sep, np.uint8(32), np.frombuffer(data, np.uint8, b - a, a))
-            for k, (i, j) in enumerate(zip(cuts[:-1] - a, cuts[1:] - a), r):
-                yield chars[i:j].tobytes() + (b" 0" * (-count % _CYCLE_ROW) if k == last else b"")
 
-    verts = np.loadtxt(rows(), dtype=np.int64, comments=None, encoding="utf-8", max_rows=last + 1)
-    return verts.reshape(-1)[:count], ends
+def parse_decomposition(G: RelationGraph, data) -> Decomposition:
+    """The decomposition of a file whose header matches G's ring; ``data``
+    is its bytes, or an iterable of byte blocks read once, in order.
 
-
-def parse_decomposition(G: RelationGraph, data: bytes) -> Decomposition:
-    """The decomposition of a file whose header matches G's ring.
-
-    Lines are found one at a time and each class's cycles are parsed in
-    blocks (see ``_parse_cycles``), so no line is split into Python objects.
+    Lines are read as they are needed, and each class's cycles are parsed
+    and linked a chunk at a time (see ``_cycle_numbers``), so neither a
+    line nor a class's vertex list is held whole.  A class's numbers are
+    all read before any of them is checked, as if it were read whole.
     """
-    lo, hi = _stripped(data)
-    lines = _line_spans(data, lo, hi, 0)
-
-    def text(span):
-        return data[span[0] : span[1]].decode()
-
-    first = next(lines, None)
-    if first is None:
+    reader = _Reader(data)
+    header = reader.lines()
+    if header is None:
         raise ValueError("empty decomposition file")
-    head = text(first).split()
+    head = header.decode().split()
     if head[:1] != ["decomposition"]:
         raise ValueError("not a decomposition file")
     parse_field_tokens(head[1:], (G.n, G.field))
-    label, size = next(lines, None), next(lines, None)
-    if size is None or data[label[0] : label[1]] != b"P":
+    label, size = reader.lines(), reader.lines()
+    if size is None or label != b"P":
         raise ValueError("missing P block")
+
+    def text_lines():
+        yield size.decode()
+        while (line := reader.lines()) is not None:
+            yield line.decode()
+
     try:
-        P = parse_matrix_block(map(text, itertools.chain([size], lines)))
+        P = parse_matrix_block(text_lines())
     except StopIteration as exc:
         raise ValueError("truncated P block") from exc
     if len(P) != G.n:
         raise ValueError(f"P block is {len(P)}x{len(P)}, expected {G.n}x{G.n}")
-    span = next(lines, None)
-    if span is None:
+    line = reader.lines()
+    if line is None:
         raise ValueError("truncated decomposition file")
-    line = text(span)
+    line = line.decode()
     if not line.startswith("t "):
         raise ValueError("missing t line")
     t = int(line[2:])
-    span = next(lines, None)
-    if span is None or data[span[0] : span[1]] != b"sigma":
+    if reader.lines() != b"sigma":
         raise ValueError("missing sigma block")
     N = G.vertex_count
     perm = np.arange(N, dtype=np.int64)
-    # Times each vertex is listed; no count can exceed the file's length.
-    listed = np.zeros(N, dtype=np.min_scalar_type(len(data)))
+    # Whether each vertex is listed; counts from the first vertex listed twice.
+    listed = np.zeros(N, dtype=bool)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
     while True:
-        span = next(lines, None)
-        if span is None:
+        found = reader.until(b" cycles=")
+        if found is None:
             raise ValueError("decomposition file missing end marker")
-        start, end = span
-        if end - start == 3 and data.startswith(b"end", start):
+        prefix, has_cycles = found
+        if prefix == b"end" and not has_cycles:
             break
-        cut = data.find(b" cycles=", start, end)
-        head = text((start, end if cut < 0 else cut)).split()
+        head = prefix.decode().split()
         vals = _parse_tokens(head[1:])
         well_formed = head[:1] == ["class"] and {"rank", "basis"} <= vals.keys()
-        if cut < 0 or cut + 8 == end or not well_formed:
+        piece = reader.piece(_PARSE_BYTES) if has_cycles else (b"", True)
+        if not (has_cycles and well_formed and piece[0]):
             # Quote only the start: a sigma line can run to megabytes.
-            raise ValueError(f"malformed sigma line: {text(span)[:60]!r}")
+            start = prefix + b" cycles=" + piece[0][:240] if has_cycles else prefix
+            start = codecs.getincrementaldecoder("utf-8")().decode(start)
+            raise ValueError(f"malformed sigma line: {start[:60]!r}")
         rows = vals["basis"].split(";") if vals["basis"] else []
         if not all(rows):
             raise ValueError(f"empty row in class basis {vals['basis']!r}")
@@ -600,17 +691,49 @@ def parse_decomposition(G: RelationGraph, data: bytes) -> Decomposition:
             raise ValueError(f"unknown ideal class in sigma block: {ideal}")
         if int(vals["rank"]) != ideal.rank:
             raise ValueError(f"class rank={vals['rank']} but its basis has rank {ideal.rank}")
-        verts, ends = _parse_cycles(data, cut + 8, end)
-        # Range first: the class gather would wrap -1 and raise on N.
-        bad = len(verts) and (verts.min() < 0 or verts.max() >= N)
-        if bad or (G.vertex_class[verts] != ideal_index[ideal]).any():
+        c = ideal_index[ideal]
+        # Each vertex maps to the next one of its cycle, the last to the
+        # first; a cycle may span chunks.  count numbers are read, the
+        # cycles closed so far end at closed, and the open one starts with
+        # vertex first; prev is the last vertex read.
+        leaves, count, closed, first, prev = False, 0, 0, None, None
+        for numbers, before in _cycle_numbers(reader, piece):
+            k = len(numbers)
+            # Range first: the class gather would wrap -1 and raise on N.
+            leaves = leaves or k and (
+                numbers.min() < 0 or numbers.max() >= N or (G.vertex_class[numbers] != c).any()
+            )
+            if leaves:
+                continue  # refused once the whole line has been read
+            if listed.dtype == bool and (listed[numbers].any() or (np.diff(np.sort(numbers)) == 0).any()):
+                listed = listed.astype(np.int64)
+            if listed.dtype == bool:
+                listed[numbers] = True
+            else:
+                np.add.at(listed, numbers, 1)
+            if k:
+                perm[numbers[:-1]] = numbers[1:]
+                if count > closed:
+                    perm[prev] = numbers[0]
+            ends = count + before
+            ends = ends[np.diff(ends, prepend=closed) > 0]  # "()" closes nothing
+            if len(ends):
+                starts = np.r_[closed, ends[:-1]]
+                # Offsets into [first or prev, numbers...]: 0 is the vertex before this chunk.
+                perm[np.r_[prev or 0, numbers][ends - count]] = np.r_[first or 0, numbers][
+                    np.maximum(starts - count + 1, 0)
+                ]
+                closed = int(ends[-1])
+            if count <= closed < count + k:
+                first = int(numbers[closed - count])
+            if k:
+                prev = int(numbers[-1])
+            count += k
+        if leaves:
             raise ValueError("cycle leaves its ideal class")
-        np.add.at(listed, verts, listed.dtype.type(1))  # one dtype: numpy's fast path
-        # Each vertex maps to the next one of its cycle, the last to the first.
-        perm[verts[:-1]] = verts[1:]
-        if len(ends):
-            perm[verts[ends - 1]] = verts[np.r_[0, ends[:-1]]]
-    if listed.max() > 1:
+        if count > closed:
+            perm[prev] = first
+    if listed.dtype != bool:
         raise ValueError(f"vertex {int(listed.argmax())} appears twice in the sigma cycles")
     sigma = Automorphism(G.n, G.field, perm)
     return Decomposition(P=P, t=t, sigma=sigma)

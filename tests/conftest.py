@@ -9,7 +9,8 @@ import random
 
 import pytest
 
-from lirg.aut import right_mul_automorphism
+from lirg import aut
+from lirg.aut import Automorphism, right_mul_automorphism
 from lirg.field import make_field
 from lirg.graph import build_full_graph
 from lirg.matrix import (
@@ -47,6 +48,20 @@ def from_coeffs(F, coeffs):
     ``F.coeffs``."""
     assert len(coeffs) == F.m
     return sum(int(c) % F.p * F.p**i for i, c in enumerate(coeffs))
+
+
+def copied(f):
+    """A copy of automorphism f: ``decompose`` and ``recompose`` rewrite
+    their input's array into their result's."""
+    return Automorphism(f.n, f.field, f.perm.copy())
+
+
+def random_triple(G, seed):
+    """Seeded (P, t, sigma), drawn as ``aut sample`` draws them, and their
+    composition."""
+    dec = aut.random_decomposition(G, seed)
+    sigma = copied(dec.sigma)
+    return dec.P, dec.t, sigma, aut.recompose(G, dec)
 
 
 def apply_matrix(f, X):

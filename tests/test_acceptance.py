@@ -9,7 +9,7 @@ import math
 import random
 import time
 
-from conftest import brute_ideal_sets, exported_neighbors, random_right_mul
+from conftest import brute_ideal_sets, copied, exported_neighbors, random_right_mul, random_triple
 from lirg import aut
 from lirg.counting import (
     fiber_size,
@@ -217,8 +217,8 @@ def test_criterion_07_decomposition_roundtrip():
         F = make_field(p, m)
         G = build_full_graph(F, 3, directed=True, cap=None)
         for seed in range(1, 21):
-            _, _, _, f = aut.random_triple(G, seed)
-            dec = aut.decompose(G, f)
+            _, _, _, f = random_triple(G, seed)
+            dec = aut.decompose(G, copied(f))
             if aut.recompose(G, dec) != f:
                 failures.append((F.q, seed))
     elapsed = time.perf_counter() - start

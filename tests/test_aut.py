@@ -8,10 +8,12 @@ import pytest
 
 from conftest import (
     apply_matrix,
+    copied,
     enumerate_digraph_auts,
     exported_edges,
     exported_neighbors,
     random_right_mul,
+    random_triple,
 )
 from lirg import aut
 from lirg.counting import fiber_size, gl_order
@@ -19,6 +21,8 @@ from lirg.field import make_field
 from lirg.graph import build_full_graph
 from lirg.ideal import ideal_of
 from lirg.matrix import (
+    _digit_sum,
+    _span_codes,
     column_swap_matrix,
     enumerate_matrices,
     identity_matrix,
@@ -160,10 +164,11 @@ def test_shuffle_within_matches_random_shuffle(graphs):
     G = graphs(2, 1, 3)
     for seed in range(20):
         for size in range(301):
-            # Two groups: a descending run, then an ascending one after it.
-            first, second = np.arange(size)[::-1], np.arange(size, size + 5)
+            # Two groups: a run, then another after it, as bool masks.
+            first, second = np.arange(size), np.arange(size, size + 5)
+            masks = [np.isin(np.arange(G.vertex_count), verts) for verts in (first, second)]
             rng, ref = random.Random(seed), random.Random(seed)
-            perm = aut._shuffle_within(G, [first, second], rng).perm
+            perm = aut._shuffle_within(G, masks, rng).perm
             for verts in (first, second):
                 shuffled = verts.tolist()
                 ref.shuffle(shuffled)
@@ -175,7 +180,7 @@ def test_random_draws_unchanged(graphs):
     # random_triple draws P, t and sigma in that order from one generator;
     # sigma equals each class shuffled as a list in ascending class order.
     G = graphs(2, 2, 2)
-    P, t, sigma, f = aut.random_triple(G, 11)
+    P, t, sigma, f = random_triple(G, 11)
     rng = random.Random(11)
     assert random_invertible(G.field, G.n, rng) == P and rng.randrange(G.field.m) == t
     expected = np.arange(G.vertex_count)
@@ -239,6 +244,43 @@ def test_frobenius_commutation_with_right_mul():
         assert lhs == rhs
 
 
+def _right_mul_by_digit_sums(G, P):
+    """Oracle: X -> X P built on its own, the row map of P applied to each
+    of the n rows by one digit sum over all vertices."""
+    return aut.Automorphism(G.n, G.field, _digit_sum(_span_codes(G.field, G.n, P), G.field.q**G.n, G.n))
+
+
+def _frobenius_by_digit_sums(G, t):
+    """Oracle: the entrywise Frobenius power t built on its own, the map on
+    the q element codes applied to each of the n^2 entries."""
+    F = G.field
+    powers = F.p ** np.arange(F.m, dtype=np.int64)
+    digits = np.arange(F.q, dtype=np.int64)[:, None] // powers % F.p
+    unit_images = digits[[F.frobenius(int(u), t) for u in powers]]
+    image = (digits @ unit_images % F.p) @ powers
+    return aut.Automorphism(G.n, F, _digit_sum(image, F.q, G.n * G.n))
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
+def test_row_table_matches_factor_composition(graphs, p, m, n):
+    # sigma, then the Frobenius power t, then X -> X P, applied as one row
+    # table in place, equals composing the three factor permutations; and
+    # each factor built from the table equals its digit-sum construction.
+    G = graphs(p, m, n, cap=None)
+    F = G.field
+    for t in range(F.m):
+        ups = _frobenius_by_digit_sums(G, t)
+        assert aut.frobenius_automorphism(G, t) == ups
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            P = random_invertible(F, n, rng)
+            sigma = aut.random_class_permutation(G, rng)
+            phi = _right_mul_by_digit_sums(G, P)
+            assert aut.right_mul_automorphism(G, P) == phi
+            expected = aut.compose(phi, aut.compose(ups, sigma))
+            assert aut.recompose(G, aut.Decomposition(P, t, copied(sigma))) == expected
+
+
 # -- verification ------------------------------------------------------------
 
 
@@ -293,7 +335,7 @@ def test_decompose_requires_n_at_least_3(graphs):
 def test_decompose_right_mul_swap(graphs):
     G = graphs(2, 1, 3)
     f = aut.right_mul_automorphism(G, column_swap_matrix(3, 0, 1))
-    dec = aut.decompose(G, f)
+    dec = aut.decompose(G, copied(f))
     assert dec.t == 0
     assert aut.recompose(G, dec) == f
 
@@ -301,9 +343,9 @@ def test_decompose_right_mul_swap(graphs):
 def test_decompose_roundtrip_n3_q2(graphs):
     G = graphs(2, 1, 3)
     for seed in range(1, 21):
-        _, _, _, f = aut.random_triple(G, seed)
+        _, _, _, f = random_triple(G, seed)
         assert aut.verify(G, f) == (True, None)
-        dec = aut.decompose(G, f)
+        dec = aut.decompose(G, copied(f))
         assert aut.recompose(G, dec) == f
 
 
@@ -317,7 +359,7 @@ def test_decompose_rejects_non_automorphism(graphs):
 
 def test_decompose_sigma_fixes_classes(graphs):
     G = graphs(2, 1, 3)
-    _, _, _, f = aut.random_triple(G, 3)
+    _, _, _, f = random_triple(G, 3)
     dec = aut.decompose(G, f)
     assert np.array_equal(G.vertex_class[dec.sigma.perm], G.vertex_class)
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -244,8 +245,19 @@ def test_build_graph_bytes_pinned(capsys, ring, fmt, direction, digest):
          "25ced896e44f4fb6c204a183c22cd396f699a1695ee86809c60a9a3617abed49"),
         ("--n 1 --p 4099 --cap 5000 --seed 1",
          "3695c11c20bdc139741295e0b4c6162e0d3a33534868f2cba3e03f4181c9a7b9"),
+        # The aut-roundtrip benchmark's ring and seeds.
+        *((f"--n 3 --p 2 --m 2 --cap 300000 --seed {seed}", digest) for seed, digest in enumerate([
+            "c28ba0eea1b81d8cf21775ce4d38d3eb90ddfc0a31cd5adcf57433ac3c741b7c",
+            "1408ea4ac8600996d7293dfaa0bef40b43c437960845c851a5fceb00b207bc68",
+            "a4d19057a87edd2891dcc8ce9861ffbc01aac0a8a871dc85a0e7f61d88893860",
+            "25ced896e44f4fb6c204a183c22cd396f699a1695ee86809c60a9a3617abed49",
+            "4d2493bc049ea1a558c3c32e47ce5ee6c6cc57dd8b0b4a533116c5df4171e536",
+            "2fc549f292f65bd01a6040a738a79454e5fd3982c3b070f668f30409db9921a2",
+            "f938c9e46e0b6b82829aa70ad10bf31afdd680b214ab68354e278ac1fe2e301e",
+            "abc0588a55949a1aa4549f44ae7f66e2777083e984365012c142d9feaf77d375",
+        ], start=1)),
     ],
-    ids=["gf2-n3", "gf4-n3", "gf4099-n1"],
+    ids=["gf2-n3", "gf4-n3", "gf4099-n1", *(f"gf4-n3-seed{seed}" for seed in range(1, 9))],
 )
 def test_aut_sample_bytes_pinned(capsys, ring, digest):
     code, out, _ = run(capsys, "aut", "sample", *ring.split())
@@ -260,8 +272,10 @@ def test_aut_sample_bytes_pinned(capsys, ring, digest):
          "d30702ff01eddb12bafb73b5efd67dacdefe3e12860dc6bf3edd6fae17266a4a"),
         ("--n 3 --p 2 --m 2 --cap 262144", "4",
          "d49022c77278c7ac81cea1ce162a6cf2a383e25a08f0e76afbd6b8834ab8ee77"),
+        ("--n 3 --p 2 --m 2 --cap 300000", "1",
+         "6e1b749397350b743b28b7815b05aa4f1feb3a033ba650ed683c510add919ea1"),
     ],
-    ids=["gf2-n3", "gf4-n3"],
+    ids=["gf2-n3", "gf4-n3", "gf4-n3-seed1"],
 )
 def test_aut_decompose_bytes_pinned(capsys, tmp_path, ring, seed, digest):
     perm = tmp_path / "f.perm"
@@ -497,6 +511,33 @@ def gf4_perm(tmp_path_factory):
     return path, path.read_text()
 
 
+@pytest.fixture(scope="module")
+def gf4_dec(tmp_path_factory, gf4_perm):
+    """The decomposition of ``gf4_perm``, as a path."""
+    path = tmp_path_factory.mktemp("gf4") / "dec.txt"
+    assert main(["aut", "decompose", *GF4_N3, "--perm", str(gf4_perm[0]), "--out", str(path)]) == 0
+    return path
+
+
+# Traced peaks of cli.main at GF(4), n = 3, measured: sample 4.0 MB, verify
+# 2.9, decompose 3.7, recompose 3.9; with up to three permutations and whole
+# texts held they were 8.3, 8.4, 9.5 and 8.4 MB.
+@pytest.mark.parametrize(
+    "step, bound", [("sample", 5.0), ("verify", 3.6), ("decompose", 4.6), ("recompose", 4.8)]
+)
+def test_aut_step_traced_peak(tmp_path, gf4_perm, gf4_dec, step, bound):
+    source = {"sample": ["--seed", "7"], "recompose": ["--report", str(gf4_dec)]}
+    argv = ["aut", step, *GF4_N3, *source.get(step, ["--perm", str(gf4_perm[0])])]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert main([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 @pytest.mark.parametrize("u, v, witness", [(0, 1, "(0, 16)"), (5, 200000, "(16, 5)")])
 def test_aut_verify_failure_witness_pinned(capsys, tmp_path, gf4_perm, u, v, witness):
     # Swap the images of vertices u and v.  The witness is the first broken
@@ -588,10 +629,10 @@ def test_input_size_limit_boundary(tmp_path):
     limit = 512 * 20 + INPUT_SLACK
     path = tmp_path / "input.txt"
     path.write_text("x" * limit)
-    assert len(_read_input(str(path), 512)) == limit
+    assert len(b"".join(_read_input(str(path), 512))) == limit
     path.write_text("x" * (limit + 1))
     with pytest.raises(UsageError, match=f"longer than {limit} characters"):
-        _read_input(str(path), 512)
+        b"".join(_read_input(str(path), 512))
 
 
 def test_aut_decompose_recompose_byte_identical(capsys, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import networkx as nx
@@ -11,7 +12,7 @@ import pytest
 from conftest import brute_ideal_sets, exported_edges
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
-from lirg import invariants
+from lirg import graph, invariants
 from lirg.counting import predicted_degree
 from lirg.invariants import (
     ACYCLIC,
@@ -273,6 +274,34 @@ def test_eulerian_witness_degree_is_odd_everywhere():
         ok, witness = eulerian_check(G)
         assert not ok
         assert G.degrees(witness) % 2 == 1
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_first_member_matches_argmax(monkeypatch, p, m):
+    # q = 3, 5, 7 and 9 at n = 2, scanned in slices of 7 vertices: the first
+    # member of every class, and the odd-degree witness (the first
+    # full-rank vertex), are those np.argmax finds over the whole index.
+    monkeypatch.setattr(graph, "_COUNT_SLICE", 7)
+    G = build_full_graph(make_field(p, m), 2, directed=False)
+    for c in range(G.class_count):
+        assert G.first_member(c) == int(np.argmax(G.vertex_class == c))
+    full_rank = G.class_rank.index(2)
+    assert eulerian_check(G) == (False, int(np.argmax(G.vertex_class == full_rank)))
+
+
+def test_eulerian_check_memory_follows_slices():
+    # 1,953,125 vertices: the witness search holds one slice of the class
+    # index, not an N-byte mask (1.9 MB).  Measured peak: 0.07 MB.
+    G = build_full_graph(F5, 3, directed=False, cap=None)
+    G.fiber_sizes  # cached outside the trace
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert eulerian_check(G)[0] is False
+        peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25
 
 
 def test_k33_witness():

@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import exported_edges
+from conftest import copied, exported_edges, random_triple
 from lirg import aut, serialize
 from lirg.field import make_field
-from lirg.graph import build_full_graph, build_quotient_graph
+from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
 from test_graph import brute_edges, containment_by_row_reduction
 
 F2 = make_field(2, 1)
@@ -126,11 +126,11 @@ def test_matrix_block_roundtrip():
 
 def test_permutation_roundtrip(graphs):
     G = graphs(2, 1, 3)
-    _, _, _, f = aut.random_triple(G, 5)
-    text = serialize.render_permutation(3, F2, f.perm)
+    _, _, _, f = random_triple(G, 5)
+    text = b"".join(serialize.render_permutation(3, F2, f.perm))
     perm = serialize.parse_permutation(text, (3, F2))
     assert np.array_equal(perm, f.perm)
-    assert serialize.render_permutation(3, F2, perm) == text
+    assert b"".join(serialize.render_permutation(3, F2, perm)) == text
 
 
 def _render_permutation_by_line(n, F, perm):
@@ -147,7 +147,7 @@ def test_render_permutation_matches_per_line_rendering(n, p):
     N = p ** (n * n)
     rng = np.random.default_rng(N)
     for perm in (np.arange(N), rng.permutation(N), np.arange(N)[::-1]):
-        text = serialize.render_permutation(n, F, perm)
+        text = b"".join(serialize.render_permutation(n, F, perm))
         assert text == _render_permutation_by_line(n, F, perm)
         assert np.array_equal(serialize.parse_permutation(text, (n, F)), perm)
 
@@ -174,10 +174,69 @@ def test_permutation_parse_errors():
         serialize.parse_permutation(head + b"\n0 0\n1 1\n", (1, F4))
 
 
+@pytest.mark.parametrize("p, m, n", [(2, 1, 1), (2, 1, 3), (3, 2, 2), (2, 2, 3)])
+def test_rendered_length_is_exact(graphs, p, m, n):
+    # N = 2, 512, 6,561 and 262,144: names of one and two four-digit limbs.
+    G = graphs(p, m, n, cap=None)
+    P, t, sigma, f = random_triple(G, 1)
+    for blocks in (
+        serialize.render_permutation(n, G.field, f.perm),
+        serialize.render_decomposition(G, aut.Decomposition(P, t, sigma)),
+    ):
+        assert len(blocks) == len(b"".join(blocks))
+
+
+def _cycles_by_class(G, perm):
+    """Oracle: per class, ascending, the cycles of perm that start (at their
+    smallest vertex) in it, ascending by start."""
+    seen, out = set(), {}
+    for v in range(len(perm)):
+        if v in seen or perm[v] == v:
+            continue
+        cycle, w = [v], int(perm[v])
+        while w != v:
+            cycle.append(w)
+            w = int(perm[w])
+        seen.update(cycle)
+        out.setdefault(int(G.vertex_class[v]), []).append(cycle)
+    return sorted(out.items())
+
+
+@pytest.mark.parametrize("classes", [40, 256, 300])
+def test_class_cycles_match_oracle(monkeypatch, classes):
+    # Class indexes whose marks take one byte, two bytes because the class
+    # count itself needs them (256), and two bytes (300); chunks of 5
+    # vertices split cycles, and a class's cycles are read chunk by chunk.
+    monkeypatch.setattr(serialize, "_RENDER_ROWS", 5)
+    rng = np.random.default_rng(classes)
+    vertex_class = rng.integers(0, classes, 3000).astype(np.min_scalar_type(classes - 1))
+    perm = np.arange(3000)
+    for c in range(classes):
+        members = np.flatnonzero(vertex_class == c)
+        perm[members] = rng.permutation(members) if c % 3 else members[::-1]
+    G = RelationGraph("full", True, 1, F2, tuple(range(classes)), vertex_class, None)
+    sigma = aut.Automorphism(1, F2, perm)
+    got = []
+    for c, chunks in serialize._class_cycles(G, sigma):
+        cycles, closed = [], 0
+        for verts, opens, closes in chunks:
+            # A cycle closes where the next one opens or at the chunk's end.
+            assert all(k in opens for k in closes if k < len(verts))
+            assert all(k in closes for k in opens if k > 0)
+            closed += len(closes)
+            for i, v in enumerate(verts):
+                if i in opens:
+                    cycles.append([])
+                cycles[-1].append(v)
+        assert closed == len(cycles)
+        got.append((c, cycles))
+    assert got == _cycles_by_class(G, perm)
+
+
 def test_truncated_decomposition_rejected(graphs):
     G = graphs(2, 1, 3)
-    _, _, _, f = aut.random_triple(G, 1)
-    text = serialize.render_decomposition(G, aut.decompose(G, f)).decode()
+    _, _, _, f = random_triple(G, 1)
+    text = b"".join(serialize.render_decomposition(G, aut.decompose(G, f))).decode()
     lines = text.strip("\n").split("\n")
     with pytest.raises(ValueError):
         serialize.parse_decomposition(G, ("\n".join(lines[:2]) + "\n").encode())
@@ -194,20 +253,20 @@ def test_truncated_decomposition_rejected(graphs):
 def test_decomposition_roundtrip(graphs):
     G = graphs(2, 1, 3)
     for seed in (1, 4, 9):
-        _, _, _, f = aut.random_triple(G, seed)
-        dec = aut.decompose(G, f)
-        text = serialize.render_decomposition(G, dec)
+        _, _, _, f = random_triple(G, seed)
+        dec = aut.decompose(G, copied(f))
+        text = b"".join(serialize.render_decomposition(G, dec))
         parsed = serialize.parse_decomposition(G, text)
         assert parsed.P == dec.P
         assert parsed.t == dec.t
         assert parsed.sigma == dec.sigma
-        assert serialize.render_decomposition(G, parsed) == text
+        assert b"".join(serialize.render_decomposition(G, parsed)) == text
         assert aut.recompose(G, parsed) == f
 
 
 def test_decomposition_rejects_foreign_context(graphs):
     G = graphs(2, 1, 3)
-    _, _, _, f = aut.random_triple(G, 2)
+    _, _, _, f = random_triple(G, 2)
     text = serialize.render_decomposition(G, aut.decompose(G, f))
     other = graphs(3, 1, 2)
     with pytest.raises(ValueError, match="does not match"):
@@ -231,7 +290,7 @@ def test_permutation_blocks_parse_as_one(monkeypatch, block):
     # of the whole file gives: the same permutation or the same refusal.
     F = make_field(101, 1)
     perm = np.random.default_rng(101).permutation(101)
-    text = bytes(serialize.render_permutation(1, F, perm))
+    text = b"".join(serialize.render_permutation(1, F, perm))
     lines = text.split(b"\n")
     late = list(lines)
     late[91] = b"x 1"
@@ -262,12 +321,11 @@ def _sigma_outcome(G, data):
 
 
 def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
-    # Rows of 4 numbers, read in blocks of 1 or 3 rows after a first pass
-    # over windows of 1, 5 or 64 bytes, give what one block of the whole
-    # line gives, for well-formed lines and refused ones alike.
+    # Pieces of 1, 5 or 64 bytes give what one piece of the whole line
+    # gives, for well-formed lines and refused ones alike.
     G = graphs(2, 1, 3)
-    f = aut.random_triple(G, 3)[3]
-    text = bytes(serialize.render_decomposition(G, aut.decompose(G, f)))
+    f = random_triple(G, 3)[3]
+    text = b"".join(serialize.render_decomposition(G, aut.decompose(G, copied(f))))
     big = max(text.split(b"\n"), key=len)
     head, cycles = big.split(b"cycles=")
     numbers = cycles.replace(b"(", b" ").replace(b")", b" ").split()
@@ -284,27 +342,25 @@ def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
         lambda c: b"(" + c,
         lambda c: c.replace(b" " + numbers[10] + b" ", b" " + numbers[11] + b" "),
     ]
-    monkeypatch.setattr(serialize, "_CYCLE_ROW", 4)
     for edit in edits:
         data = text.replace(big, head + b"cycles=" + edit(cycles))
         outcomes = set()
-        for window, rows in [(1, 1), (5, 3), (64, 1), (1 << 20, 1 << 20)]:
+        for window in [1, 5, 64, 1 << 20]:
             monkeypatch.setattr(serialize, "_PARSE_BYTES", window)
-            monkeypatch.setattr(serialize, "_CYCLE_BLOCK", rows)
             outcomes.add(repr(_sigma_outcome(G, data)))
         assert len(outcomes) == 1, outcomes
     assert _sigma_outcome(G, text) == aut.decompose(G, f).sigma.perm.tolist()
 
 
 def test_text_layer_traced_peaks(graphs):
-    # GF(4), n = 3 (262,144 vertices): each parser and renderer holds its
-    # input, its result and block buffers, not a Python object per vertex.
-    # Measured peaks: render_permutation 4.9 MB (a 3.4 MB text),
-    # parse_permutation 2.3 MB, render_decomposition 5.2 MB (1.7 MB),
-    # parse_decomposition 4.9 MB; the parent's were 11.3, 11.4, 10.7, 13.2.
+    # GF(4), n = 3 (262,144 vertices): each renderer, read to its end, holds
+    # block buffers; each parser its result and block buffers.  Measured
+    # peaks: render_permutation 1.2 MB, parse_permutation 2.6 MB (a 2 MB
+    # result), render_decomposition 1.1 MB, parse_decomposition 3.5 MB (2 MB);
+    # with whole texts held they were 4.9, 2.3, 5.2 and 4.9 MB.
     G = graphs(2, 2, 3, cap=262144)
-    f = aut.random_triple(G, 1)[3]
-    dec = aut.decompose(G, f)
+    f = random_triple(G, 1)[3]
+    dec = aut.decompose(G, copied(f))
 
     def peak_mb(fn, *args):
         tracemalloc.start()
@@ -315,16 +371,21 @@ def test_text_layer_traced_peaks(graphs):
         finally:
             tracemalloc.stop()
 
-    text, peak = peak_mb(serialize.render_permutation, 3, F4, f.perm)
-    assert peak < 6.0
-    text = bytes(text)
+    def read(blocks):
+        return sum(map(len, blocks))
+
+    size, peak = peak_mb(lambda: read(serialize.render_permutation(3, F4, f.perm)))
+    assert peak < 1.6
+    text = b"".join(serialize.render_permutation(3, F4, f.perm))
+    assert len(text) == size
     _, peak = peak_mb(serialize.parse_permutation, text, (3, F4))
-    assert peak < 3.5
-    text, peak = peak_mb(serialize.render_decomposition, G, dec)
-    assert peak < 6.5
-    text = bytes(text)
+    assert peak < 3.2
+    size, peak = peak_mb(lambda: read(serialize.render_decomposition(G, dec)))
+    assert peak < 1.5
+    text = b"".join(serialize.render_decomposition(G, dec))
+    assert len(text) == size
     _, peak = peak_mb(serialize.parse_decomposition, G, text)
-    assert peak < 6.5
+    assert peak < 4.5
 
 
 @pytest.mark.parametrize("limbs", [1, 2, 3, 5])
