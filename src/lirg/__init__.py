@@ -2,8 +2,8 @@
 
 import os
 
-# lirg does no floating-point linear algebra (its matrix products are int64,
-# which numpy computes without BLAS), so numpy need not start BLAS threads.
+# lirg's only floating-point products are float32 counts over class-level
+# matrices, small enough for one BLAS thread, so numpy need not start more.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from lirg.counting import (

@@ -21,6 +21,10 @@ input).  Random class permutations shuffle each class's member array in
 place with exactly the draws of ``random.Random.shuffle``, so a seed gives
 the same permutation, and leaves the generator in the same state, as
 shuffling Python lists.
+
+Group orders come from one search over a bool adjacency matrix, the class
+containment matrix ``lt`` for the quotient and full graphs alike (see
+``digraph_aut_order``).
 """
 
 import math
@@ -493,43 +497,44 @@ def random_decomposition(G: RelationGraph, seed: int) -> Decomposition:
 # -- exact automorphism group orders ---------------------------------------
 
 
-def _twin_blocks(out_sets, in_sets, colors):
-    """Twins (equal colour, out-set and in-set) as blocks of vertices,
-    with the out- and in-sets of the merged digraph on block indices."""
+def _twin_blocks(A, colors):
+    """Twins (equal colour, out-row and in-column of the adjacency ``A``) as
+    blocks of vertices, in order of their first members."""
     groups = {}
-    for v in range(len(out_sets)):
-        key = (colors[v], frozenset(out_sets[v]), frozenset(in_sets[v]))
+    for v in range(len(A)):
+        key = (colors[v], A[v].tobytes(), A[:, v].tobytes())
         groups.setdefault(key, []).append(v)
-    blocks = list(groups.values())
-    block_of = {v: b for b, members in enumerate(blocks) for v in members}
-    out_b = [{block_of[w] for w in out_sets[members[0]]} for members in blocks]
-    in_b = [{block_of[w] for w in in_sets[members[0]]} for members in blocks]
-    return blocks, out_b, in_b
+    return list(groups.values())
 
 
-def _refine(outs, ins, cells, v=None):
+def _refine(adj, cells, v=None):
     """Coarsest equitable colouring finer than ``cells`` (vertex -> cell),
     with v (if given) first split off the front of its cell.
 
-    A vertex's label is its cell plus the sorted cells of its out-
-    neighbours and (as ~cell) in-neighbours; cells are renumbered in label
-    order until their count stops growing.  Labels never mention vertex
-    numbers, so an isomorphism of the inputs maps the results cell index
-    to cell index.
+    A vertex's label is its cell plus its out- and in-neighbour counts in
+    every cell, the rows of ``adj @ onehot`` and ``adj.T @ onehot`` (float32
+    products of the adjacency ``adj``, exact below 2^24); one ``np.lexsort``
+    of the labels renumbers the cells in label order, until their count
+    stops growing.  Labels never mention vertex numbers, so an isomorphism
+    of the inputs maps the results cell index to cell index.
     """
-    cells = [2 * c + (u != v) for u, c in enumerate(cells)]
+    if v is not None:
+        cells = cells + (cells >= cells[v])
+        cells[v] -= 1
     while True:
-        labels = [
-            (c, tuple(sorted([cells[w] for w in outs[x]] + [~cells[w] for w in ins[x]])))
-            for x, c in enumerate(cells)
-        ]
-        index = {lab: i for i, lab in enumerate(sorted(set(labels)))}
-        if len(index) == len(set(cells)):
-            return [index[lab] for lab in labels]
-        cells = [index[lab] for lab in labels]
+        count = np.count_nonzero(np.bincount(cells))
+        onehot = (cells[:, None] == np.arange(cells.max(initial=0) + 1)).astype(np.float32)
+        labels = np.column_stack((cells.astype(np.float32), adj @ onehot, adj.T @ onehot))
+        order = np.lexsort(labels.T[::-1])
+        ranked = labels[order]
+        starts = np.ones(len(cells), dtype=bool)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        cells = (np.cumsum(starts) - 1)[np.argsort(order)]
+        if starts.sum() == count:
+            return cells
 
 
-def _search(out_sets, in_sets, colors) -> int:
+def _search(A, colors) -> int:
     """Automorphism group order by individualization-refinement.
 
     The base individualizes the first vertex of the first non-singleton
@@ -537,80 +542,73 @@ def _search(out_sets, in_sets, colors) -> int:
     order gains the orbit of each base point under the stabilizer of the
     points before it: each candidate of its cell outside the orbit so far
     is individualized in its place, and the search below it looks for a
-    leaf whose map from the first leaf sends out-sets onto out-sets.
+    leaf whose map g from the first leaf keeps ``A``: ``A[g][:, g] == A``.
     """
-    nverts = len(out_sets)
+    nverts = len(A)
+    adj = A.astype(np.float32)
     rank = {c: i for i, c in enumerate(sorted(set(colors)))}
-    path = [_refine(out_sets, in_sets, [rank[c] for c in colors])]
+    path = [_refine(adj, np.array([rank[c] for c in colors], dtype=np.intp))]
     base = []
-    while len(set(path[-1])) < nverts:
-        cells = path[-1]
-        base.append(cells.index(min(c for c in cells if cells.count(c) > 1)))
-        path.append(_refine(out_sets, in_sets, cells, base[-1]))
+    while (sizes := np.bincount(path[-1])).size < nverts:
+        base.append(int(np.argmax(path[-1] == np.argmax(sizes > 1))))
+        path.append(_refine(adj, path[-1], base[-1]))
 
     def extend(cells, level, w):
         """An automorphism fixing base[:level] and sending base[level] to
         w, or None."""
-        cells = _refine(out_sets, in_sets, cells, w)
-        if sorted(cells) != sorted(path[level + 1]):
+        cells = _refine(adj, cells, w)
+        if not np.array_equal(np.bincount(cells), np.bincount(path[level + 1])):
             return None
         if level + 1 < len(base):
-            found = (
-                extend(cells, level + 1, u)
-                for u in range(nverts)
-                if cells[u] == path[level + 1][base[level + 1]]
-            )
+            target = path[level + 1][base[level + 1]]
+            found = (extend(cells, level + 1, u) for u in np.flatnonzero(cells == target))
             return next((g for g in found if g is not None), None)
-        at = {c: u for u, c in enumerate(cells)}
-        g = [at[c] for c in path[-1]]
-        ok = all({g[u] for u in out_sets[v]} == out_sets[g[v]] for v in range(nverts))
-        return g if ok else None
+        g = np.argsort(cells)[path[-1]]
+        return g if np.array_equal(A[np.ix_(g, g)], A) else None
 
     gens, total = [], 1
     for level in reversed(range(len(base))):
-        orbit = {base[level]}
-        for w in range(nverts):
-            if path[level][w] == path[level][base[level]] and w not in orbit:
-                g = extend(path[level], level, w)
-                if g is not None:
-                    gens.append(g)
-                    while not orbit >= (grown := {h[x] for h in gens for x in orbit}):
-                        orbit |= grown
-        total *= len(orbit)
+        orbit = np.arange(nverts) == base[level]
+        for w in np.flatnonzero(path[level] == path[level][base[level]]):
+            if not orbit[w] and (g := extend(path[level], level, w)) is not None:
+                gens.append(g)
+                size = 0
+                while size < (size := int(orbit.sum())):  # until no generator grows it
+                    for h in gens:
+                        orbit[h[orbit]] = True
+        total *= int(orbit.sum())
     return total
 
 
-def digraph_aut_order(out_sets, in_sets, colors=None) -> int:
-    """Exact order of the colour-preserving automorphism group of a digraph.
+def digraph_aut_order(A, colors=None) -> int:
+    """Exact order of the colour-preserving automorphism group of the
+    loop-free digraph with bool adjacency matrix ``A`` (``A[u, v]``: edge
+    u -> v).
 
-    Twins (equal colour, out-set and in-set) merge into blocks, each
-    contributing (block size)!; the merged digraph, coloured by (colour,
-    block size), is searched by individualization-refinement (McKay and
-    Piperno, Practical graph isomorphism II, 2014): the order is the
-    product of the orbit sizes along a base, with orbits grown from
-    automorphisms that are checked edge by edge.
+    Twins (equal colour, out-row and in-column) merge into blocks, each
+    contributing (block size)!.  Twins of a loop-free digraph are never
+    adjacent, so the merged digraph is the one induced on a representative
+    per block.  Coloured by (colour, block size), it is searched by
+    individualization-refinement (McKay and Piperno, Practical graph
+    isomorphism II, 2014): the order is the product of the orbit sizes
+    along a base, with orbits grown from automorphisms that are checked
+    edge by edge.
     """
     if colors is None:
-        colors = [0] * len(out_sets)
-    blocks, out_b, in_b = _twin_blocks(out_sets, in_sets, colors)
-    order = _search(out_b, in_b, [(colors[b[0]], len(b)) for b in blocks])
+        colors = [0] * len(A)
+    blocks = _twin_blocks(A, colors)
+    reps = [b[0] for b in blocks]
+    order = _search(A[np.ix_(reps, reps)], [(colors[b[0]], len(b)) for b in blocks])
     return order * math.prod(math.factorial(len(b)) for b in blocks)
-
-
-def _quotient_sets(F: Field, n: int, cap: int):
-    """Up-sets, down-sets and ranks of the quotient's classes, refused
-    above ``cap`` subspaces before anything is built."""
-    Q = build_quotient_graph(F, n, cap=cap)
-    up = [np.flatnonzero(row).tolist() for row in Q.lt]
-    down = [np.flatnonzero(col).tolist() for col in Q.lt.T]
-    return up, down, Q.class_rank
 
 
 def quotient_aut_order(F: Field, n: int, cap: int = 40) -> int:
     """Exact order of the automorphism group of the directed quotient graph
     (the subspace lattice of F_q^n), coloured by rank: one
-    ``digraph_aut_order`` search over the containment relation."""
-    return digraph_aut_order(*_quotient_sets(F, n, cap))
+    ``digraph_aut_order`` search over the containment matrix ``lt``,
+    refused above ``cap`` subspaces before anything is built."""
+    Q = build_quotient_graph(F, n, cap=cap)
+    return digraph_aut_order(Q.lt, Q.class_rank)
 
 
 @dataclass(frozen=True)
@@ -635,10 +633,10 @@ class FactoredGroupOrder:
 def full_aut_order(F: Field, n: int, cap: int = 40) -> FactoredGroupOrder:
     """Exact order of the automorphism group of the directed full graph.
 
-    Twin classes (identical up-sets and down-sets) have mutually twin
-    members, so they merge into one block; every automorphism permutes
-    blocks compatibly with the merged containment relation and acts
-    freely inside each block.  The order is therefore (automorphisms of
+    Twin classes (of equal fiber size, with equal rows and columns of
+    ``lt``) have mutually twin members, so they merge into one block;
+    every automorphism permutes blocks compatibly with the merged
+    containment relation and acts freely inside each block.  The order is therefore (automorphisms of
     the merged structure, respecting block sizes) times the product of
     (block size)!.
 
@@ -647,11 +645,12 @@ def full_aut_order(F: Field, n: int, cap: int = 40) -> FactoredGroupOrder:
     n = 2 all rank-1 classes merge, giving the product of rank-class-size
     factorials.
     """
-    up, down, ranks = _quotient_sets(F, n, cap)
-    fib = [fiber_size(n, r, F.q) for r in ranks]
-    blocks, out_b, in_b = _twin_blocks(up, down, fib)
-    sizes = [fib[members[0]] * len(members) for members in blocks]
+    Q = build_quotient_graph(F, n, cap=cap)
+    fib = [fiber_size(n, r, F.q) for r in Q.class_rank]
+    blocks = _twin_blocks(Q.lt, fib)
+    reps = [members[0] for members in blocks]
+    sizes = [fib[c] * len(members) for c, members in zip(reps, blocks)]
     return FactoredGroupOrder(
-        quotient_order=digraph_aut_order(out_b, in_b, sizes),
+        quotient_order=digraph_aut_order(Q.lt[np.ix_(reps, reps)], sizes),
         factorial_terms=tuple(sorted(Counter(sizes).items())),
     )

@@ -7,6 +7,7 @@ the canonical-form code paths they check.
 
 import random
 
+import numpy as np
 import pytest
 
 from lirg import aut
@@ -103,6 +104,21 @@ def exported_neighbors(G):
         outs[u].add(v)
         ins[v].add(u)
     return outs, ins
+
+
+def adjacency(out_sets):
+    """The bool adjacency matrix (``A[u, v]``: edge u -> v) of the digraph
+    with these out-neighbour sets."""
+    A = np.zeros((len(out_sets), len(out_sets)), dtype=bool)
+    for u, targets in enumerate(out_sets):
+        A[u, list(targets)] = True
+    return A
+
+
+def exported_adjacency(G):
+    """The bool adjacency matrix read off the edge-list stream of a directed
+    graph."""
+    return adjacency(exported_neighbors(G)[0])
 
 
 def enumerate_digraph_auts(out_sets, in_sets, colors=None, limit=200_000):

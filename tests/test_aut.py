@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjacency,
     apply_matrix,
     copied,
     enumerate_digraph_auts,
+    exported_adjacency,
     exported_edges,
     exported_neighbors,
     random_right_mul,
@@ -395,8 +397,13 @@ def test_quotient_aut_orders():
 
 @pytest.mark.parametrize(
     "p, m, n, cap, expected",
-    [(3, 1, 3, 40, 5616), (2, 2, 3, 44, 120960), (2, 1, 4, 67, 20160)],
-    ids=["q3-n3", "q4-n3", "q2-n4"],
+    [
+        (3, 1, 3, 40, 5616),
+        (2, 2, 3, 44, 120960),
+        (2, 1, 4, 67, 20160),
+        (5, 1, 3, 64, 372000),
+    ],
+    ids=["q3-n3", "q4-n3", "q2-n4", "q5-n3"],
 )
 def test_quotient_aut_order_is_projective_semilinear(p, m, n, cap, expected):
     """For n >= 3 the subspace lattice has |PGammaL(n, q)| automorphisms."""
@@ -423,8 +430,8 @@ def test_quotient_aut_order_every_default_cap_input():
 
 def test_digraph_aut_order_vertex_level_gf2_n3(graphs):
     G = graphs(2, 1, 3)
-    out_sets, in_sets = exported_neighbors(G)
-    assert aut.digraph_aut_order(out_sets, in_sets) == aut.full_aut_order(F2, 3).value
+    A = exported_adjacency(G)
+    assert aut.digraph_aut_order(A) == aut.full_aut_order(F2, 3).value
 
 
 def test_quotient_aut_order_matches_enumeration():
@@ -465,8 +472,7 @@ def test_full_aut_order_n2_q2_counts_rank_class_permutations(graphs):
     factorials; the orbit-counting search over the 16-vertex digraph must
     agree."""
     G = graphs(2, 1, 2)
-    out_sets, in_sets = exported_neighbors(G)
-    brute = aut.digraph_aut_order(out_sets, in_sets)
+    brute = aut.digraph_aut_order(exported_adjacency(G))
     expected = math.factorial(1) * math.factorial(9) * math.factorial(6)
     assert brute == expected == 261273600
     assert aut.full_aut_order(F2, 2).value == expected
@@ -476,9 +482,60 @@ def test_digraph_aut_order_against_enumeration():
     # directed 4-cycle: cyclic group of order 4
     out_sets = [{1}, {2}, {3}, {0}]
     in_sets = [{3}, {0}, {1}, {2}]
-    assert aut.digraph_aut_order(out_sets, in_sets) == 4
+    assert aut.digraph_aut_order(adjacency(out_sets)) == 4
     assert len(enumerate_digraph_auts(out_sets, in_sets)) == 4
     # two isolated vertices plus an edge
     out_sets = [set(), set(), {3}, set()]
-    in_sets = [set(), set(), set(), {2}]
-    assert aut.digraph_aut_order(out_sets, in_sets) == 2
+    assert aut.digraph_aut_order(adjacency(out_sets)) == 2
+    # rigid, but refinement reaches leaves that are not automorphisms
+    out_sets = [{2, 3}, {0}, {4}, {4, 5}, {0, 1}, {3}]
+    in_sets = [{1, 4}, {4}, {0}, {0, 5}, {2, 3}, {3}]
+    assert aut.digraph_aut_order(adjacency(out_sets)) == 1
+    assert len(enumerate_digraph_auts(out_sets, in_sets)) == 1
+
+
+def random_digraph(rng):
+    """A random loop-free digraph on 1 to 8 vertices as (out-sets, in-sets).
+
+    One in four is the union of one or two random permutations (loops
+    dropped): nearly regular, so colour refinement splits little and the
+    search reaches leaves that are not automorphisms.  Up to two pairs of
+    vertices are then made twins (equal out- and in-sets).
+    """
+    nverts = rng.randint(1, 8)
+    if rng.random() < 0.25:
+        A = np.zeros((nverts, nverts), dtype=bool)
+        for _ in range(rng.randint(1, 2)):
+            A[range(nverts), rng.sample(range(nverts), nverts)] = True
+        np.fill_diagonal(A, False)
+    else:
+        density = rng.random()
+        A = np.array(
+            [[u != v and rng.random() < density for v in range(nverts)] for u in range(nverts)]
+        )
+    for _ in range(rng.randint(0, 2) if nverts > 2 else 0):
+        a, b = rng.sample(range(nverts), 2)
+        A[b], A[:, b] = A[a], A[:, a]
+        A[a, b] = A[b, a] = A[b, b] = False
+    out_sets = [set(np.flatnonzero(row).tolist()) for row in A]
+    in_sets = [set(np.flatnonzero(col).tolist()) for col in A.T]
+    return out_sets, in_sets
+
+
+def test_digraph_aut_order_matches_enumeration_on_random_digraphs():
+    """200 seeded random digraphs, half of them coloured with 2 or 3
+    colours, against the backtracking oracle."""
+    twins = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        out_sets, in_sets = random_digraph(rng)
+        nverts = len(out_sets)
+        colors = None
+        if seed % 2:
+            ncolors = rng.randint(2, 3)
+            colors = [rng.randrange(ncolors) for _ in range(nverts)]
+        A = adjacency(out_sets)
+        twins += len({(A[v].tobytes(), A[:, v].tobytes()) for v in range(nverts)}) < nverts
+        expected = len(enumerate_digraph_auts(out_sets, in_sets, colors))
+        assert aut.digraph_aut_order(A, colors) == expected, seed
+    assert twins >= 50

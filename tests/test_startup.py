@@ -73,8 +73,9 @@ def test_aut_commands_do_not_load_numpy_ma(tmp_path, roundtrip_files, sub, flag)
     [
         ["invariants", "--n", "2", "--p", "3"],
         ["build-graph", "--n", "2", "--p", "3", "--undirected"],
+        ["aut", "count-quotient", "--n", "3", "--p", "2"],
     ],
-    ids=["invariants", "build-graph-undirected"],
+    ids=["invariants", "build-graph-undirected", "count-quotient"],
 )
 def test_class_level_commands_do_not_load_numpy_ma(tmp_path, argv):
     out = fresh(RUN_MAIN, *argv, "--out", str(tmp_path / "out.txt"))
