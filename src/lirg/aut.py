@@ -37,7 +37,7 @@ import numpy as np
 from lirg.counting import fiber_size
 from lirg.field import Field
 from lirg.graph import RelationGraph, build_quotient_graph
-from lirg.ideal import LeftIdeal, ideal_of, line_vector
+from lirg.ideal import ideal_of, line_vector
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
@@ -61,44 +61,14 @@ class DecompositionError(RuntimeError):
     (or signals an implementation fault)."""
 
 
-@dataclass(eq=False)
-class Automorphism:
-    n: int
-    field: Field
-    perm: np.ndarray
-
-    def __post_init__(self):
-        self.perm = np.asarray(self.perm, dtype=np.int64)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Automorphism)
-            and self.n == other.n
-            and self.field == other.field
-            and np.array_equal(self.perm, other.perm)
-        )
-
-    def __call__(self, v: int) -> int:
-        return int(self.perm[v])
-
-    @property
-    def size(self) -> int:
-        return len(self.perm)
-
-
 def _check_context(G: RelationGraph):
     if G.kind != "full" or not G.directed:
         raise ValueError("automorphisms are defined on the directed full graph")
 
 
-def _check_same(f: Automorphism, g: Automorphism):
-    if f.n != g.n or f.field != g.field:
-        raise ValueError("automorphism context mismatch")
-
-
-def identity_automorphism(G: RelationGraph) -> Automorphism:
+def identity_automorphism(G: RelationGraph) -> np.ndarray:
     _check_context(G)
-    return Automorphism(G.n, G.field, np.arange(G.vertex_count, dtype=np.int64))
+    return np.arange(G.vertex_count, dtype=np.int64)
 
 
 # Vertices per block when a permutation is checked or rewritten in place.
@@ -143,17 +113,15 @@ def _map_rows(G: RelationGraph, perm, table):
         yield lo, block
 
 
-def right_mul_automorphism(G: RelationGraph, P) -> Automorphism:
+def right_mul_automorphism(G: RelationGraph, P) -> np.ndarray:
     """X -> X P for invertible P; an automorphism by construction, built
     from its row table."""
-    F, n = G.field, G.n
-    return Automorphism(n, F, _digit_sum(_row_table(G, P, 0), F.q**n, n))
+    return _digit_sum(_row_table(G, P, 0), G.field.q**G.n, G.n)
 
 
-def frobenius_automorphism(G: RelationGraph, t: int) -> Automorphism:
+def frobenius_automorphism(G: RelationGraph, t: int) -> np.ndarray:
     """Entrywise a -> a^(p^t) on every matrix, built from its row table."""
-    F, n = G.field, G.n
-    return Automorphism(n, F, _digit_sum(_row_table(G, identity_matrix(n), t), F.q**n, n))
+    return _digit_sum(_row_table(G, identity_matrix(G.n), t), G.field.q**G.n, G.n)
 
 
 def _perm_from_blocks(G: RelationGraph, blocks):
@@ -172,34 +140,31 @@ def _perm_from_blocks(G: RelationGraph, blocks):
     return perm
 
 
-def class_permutation_automorphism(G: RelationGraph, assignment) -> Automorphism:
+def class_permutation_automorphism(G: RelationGraph, assignment) -> np.ndarray:
     """Permute vertices inside ideal classes; identity on unnamed classes.
 
-    ``assignment`` maps a class (by canonical ideal or by class index) to a
-    dict sending each member vertex to its image within the same class.
+    ``assignment`` maps a class, by its canonical ``LeftIdeal``, to a dict
+    sending each member vertex to its image within the same class.
     """
     _check_context(G)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
 
-    def resolve(key):
-        if isinstance(key, LeftIdeal):
-            if key not in ideal_index:
-                raise ValueError(f"unknown ideal class {key}")
-            return ideal_index[key]
-        return int(key)
+    def resolve(ideal):
+        if ideal not in ideal_index:
+            raise ValueError(f"unknown ideal class {ideal}")
+        return ideal_index[ideal]
 
     blocks = [
-        (G.class_vertices[resolve(key)], mapping)
-        for key, mapping in assignment.items()
+        (G.class_vertices[resolve(ideal)], mapping)
+        for ideal, mapping in assignment.items()
     ]
     try:
-        perm = _perm_from_blocks(G, blocks)
+        return _perm_from_blocks(G, blocks)
     except ValueError as exc:
         raise ValueError(f"vertex listed in wrong class: {exc}") from exc
-    return Automorphism(G.n, G.field, perm)
 
 
-def rank_class_automorphism(G: RelationGraph, assignment) -> Automorphism:
+def rank_class_automorphism(G: RelationGraph, assignment) -> np.ndarray:
     """Permute vertices inside rank classes (n = 2 only).
 
     For n = 2 adjacency depends only on rank, so any such permutation is
@@ -219,27 +184,27 @@ def rank_class_automorphism(G: RelationGraph, assignment) -> Automorphism:
             raise ValueError(f"no rank class {r}")
         blocks.append((rank_vertices[r], mapping))
     try:
-        perm = _perm_from_blocks(G, blocks)
+        return _perm_from_blocks(G, blocks)
     except ValueError as exc:
         raise ValueError(f"vertex listed in wrong rank class: {exc}") from exc
-    return Automorphism(G.n, G.field, perm)
 
 
-def compose(f: Automorphism, g: Automorphism) -> Automorphism:
+def compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     """f after g: the right factor acts first."""
-    _check_same(f, g)
-    return Automorphism(f.n, f.field, f.perm[g.perm])
+    if len(f) != len(g):
+        raise ValueError(f"permutation length mismatch: {len(f)} != {len(g)}")
+    return f[g]
 
 
-def inverse(f: Automorphism) -> Automorphism:
-    inv = np.empty_like(f.perm)
-    inv[f.perm] = np.arange(len(f.perm), dtype=np.int64)
-    return Automorphism(f.n, f.field, inv)
+def inverse(f: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(f)
+    inv[f] = np.arange(len(f), dtype=np.int64)
+    return inv
 
 
-def verify(G: RelationGraph, f: Automorphism) -> tuple:
-    """(True, None) if f preserves the edge relation both ways, else
-    (False, (u, v)) with a violating pair.
+def verify(G: RelationGraph, perm: np.ndarray) -> tuple:
+    """(True, None) if the vertex permutation perm preserves the edge
+    relation both ways, else (False, (u, v)) with a violating pair.
 
     Adjacency depends only on ideal classes, so it suffices to compare the
     containment bits over the distinct (source class, image class) pairs:
@@ -247,9 +212,6 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
     block of _BLOCK vertices at a time.
     """
     _check_context(G)
-    if f.n != G.n or f.field != G.field:
-        raise ValueError("automorphism context mismatch")
-    perm = f.perm
     N = G.vertex_count
     if len(perm) != N:
         raise ValueError(f"permutation length {len(perm)} != vertex count {N}")
@@ -293,9 +255,9 @@ def verify(G: RelationGraph, f: Automorphism) -> tuple:
     return False, (first_carrier(uniq[a]), first_carrier(uniq[b]))
 
 
-def preserves_rank(G: RelationGraph, f: Automorphism) -> bool:
+def preserves_rank(G: RelationGraph, f: np.ndarray) -> bool:
     ranks = np.array(G.class_rank)[G.vertex_class]
-    return bool(np.array_equal(ranks, ranks[f.perm]))
+    return bool(np.array_equal(ranks, ranks[f]))
 
 
 # -- constructive decomposition ------------------------------------------
@@ -308,7 +270,7 @@ class Decomposition:
 
     P: tuple
     t: int
-    sigma: Automorphism
+    sigma: np.ndarray
 
 
 def _normalizer(F: Field, n: int, a, i: int, l: int):
@@ -325,11 +287,11 @@ def _normalizer(F: Field, n: int, a, i: int, l: int):
     return mat_mul(F, mat_mul(F, M1, M2), M3)
 
 
-def _probe_line(G: RelationGraph, f: Automorphism, P_acc, X):
+def _probe_line(G: RelationGraph, f: np.ndarray, P_acc, X):
     """Canonical spanning vector of the ideal of f(X) P_acc for rank-1 X."""
     F, n = G.field, G.n
     v = vertex_encode(F, X)
-    image = vertex_decode(F, n, int(f.perm[v]))
+    image = vertex_decode(F, n, int(f[v]))
     moved = mat_mul(F, image, P_acc)
     ideal = ideal_of(F, moved)
     if ideal.rank != 1:
@@ -340,7 +302,7 @@ def _probe_line(G: RelationGraph, f: Automorphism, P_acc, X):
     return line_vector(ideal)
 
 
-def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
+def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:
     """Factor a verified automorphism (n >= 3) into (P, t, sigma).
 
     Normalizes the images of the coordinate lines one at a time with
@@ -348,15 +310,13 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
     matrix; reads the induced field map off the lines through e_0 + a e_1
     and matches it to a Frobenius exponent; the residual must fix every
     ideal class and becomes sigma.  Only composition equality is
-    guaranteed, not uniqueness of the triple.  f's array is rewritten into
-    sigma's: f is not to be used afterwards.
+    guaranteed, not uniqueness of the triple.  The array f is rewritten in
+    place into sigma's and returned as ``sigma``: pass a copy to keep f.
     """
     _check_context(G)
     F, n = G.field, G.n
     if n < 3:
         raise ValueError("decomposition by normalization requires n >= 3")
-    if f.n != n or f.field != F:
-        raise ValueError("automorphism context mismatch")
 
     P_acc = identity_matrix(n)
     for i in range(n):
@@ -409,7 +369,7 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
     table = _row_table(G, P, t)
     inverse = np.empty_like(table)
     inverse[table] = np.arange(len(table))
-    for lo, block in _map_rows(G, f.perm, inverse):
+    for lo, block in _map_rows(G, f, inverse):
         moved = G.vertex_class[block] != G.vertex_class[lo : lo + len(block)]
         if moved.any():
             v = lo + int(np.argmax(moved))
@@ -417,19 +377,20 @@ def decompose(G: RelationGraph, f: Automorphism) -> Decomposition:
                 f"residual moves vertex {v} across ideal classes; input is not "
                 "an automorphism (or an implementation fault)"
             )
-    return Decomposition(P=P, t=t, sigma=Automorphism(n, F, f.perm))
+    return Decomposition(P=P, t=t, sigma=f)
 
 
-def recompose(G: RelationGraph, dec: Decomposition) -> Automorphism:
+def recompose(G: RelationGraph, dec: Decomposition) -> np.ndarray:
     """sigma first, then the Frobenius power, then right multiplication:
-    the row table of (P, t) applied to sigma's images, in sigma's array."""
-    perm = dec.sigma.perm
-    for _ in _map_rows(G, perm, _row_table(G, dec.P, dec.t)):
+    the row table of (P, t) applied to sigma's images.  The array
+    ``dec.sigma`` is rewritten in place and returned as the composition:
+    pass a copy to keep sigma."""
+    for _ in _map_rows(G, dec.sigma, _row_table(G, dec.P, dec.t)):
         pass
-    return Automorphism(G.n, G.field, perm)
+    return dec.sigma
 
 
-def decompose_rank_classes(G: RelationGraph, f: Automorphism):
+def decompose_rank_classes(G: RelationGraph, f: np.ndarray):
     """Split an n = 2 automorphism into per-rank-class permutations."""
     _check_context(G)
     if G.n != 2:
@@ -440,14 +401,14 @@ def decompose_rank_classes(G: RelationGraph, f: Automorphism):
     assignment = {}
     for r in range(G.n + 1):
         verts = np.flatnonzero(ranks == r)
-        assignment[r] = {int(v): int(f.perm[v]) for v in verts if f.perm[v] != v}
+        assignment[r] = {int(v): int(f[v]) for v in verts if f[v] != v}
     return assignment
 
 
 # -- random sampling -------------------------------------------------------
 
 
-def _shuffle_within(G: RelationGraph, masks, rng) -> Automorphism:
+def _shuffle_within(G: RelationGraph, masks, rng) -> np.ndarray:
     """A random permutation inside each vertex group, given as a bool mask,
     identity elsewhere.
 
@@ -469,17 +430,17 @@ def _shuffle_within(G: RelationGraph, masks, rng) -> Automorphism:
                 j = getrandbits(k)
             items[i], items[j] = items[j], items[i]
         perm[mask] = members
-    return Automorphism(G.n, G.field, perm)
+    return perm
 
 
-def random_class_permutation(G: RelationGraph, rng) -> Automorphism:
+def random_class_permutation(G: RelationGraph, rng) -> np.ndarray:
     # Each class's mask is made as it is shuffled, so no member list of
     # every vertex is held (or cached on G).
     masks = (G.vertex_class == c for c in range(G.class_count))
     return _shuffle_within(G, masks, rng)
 
 
-def random_rank_class_permutation(G: RelationGraph, rng) -> Automorphism:
+def random_rank_class_permutation(G: RelationGraph, rng) -> np.ndarray:
     if G.n != 2:
         raise ValueError("rank class permutations require n = 2")
     ranks = np.array(G.class_rank)[G.vertex_class]

@@ -300,14 +300,13 @@ def cmd_aut(args) -> int:
         G = build_full_graph(F, args.n, directed=True, cap=args.cap)
         f = aut.recompose(G, aut.random_decomposition(G, args.seed))
         del G
-        _write_output(serialize.render_permutation(args.n, F, f.perm), args.out)
+        _write_output(serialize.render_permutation(args.n, F, f), args.out)
         return 0
 
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
 
     ring = (args.n, F)
-    perm = _parse_input(lambda data: serialize.parse_permutation(data, ring), args.perm, G.vertex_count)
-    f = aut.Automorphism(args.n, F, perm)
+    f = _parse_input(lambda data: serialize.parse_permutation(data, ring), args.perm, G.vertex_count)
 
     ok, witness = aut.verify(G, f)
     if not ok:
@@ -338,7 +337,7 @@ def cmd_aut_recompose(args) -> int:
     dec = _parse_input(parse, args.report, G.vertex_count)
     f = aut.recompose(G, dec)  # sigma's array becomes f's
     del G, dec  # neither is needed to render f
-    _write_output(serialize.render_permutation(args.n, F, f.perm), args.out)
+    _write_output(serialize.render_permutation(args.n, F, f), args.out)
     return 0
 
 

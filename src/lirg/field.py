@@ -226,9 +226,6 @@ class Field:
     def neg(self, a: int) -> int:
         return self.mul(self.p - 1, a)  # -1 has code p - 1
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         a, b = self.check(a), self.check(b)
         if not a or not b:

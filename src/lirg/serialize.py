@@ -29,7 +29,7 @@ from array import array
 
 import numpy as np
 
-from lirg.aut import Automorphism, Decomposition
+from lirg.aut import Decomposition
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import LeftIdeal
@@ -454,13 +454,13 @@ def parse_permutation(data, ring):
 # -- decompositions ----------------------------------------------------------
 
 
-def _class_cycles(G: RelationGraph, sigma: Automorphism):
+def _class_cycles(G: RelationGraph, perm):
     """(class, chunks of its cycles) per class with nontrivial action,
-    ascending by class, for a sigma that fixes every class.  The chunks
-    hold the class's cycles laid end to end, at most _RENDER_ROWS vertices
-    each: (vertices, where cycles open, where they close), a close being
-    the offset just past a cycle's last vertex.  A class's chunks are to be
-    read before the next class is asked for.
+    ascending by class, for a permutation perm that fixes every class.  The
+    chunks hold the class's cycles laid end to end, at most _RENDER_ROWS
+    vertices each: (vertices, where cycles open, where they close), a close
+    being the offset just past a cycle's last vertex.  A class's chunks are
+    to be read before the next class is asked for.
 
     Each cycle starts at its smallest vertex and the cycles ascend by it.
     ``key`` is a copy of the class index in which fixed points and walked
@@ -470,7 +470,7 @@ def _class_cycles(G: RelationGraph, sigma: Automorphism):
     """
     # memoryviews hand out Python ints one at a time and array("q") stores
     # them unboxed: no list of N int objects is ever held.
-    perm, N, C = sigma.perm, G.vertex_count, G.class_count
+    N, C = G.vertex_count, G.class_count
     succ = memoryview(perm)
     dtype = np.min_scalar_type(C)  # C itself fits: it is the mark
     key = bytearray(N * dtype.itemsize)
@@ -735,5 +735,4 @@ def parse_decomposition(G: RelationGraph, data) -> Decomposition:
             perm[prev] = first
     if listed.dtype != bool:
         raise ValueError(f"vertex {int(listed.argmax())} appears twice in the sigma cycles")
-    sigma = Automorphism(G.n, G.field, perm)
-    return Decomposition(P=P, t=t, sigma=sigma)
+    return Decomposition(P=P, t=t, sigma=perm)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lirg import aut
-from lirg.aut import Automorphism, right_mul_automorphism
+from lirg.aut import right_mul_automorphism
 from lirg.field import make_field
 from lirg.graph import build_full_graph
 from lirg.matrix import (
@@ -51,24 +51,17 @@ def from_coeffs(F, coeffs):
     return sum(int(c) % F.p * F.p**i for i, c in enumerate(coeffs))
 
 
-def copied(f):
-    """A copy of automorphism f: ``decompose`` and ``recompose`` rewrite
-    their input's array into their result's."""
-    return Automorphism(f.n, f.field, f.perm.copy())
-
-
 def random_triple(G, seed):
     """Seeded (P, t, sigma), drawn as ``aut sample`` draws them, and their
-    composition."""
+    composition; ``recompose`` rewrites its sigma, so sigma is a copy."""
     dec = aut.random_decomposition(G, seed)
-    sigma = copied(dec.sigma)
+    sigma = dec.sigma.copy()
     return dec.P, dec.t, sigma, aut.recompose(G, dec)
 
 
-def apply_matrix(f, X):
-    """The image of matrix X under the automorphism f."""
-    F = f.field
-    return vertex_decode(F, f.n, int(f.perm[vertex_encode(F, X)]))
+def apply_matrix(G, f, X):
+    """The image of matrix X under the automorphism f of G."""
+    return vertex_decode(G.field, G.n, int(f[vertex_encode(G.field, X)]))
 
 
 def brute_ideal_set(F, n, X, all_matrices=None):

@@ -9,7 +9,6 @@ import pytest
 from conftest import (
     adjacency,
     apply_matrix,
-    copied,
     enumerate_digraph_auts,
     exported_adjacency,
     exported_edges,
@@ -27,6 +26,7 @@ from lirg.matrix import (
     _span_codes,
     column_swap_matrix,
     enumerate_matrices,
+    first_row_matrix,
     identity_matrix,
     is_invertible,
     mat_inverse,
@@ -51,7 +51,7 @@ def test_right_mul_all_of_gl22(graphs):
             continue
         f = aut.right_mul_automorphism(G, P)
         assert aut.verify(G, f) == (True, None)
-        assert int(f.perm[0]) == 0  # zero matrix fixed
+        assert int(f[0]) == 0  # zero matrix fixed
         assert aut.preserves_rank(G, f)
 
 
@@ -63,10 +63,10 @@ def test_right_mul_matches_matrix_action(graphs):
         f = aut.right_mul_automorphism(G, P)
         for v, X in enumerate(enumerate_matrices(F, n, cap=None)):
             XP = mat_mul(F, X, P)
-            assert f(v) == vertex_encode(F, XP), (p, m, n, v)
-            assert apply_matrix(f, X) == XP
+            assert f[v] == vertex_encode(F, XP), (p, m, n, v)
+            assert apply_matrix(G, f, X) == XP
         undo = aut.right_mul_automorphism(G, mat_inverse(F, P))
-        assert aut.compose(undo, f) == aut.identity_automorphism(G)
+        assert np.array_equal(aut.compose(undo, f), aut.identity_automorphism(G))
 
 
 def test_right_mul_rejects_singular(graphs):
@@ -88,24 +88,24 @@ def test_frobenius_automorphism(graphs):
             image = [F.frobenius(a, t) for a in F.elements()]
             for v, X in enumerate(enumerate_matrices(F, n, cap=None)):
                 expected = tuple(tuple(image[a] for a in row) for row in X)
-                assert vertex_decode(F, n, f(v)) == expected, (p, m, n, t, v)
+                assert vertex_decode(F, n, int(f[v])) == expected, (p, m, n, t, v)
         with pytest.raises(ValueError):
             aut.frobenius_automorphism(G, m)
     G = graphs(2, 2, 2)
-    assert aut.frobenius_automorphism(G, 0) == aut.identity_automorphism(G)
+    assert np.array_equal(aut.frobenius_automorphism(G, 0), aut.identity_automorphism(G))
     assert aut.verify(G, aut.frobenius_automorphism(G, 1)) == (True, None)
 
 
 def test_prime_field_has_only_trivial_frobenius(graphs):
     G = graphs(2, 1, 2)
     assert F2.automorphism_exponents() == [0]
-    assert aut.frobenius_automorphism(G, 0) == aut.identity_automorphism(G)
+    assert np.array_equal(aut.frobenius_automorphism(G, 0), aut.identity_automorphism(G))
 
 
 def test_class_permutation(graphs):
     G = graphs(2, 1, 2)
     ident = aut.class_permutation_automorphism(G, {})
-    assert ident == aut.identity_automorphism(G)
+    assert np.array_equal(ident, aut.identity_automorphism(G))
     # swap two matrices sharing the row space span{(1, 0)}
     target = ideal_of(F2, ((1, 0), (0, 0)))
     c = G.class_ideals.index(target)
@@ -115,7 +115,7 @@ def test_class_permutation(graphs):
         G, {target: {verts[0]: verts[1], verts[1]: verts[0]}}
     )
     assert aut.verify(G, f) == (True, None)
-    assert aut.compose(f, f) == aut.identity_automorphism(G)
+    assert np.array_equal(aut.compose(f, f), aut.identity_automorphism(G))
 
 
 def test_class_permutation_rejects_wrong_class(graphs):
@@ -124,8 +124,9 @@ def test_class_permutation_rejects_wrong_class(graphs):
     with pytest.raises(ValueError, match="wrong class"):
         aut.class_permutation_automorphism(G, {target: {0: 0}})
     zero_ideal = ideal_of(F2, ((0, 0), (0, 0)))
-    assert aut.class_permutation_automorphism(G, {zero_ideal: {0: 0}}) == \
-        aut.identity_automorphism(G)
+    assert np.array_equal(
+        aut.class_permutation_automorphism(G, {zero_ideal: {0: 0}}), aut.identity_automorphism(G)
+    )
 
 
 def test_rank_class_permutation_mixes_row_spaces(graphs):
@@ -137,7 +138,7 @@ def test_rank_class_permutation_mixes_row_spaces(graphs):
     v = next(w for w in r1 if G.class_of(w) != G.class_of(u))
     f = aut.rank_class_automorphism(G, {1: {u: v, v: u}})
     assert aut.verify(G, f) == (True, None)
-    assert G.class_of(int(f.perm[u])) != G.class_of(u)
+    assert G.class_of(int(f[u])) != G.class_of(u)
 
 
 def test_rank_class_permutation_guards(graphs):
@@ -170,7 +171,7 @@ def test_shuffle_within_matches_random_shuffle(graphs):
             first, second = np.arange(size), np.arange(size, size + 5)
             masks = [np.isin(np.arange(G.vertex_count), verts) for verts in (first, second)]
             rng, ref = random.Random(seed), random.Random(seed)
-            perm = aut._shuffle_within(G, masks, rng).perm
+            perm = aut._shuffle_within(G, masks, rng)
             for verts in (first, second):
                 shuffled = verts.tolist()
                 ref.shuffle(shuffled)
@@ -190,9 +191,9 @@ def test_random_draws_unchanged(graphs):
         shuffled = verts.tolist()
         rng.shuffle(shuffled)
         expected[verts] = shuffled
-    assert np.array_equal(sigma.perm, expected)
+    assert np.array_equal(sigma, expected)
     phi, ups = aut.right_mul_automorphism(G, P), aut.frobenius_automorphism(G, t)
-    assert f == aut.compose(phi, aut.compose(ups, sigma))
+    assert np.array_equal(f, aut.compose(phi, aut.compose(ups, sigma)))
     # Rank classes of n = 2 are shuffled as lists too, rank 0 first.
     G = graphs(3, 1, 2)
     ranks = np.array(G.class_rank)[G.vertex_class]
@@ -203,14 +204,14 @@ def test_random_draws_unchanged(graphs):
             shuffled = np.flatnonzero(ranks == r).tolist()
             rng.shuffle(shuffled)
             expected[ranks == r] = shuffled
-        assert np.array_equal(aut.random_rank_class_permutation(G, random.Random(seed)).perm, expected)
+        assert np.array_equal(aut.random_rank_class_permutation(G, random.Random(seed)), expected)
 
 
 def test_compose_inverse_identity(graphs):
     G = graphs(2, 1, 2)
     f = random_right_mul(G, 5)
-    assert aut.compose(f, aut.inverse(f)) == aut.identity_automorphism(G)
-    assert aut.compose(aut.identity_automorphism(G), f) == f
+    assert np.array_equal(aut.compose(f, aut.inverse(f)), aut.identity_automorphism(G))
+    assert np.array_equal(aut.compose(aut.identity_automorphism(G), f), f)
 
 
 def test_right_mul_homomorphism_exhaustive(graphs):
@@ -220,7 +221,7 @@ def test_right_mul_homomorphism_exhaustive(graphs):
     cache = {P: aut.right_mul_automorphism(G, P) for P in gl}
     for P in gl:
         for Q in gl:
-            assert aut.compose(cache[P], cache[Q]) == cache[mat_mul(F2, Q, P)]
+            assert np.array_equal(aut.compose(cache[P], cache[Q]), cache[mat_mul(F2, Q, P)])
 
 
 def test_compose_context_mismatch(graphs):
@@ -243,13 +244,13 @@ def test_frobenius_commutation_with_right_mul():
         P_pre = tuple(tuple(F.frobenius(a, t_inv) for a in row) for row in P)
         lhs = aut.compose(aut.right_mul_automorphism(G, P), aut.frobenius_automorphism(G, t))
         rhs = aut.compose(aut.frobenius_automorphism(G, t), aut.right_mul_automorphism(G, P_pre))
-        assert lhs == rhs
+        assert np.array_equal(lhs, rhs)
 
 
 def _right_mul_by_digit_sums(G, P):
     """Oracle: X -> X P built on its own, the row map of P applied to each
     of the n rows by one digit sum over all vertices."""
-    return aut.Automorphism(G.n, G.field, _digit_sum(_span_codes(G.field, G.n, P), G.field.q**G.n, G.n))
+    return _digit_sum(_span_codes(G.field, G.n, P), G.field.q**G.n, G.n)
 
 
 def _frobenius_by_digit_sums(G, t):
@@ -260,7 +261,7 @@ def _frobenius_by_digit_sums(G, t):
     digits = np.arange(F.q, dtype=np.int64)[:, None] // powers % F.p
     unit_images = digits[[F.frobenius(int(u), t) for u in powers]]
     image = (digits @ unit_images % F.p) @ powers
-    return aut.Automorphism(G.n, F, _digit_sum(image, F.q, G.n * G.n))
+    return _digit_sum(image, F.q, G.n * G.n)
 
 
 @pytest.mark.parametrize("p, m, n", [(2, 1, 2), (2, 1, 3), (3, 1, 2), (3, 1, 3), (2, 2, 2), (2, 2, 3), (3, 2, 2)])
@@ -272,15 +273,15 @@ def test_row_table_matches_factor_composition(graphs, p, m, n):
     F = G.field
     for t in range(F.m):
         ups = _frobenius_by_digit_sums(G, t)
-        assert aut.frobenius_automorphism(G, t) == ups
+        assert np.array_equal(aut.frobenius_automorphism(G, t), ups)
         for seed in (1, 2, 3):
             rng = random.Random(seed)
             P = random_invertible(F, n, rng)
             sigma = aut.random_class_permutation(G, rng)
             phi = _right_mul_by_digit_sums(G, P)
-            assert aut.right_mul_automorphism(G, P) == phi
+            assert np.array_equal(aut.right_mul_automorphism(G, P), phi)
             expected = aut.compose(phi, aut.compose(ups, sigma))
-            assert aut.recompose(G, aut.Decomposition(P, t, copied(sigma))) == expected
+            assert np.array_equal(aut.recompose(G, aut.Decomposition(P, t, sigma.copy())), expected)
 
 
 # -- verification ------------------------------------------------------------
@@ -290,7 +291,7 @@ def test_verify_rejects_cross_rank_transposition(graphs):
     G = graphs(2, 1, 2)
     bad = np.arange(16, dtype=np.int64)
     bad[0], bad[1] = 1, 0  # zero matrix (out-degree 15) with a rank-1 vertex
-    ok, witness = aut.verify(G, aut.Automorphism(2, F2, bad))
+    ok, witness = aut.verify(G, bad)
     assert not ok and witness is not None
     u, v = witness
     edges = set(exported_edges(G))
@@ -300,9 +301,9 @@ def test_verify_rejects_cross_rank_transposition(graphs):
 def test_verify_rejects_non_bijection(graphs):
     G = graphs(2, 1, 2)
     with pytest.raises(ValueError, match="bijection"):
-        aut.verify(G, aut.Automorphism(2, F2, np.zeros(16, dtype=np.int64)))
+        aut.verify(G, np.zeros(16, dtype=np.int64))
     with pytest.raises(ValueError, match="length"):
-        aut.verify(G, aut.Automorphism(2, F2, np.arange(5)))
+        aut.verify(G, np.arange(5))
 
 
 def test_rank_preservation_of_verified_automorphisms(graphs):
@@ -325,7 +326,7 @@ def test_decompose_identity(graphs):
     dec = aut.decompose(G, aut.identity_automorphism(G))
     assert dec.P == identity_matrix(3)
     assert dec.t == 0
-    assert dec.sigma == aut.identity_automorphism(G)
+    assert np.array_equal(dec.sigma, aut.identity_automorphism(G))
 
 
 def test_decompose_requires_n_at_least_3(graphs):
@@ -337,9 +338,9 @@ def test_decompose_requires_n_at_least_3(graphs):
 def test_decompose_right_mul_swap(graphs):
     G = graphs(2, 1, 3)
     f = aut.right_mul_automorphism(G, column_swap_matrix(3, 0, 1))
-    dec = aut.decompose(G, copied(f))
+    dec = aut.decompose(G, f.copy())
     assert dec.t == 0
-    assert aut.recompose(G, dec) == f
+    assert np.array_equal(aut.recompose(G, dec), f)
 
 
 def test_decompose_roundtrip_n3_q2(graphs):
@@ -347,23 +348,39 @@ def test_decompose_roundtrip_n3_q2(graphs):
     for seed in range(1, 21):
         _, _, _, f = random_triple(G, seed)
         assert aut.verify(G, f) == (True, None)
-        dec = aut.decompose(G, copied(f))
-        assert aut.recompose(G, dec) == f
+        dec = aut.decompose(G, f.copy())
+        assert np.array_equal(aut.recompose(G, dec), f)
 
 
-def test_decompose_rejects_non_automorphism(graphs):
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (None, "rank-1 vertex has rank 0"),
+        (((1, 0, 1), (0, 1, 1)), "residual moves vertex"),
+        (((1, 1, 0), (1, 0, 1)), "outside the e0,e1 plane"),
+        (((1, 1, 1), (1, 0, 1)), "all-one line .* zero coordinate"),
+    ],
+    ids=["rank", "residual", "plane", "all-one"],
+)
+def test_decompose_rejects_non_automorphism(graphs, lines, message):
     G = graphs(2, 1, 3)
     bad = np.arange(512, dtype=np.int64)
-    bad[0], bad[1] = 1, 0  # swaps rank 0 with rank 1
-    with pytest.raises(aut.DecompositionError):
-        aut.decompose(G, aut.Automorphism(3, F2, bad))
+    if lines is None:
+        bad[0], bad[1] = 1, 0  # swaps rank 0 with rank 1
+    else:
+        # swaps the ideal classes of two lines, member i for member i
+        ca, cb = (G.class_ideals.index(ideal_of(F2, first_row_matrix(3, a))) for a in lines)
+        va, vb = G.class_vertices[ca], G.class_vertices[cb]
+        bad[va], bad[vb] = vb, va
+    with pytest.raises(aut.DecompositionError, match=message):
+        aut.decompose(G, bad)
 
 
 def test_decompose_sigma_fixes_classes(graphs):
     G = graphs(2, 1, 3)
     _, _, _, f = random_triple(G, 3)
     dec = aut.decompose(G, f)
-    assert np.array_equal(G.vertex_class[dec.sigma.perm], G.vertex_class)
+    assert np.array_equal(G.vertex_class[dec.sigma], G.vertex_class)
 
 
 def test_decompose_rank_classes(graphs):
@@ -373,10 +390,10 @@ def test_decompose_rank_classes(graphs):
     for seed in range(1, 6):
         f = random_right_mul(G, seed)
         assignment = aut.decompose_rank_classes(G, f)
-        assert aut.rank_class_automorphism(G, assignment) == f
+        assert np.array_equal(aut.rank_class_automorphism(G, assignment), f)
         rho = aut.random_rank_class_permutation(G, random.Random(seed))
         assignment = aut.decompose_rank_classes(G, rho)
-        assert aut.rank_class_automorphism(G, assignment) == rho
+        assert np.array_equal(aut.rank_class_automorphism(G, assignment), rho)
     G3 = graphs(2, 1, 3)
     with pytest.raises(ValueError, match="n = 2"):
         aut.decompose_rank_classes(G3, aut.identity_automorphism(G3))
@@ -492,6 +509,14 @@ def test_digraph_aut_order_against_enumeration():
     in_sets = [{1, 4}, {4}, {0}, {0, 5}, {2, 3}, {3}]
     assert aut.digraph_aut_order(adjacency(out_sets)) == 1
     assert len(enumerate_digraph_auts(out_sets, in_sets)) == 1
+    # undirected C6, C3, C3: a base point of the C6 sent into a C3 splits
+    # the cells into other sizes, so that branch is cut before any leaf
+    out_sets = [set() for _ in range(12)]
+    for cycle in ([0, 1, 2, 3, 4, 5], [6, 7, 8], [9, 10, 11]):
+        for i, u in enumerate(cycle):
+            out_sets[u] |= {cycle[i - 1], cycle[(i + 1) % len(cycle)]}
+    assert aut.digraph_aut_order(adjacency(out_sets)) == 864 == 12 * 6 * 6 * 2
+    assert len(enumerate_digraph_auts(out_sets, out_sets)) == 864
 
 
 def random_digraph(rng):

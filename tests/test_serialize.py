@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import copied, exported_edges, random_triple
+from conftest import exported_edges, random_triple
 from lirg import aut, serialize
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
@@ -127,9 +127,9 @@ def test_matrix_block_roundtrip():
 def test_permutation_roundtrip(graphs):
     G = graphs(2, 1, 3)
     _, _, _, f = random_triple(G, 5)
-    text = b"".join(serialize.render_permutation(3, F2, f.perm))
+    text = b"".join(serialize.render_permutation(3, F2, f))
     perm = serialize.parse_permutation(text, (3, F2))
-    assert np.array_equal(perm, f.perm)
+    assert np.array_equal(perm, f)
     assert b"".join(serialize.render_permutation(3, F2, perm)) == text
 
 
@@ -180,7 +180,7 @@ def test_rendered_length_is_exact(graphs, p, m, n):
     G = graphs(p, m, n, cap=None)
     P, t, sigma, f = random_triple(G, 1)
     for blocks in (
-        serialize.render_permutation(n, G.field, f.perm),
+        serialize.render_permutation(n, G.field, f),
         serialize.render_decomposition(G, aut.Decomposition(P, t, sigma)),
     ):
         assert len(blocks) == len(b"".join(blocks))
@@ -215,9 +215,8 @@ def test_class_cycles_match_oracle(monkeypatch, classes):
         members = np.flatnonzero(vertex_class == c)
         perm[members] = rng.permutation(members) if c % 3 else members[::-1]
     G = RelationGraph("full", True, 1, F2, tuple(range(classes)), vertex_class, None)
-    sigma = aut.Automorphism(1, F2, perm)
     got = []
-    for c, chunks in serialize._class_cycles(G, sigma):
+    for c, chunks in serialize._class_cycles(G, perm):
         cycles, closed = [], 0
         for verts, opens, closes in chunks:
             # A cycle closes where the next one opens or at the chunk's end.
@@ -254,14 +253,14 @@ def test_decomposition_roundtrip(graphs):
     G = graphs(2, 1, 3)
     for seed in (1, 4, 9):
         _, _, _, f = random_triple(G, seed)
-        dec = aut.decompose(G, copied(f))
+        dec = aut.decompose(G, f.copy())
         text = b"".join(serialize.render_decomposition(G, dec))
         parsed = serialize.parse_decomposition(G, text)
         assert parsed.P == dec.P
         assert parsed.t == dec.t
-        assert parsed.sigma == dec.sigma
+        assert np.array_equal(parsed.sigma, dec.sigma)
         assert b"".join(serialize.render_decomposition(G, parsed)) == text
-        assert aut.recompose(G, parsed) == f
+        assert np.array_equal(aut.recompose(G, parsed), f)
 
 
 def test_decomposition_rejects_foreign_context(graphs):
@@ -317,23 +316,31 @@ def test_permutation_blocks_parse_as_one(monkeypatch, block):
 
 def _sigma_outcome(G, data):
     dec = _outcome(lambda d: serialize.parse_decomposition(G, d), data)
-    return dec if isinstance(dec, str) else dec.sigma.perm.tolist()
+    return dec if isinstance(dec, str) else dec.sigma.tolist()
 
 
 def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
     # Pieces of 1, 5 or 64 bytes give what one piece of the whole line
-    # gives, for well-formed lines and refused ones alike.
+    # gives, for well-formed lines and refused ones alike; a line whose
+    # spacing alone is changed, to Unicode whitespace too, gives the
+    # unedited sigma.
     G = graphs(2, 1, 3)
     f = random_triple(G, 3)[3]
-    text = b"".join(serialize.render_decomposition(G, aut.decompose(G, copied(f))))
+    text = b"".join(serialize.render_decomposition(G, aut.decompose(G, f.copy())))
+    sigma = aut.decompose(G, f).sigma.tolist()
     big = max(text.split(b"\n"), key=len)
     head, cycles = big.split(b"cycles=")
     numbers = cycles.replace(b"(", b" ").replace(b")", b" ").split()
-    edits = [
+    spacings = [
         lambda c: c,
         lambda c: c.replace(b" ", b"\t  "),
         lambda c: c.replace(b" ", b"\r"),
-        lambda c: c.replace(b" ", " ".encode(), 7),
+        *(
+            lambda c, space=space: c.replace(b" ", space.encode(), 7)
+            for space in ["\u2003", "\u00a0", "\u3000", "\u0085", "\u2028"]
+        ),
+    ]
+    edits = [
         lambda c: c.replace(b")(", b")()("),
         lambda c: b"()" + c + b"()",
         lambda c: c.replace(b")(", b") ("),
@@ -342,14 +349,16 @@ def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
         lambda c: b"(" + c,
         lambda c: c.replace(b" " + numbers[10] + b" ", b" " + numbers[11] + b" "),
     ]
-    for edit in edits:
+    for edit in spacings + edits:
         data = text.replace(big, head + b"cycles=" + edit(cycles))
         outcomes = set()
         for window in [1, 5, 64, 1 << 20]:
             monkeypatch.setattr(serialize, "_PARSE_BYTES", window)
             outcomes.add(repr(_sigma_outcome(G, data)))
         assert len(outcomes) == 1, outcomes
-    assert _sigma_outcome(G, text) == aut.decompose(G, f).sigma.perm.tolist()
+        if edit in spacings:
+            assert outcomes == {repr(sigma)}
+    assert _sigma_outcome(G, text) == sigma
 
 
 def test_text_layer_traced_peaks(graphs):
@@ -360,7 +369,7 @@ def test_text_layer_traced_peaks(graphs):
     # with whole texts held they were 4.9, 2.3, 5.2 and 4.9 MB.
     G = graphs(2, 2, 3, cap=262144)
     f = random_triple(G, 1)[3]
-    dec = aut.decompose(G, copied(f))
+    dec = aut.decompose(G, f.copy())
 
     def peak_mb(fn, *args):
         tracemalloc.start()
@@ -374,9 +383,9 @@ def test_text_layer_traced_peaks(graphs):
     def read(blocks):
         return sum(map(len, blocks))
 
-    size, peak = peak_mb(lambda: read(serialize.render_permutation(3, F4, f.perm)))
+    size, peak = peak_mb(lambda: read(serialize.render_permutation(3, F4, f)))
     assert peak < 1.6
-    text = b"".join(serialize.render_permutation(3, F4, f.perm))
+    text = b"".join(serialize.render_permutation(3, F4, f))
     assert len(text) == size
     _, peak = peak_mb(serialize.parse_permutation, text, (3, F4))
     assert peak < 3.2
