@@ -28,6 +28,7 @@ containment matrix ``lt`` for the quotient and full graphs alike (see
 """
 
 import math
+import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -124,14 +125,18 @@ def frobenius_automorphism(G: RelationGraph, t: int) -> np.ndarray:
     return _digit_sum(_row_table(G, identity_matrix(G.n), t), G.field.q**G.n, G.n)
 
 
-def _perm_from_blocks(G: RelationGraph, blocks):
-    """Permutation acting inside the given vertex blocks, identity elsewhere.
+def _perm_within(G: RelationGraph, label_of, blocks):
+    """Permutation acting inside groups of vertices, identity elsewhere.
 
-    ``blocks`` yields (vertex array, mapping dict old -> new)."""
-    perm = np.arange(G.vertex_count, dtype=np.int64)
-    for verts, mapping in blocks:
-        vert_set = set(int(v) for v in verts)
-        if set(mapping) - vert_set or set(mapping.values()) - vert_set:
+    ``blocks`` lists (label, mapping dict old -> new); every vertex that a
+    mapping names must be a vertex whose ``label_of`` is the label."""
+    N = G.vertex_count
+    perm = np.arange(N, dtype=np.int64)
+    for label, mapping in blocks:
+        if not all(
+            isinstance(v, numbers.Integral) and 0 <= v < N and label_of(v) == label
+            for v in [*mapping, *mapping.values()]
+        ):
             raise ValueError("permutation leaves its block")
         if sorted(mapping) != sorted(mapping.values()):
             raise ValueError("block mapping is not a permutation")
@@ -148,18 +153,12 @@ def class_permutation_automorphism(G: RelationGraph, assignment) -> np.ndarray:
     """
     _check_context(G)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
-
-    def resolve(ideal):
+    for ideal in assignment:
         if ideal not in ideal_index:
             raise ValueError(f"unknown ideal class {ideal}")
-        return ideal_index[ideal]
-
-    blocks = [
-        (G.class_vertices[resolve(ideal)], mapping)
-        for ideal, mapping in assignment.items()
-    ]
+    blocks = [(ideal_index[ideal], mapping) for ideal, mapping in assignment.items()]
     try:
-        return _perm_from_blocks(G, blocks)
+        return _perm_within(G, G.class_of, blocks)
     except ValueError as exc:
         raise ValueError(f"vertex listed in wrong class: {exc}") from exc
 
@@ -173,18 +172,11 @@ def rank_class_automorphism(G: RelationGraph, assignment) -> np.ndarray:
     _check_context(G)
     if G.n != 2:
         raise ValueError("rank class permutations require n = 2")
-    rank_vertices = {}
-    for c in range(G.class_count):
-        rank_vertices.setdefault(G.class_rank[c], []).extend(
-            G.class_vertices[c].tolist()
-        )
-    blocks = []
-    for r, mapping in assignment.items():
-        if r not in rank_vertices:
+    for r in assignment:
+        if r not in range(G.n + 1):
             raise ValueError(f"no rank class {r}")
-        blocks.append((rank_vertices[r], mapping))
     try:
-        return _perm_from_blocks(G, blocks)
+        return _perm_within(G, G.rank_of_vertex, assignment.items())
     except ValueError as exc:
         raise ValueError(f"vertex listed in wrong rank class: {exc}") from exc
 

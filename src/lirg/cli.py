@@ -19,7 +19,7 @@ import tempfile
 from lirg import aut, counting, invariants, serialize
 from lirg.field import check_order, make_field
 from lirg.graph import build_full_graph, build_quotient_graph
-from lirg.matrix import DEFAULT_VERTEX_CAP, VertexCapExceeded, _check_vertex_cap
+from lirg.matrix import DEFAULT_VERTEX_CAP, _check_vertex_cap
 
 
 class UsageError(Exception):
@@ -403,11 +403,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except VertexCapExceeded as exc:
+    except (UsageError, ValueError, OSError) as exc:  # VertexCapExceeded too
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed.
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 2
 
 

@@ -5,19 +5,19 @@ edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, the graph is stored as
-an ideal-class structure: the class containment matrix ``lt``, the only
-form of the class relation, plus one narrow vertex -> class index.
+two arrays and nothing else: the class containment matrix ``lt``, the
+only form of the class relation, and one narrow vertex -> class index.
 Degrees and edge counts read rows and columns of ``lt`` weighted by the
-class sizes, which are counted from the index without sorting it.
-Member lists per class are built on demand; the one way edges leave a
-graph is ``serialize``, which streams them one source vertex at a time
-from the members of the classes in each class's row of ``lt`` (or row
-and column, undirected).  No query materializes the (possibly huge)
-edge set.
+class sizes, which are counted from the index without sorting it.  No
+member list of a class is kept: a reader finds members by comparing the
+index with a class, or by indexing a bool row of ``lt`` with it.  The one
+way edges leave a graph is ``serialize``, which streams them one source
+vertex at a time.  No query materializes the (possibly huge) edge set.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
-and containment between classes is read off the same spans.
+and containment between classes is read off the same spans, each made
+from its class's basis when it is needed and dropped after.
 """
 
 from dataclasses import dataclass
@@ -43,8 +43,12 @@ _COUNT_SLICE = 1 << 16
 def subspaces(F: Field, n: int):
     """All subspaces of F_q^n as canonical ideals, via RREF enumeration.
 
-    Ordered by (rank, basis row codes); one matrix in reduced row echelon
-    form per subspace.
+    One matrix in reduced row echelon form per subspace, ordered by rank,
+    then by basis: the tuple of RREF rows, each a tuple of element codes,
+    compared lexicographically from the first entry.  That is not row-code
+    order: over GF(3), n = 2, the rank-1 bases (0,1), (1,0), (1,1), (1,2)
+    have row codes 3, 1, 4, 7.  Every class index and class line follows
+    this order.
     """
     out = []
     for r in range(n + 1):
@@ -66,44 +70,39 @@ def subspaces(F: Field, n: int):
     return out
 
 
-def _class_spans(F: Field, n: int, ideals, min_rank: int = 0):
-    """Row codes of the span of every class of rank min_rank to n - 1, by
-    class index.  The rank-n class spans all of F_q^n."""
-    return {
-        c: _span_codes(F, n, ideal.basis)
-        for c, ideal in enumerate(ideals)
-        if min_rank <= ideal.rank < n
-    }
-
-
-def _assign_classes(q: int, n: int, ideals, spans):
+def _assign_classes(F: Field, n: int, ideals):
     """vertex -> class index array for all q^(n^2) vertices.
 
     The matrices whose rows all lie in span(B) are exactly the W·B, so
     each class writes its index onto the vertex codes of all W·B: the
-    n-fold outer sum of the span's row codes, row i shifted by q^(i*n).
-    The rank-n class, last in order, holds every matrix, so it is the fill
-    value, and the other classes are visited from highest rank down.
+    n-fold outer sum of the span's row codes, row i shifted by q^(i*n),
+    with the span made as its class is visited.  The rank-n class, last in
+    order, holds every matrix, so it is the fill value, and the other
+    classes are visited in descending index, so from highest rank down.
     Every other class that contains a vertex's row space has higher rank
     and is written earlier, so the last write to a vertex comes from its
     own row space.  The index has the narrowest unsigned type that holds
     the class count.
     """
-    top = len(ideals) - 1
+    q, top = F.q, len(ideals) - 1
     vertex_class = np.full(q ** (n * n), top, dtype=np.min_scalar_type(top))
-    for c in sorted(spans, key=lambda c: -ideals[c].rank):
-        vertex_class[_digit_sum(spans[c], q**n, n)] = c
+    for c in reversed(range(top)):
+        vertex_class[_digit_sum(_span_codes(F, n, ideals[c].basis), q**n, n)] = c
     return vertex_class
 
 
-def _containment_matrix(q: int, n: int, ideals, spans):
+def _containment_matrix(F: Field, n: int, ideals):
     """lt[a, b]: rank a < rank b and every basis row of a lies in span(b).
 
     Rank decides every pair but those with 2 <= rank b < n: a class of
     rank 1 contains only the zero class below it, and the rank-n class
-    contains every class.  Those columns come from one membership test of
-    all basis row codes in span(b).
+    contains every class.  For those columns b, span(b) is made and marked
+    in one bool table over the q^n row codes, which every class of lower
+    rank (a prefix, since classes ascend by rank) reads its basis row
+    codes through; the marks are cleared for the next b.  No such b exists
+    for n <= 2, where the table could be huge, so none is then made.
     """
+    q = F.q
     ranks = np.array([ideal.rank for ideal in ideals])
     rows = np.zeros((len(ideals), n), dtype=np.int64)  # padded with the zero row
     for a, ideal in enumerate(ideals):
@@ -111,9 +110,14 @@ def _containment_matrix(q: int, n: int, ideals, spans):
             sum(x * q**j for j, x in enumerate(row)) for row in ideal.basis
         ]
     lt = ranks[:, None] < ranks[None, :]
-    for b, span in spans.items():
-        if ranks[b] >= 2:
-            lt[:, b] &= np.isin(rows, span).all(axis=1)
+    middle = np.flatnonzero((ranks >= 2) & (ranks < n))
+    inside = np.zeros(q**n, dtype=bool) if len(middle) else None
+    for b in middle:
+        below, span = np.searchsorted(ranks, ranks[b]), _span_codes(F, n, ideals[b].basis)
+        inside[span] = True
+        # A class of lower rank has at most rank b - 1 basis rows.
+        lt[:below, b] = inside[rows[:below, : ranks[b] - 1]].all(axis=1)
+        inside[span] = False
     return lt
 
 
@@ -160,14 +164,6 @@ class RelationGraph:
                 return start + int(np.argmax(hits))
         raise ValueError(f"class {c} has no member")
 
-    @cached_property
-    def class_vertices(self):
-        """Member vertices of each class, ascending: views of one stable
-        argsort, which numpy runs as a radix sort on 16-bit or narrower
-        keys."""
-        order = np.argsort(self.vertex_class, kind="stable")
-        return tuple(np.split(order, np.cumsum(self.fiber_sizes)[:-1]))
-
     # -- vertex queries ---------------------------------------------------
 
     def class_of(self, v: int) -> int:
@@ -186,11 +182,6 @@ class RelationGraph:
         d_i, d_o = int(fib[self.lt[:, c]].sum()), int(fib[self.lt[c]].sum())
         return (d_i, d_o) if self.directed else d_i + d_o
 
-    def _members(self, classes) -> np.ndarray:
-        """Sorted member vertices of the given classes."""
-        parts = [self.class_vertices[d] for d in classes]
-        return np.sort(np.concatenate([np.empty(0, np.int64), *parts]))
-
     def edge_count(self) -> int:
         """Directed edge count; the undirected graph has the same number of
         (unordered) edges because containment between distinct classes is
@@ -207,15 +198,14 @@ def build_full_graph(
     """Relation graph on all matrices, bucketed by canonical ideal."""
     _check_vertex_cap(F.p, F.m, n, cap)
     ideals = tuple(subspaces(F, n))
-    spans = _class_spans(F, n, ideals)
     return RelationGraph(
         kind="full",
         directed=directed,
         n=n,
         field=F,
         class_ideals=ideals,
-        vertex_class=_assign_classes(F.q, n, ideals, spans),
-        lt=_containment_matrix(F.q, n, ideals, spans),
+        vertex_class=_assign_classes(F, n, ideals),
+        lt=_containment_matrix(F, n, ideals),
     )
 
 
@@ -245,5 +235,5 @@ def build_quotient_graph(
         field=F,
         class_ideals=ideals,
         vertex_class=np.arange(count, dtype=np.int64),
-        lt=_containment_matrix(F.q, n, ideals, _class_spans(F, n, ideals, 2)),
+        lt=_containment_matrix(F, n, ideals),
     )

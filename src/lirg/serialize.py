@@ -72,21 +72,23 @@ def parse_field_tokens(parts, ring):
 
 
 def _vertex_names(G: RelationGraph):
-    """The decimal name of every vertex, made class by class.  A target list
-    is whole classes' members, so made this way their names lie together in
-    memory and are read in order; with names made in vertex order, streaming
-    the edges of ``--n 4 --p 2`` took 10-25% more CPU time."""
+    """The decimal name of every vertex, made class by class, in the order
+    of one stable argsort of the class index, which numpy runs as a radix
+    sort on 16-bit or narrower keys.  A target list is whole classes'
+    members, so made this way their names lie together in memory and are
+    read in order; with names made in vertex order, streaming the edges of
+    ``--n 4 --p 2`` took 10-25% more CPU time."""
     names = [None] * G.vertex_count
-    for members in G.class_vertices:
-        for v in memoryview(members):
-            names[v] = str(v)
+    for v in memoryview(np.argsort(G.vertex_class, kind="stable")):
+        names[v] = str(v)
     return names
 
 
 def _class_targets(G: RelationGraph, names):
     """Per class, its sorted edge targets as references into ``names``: the
     vertices of the classes in its row of ``lt`` when directed, in its row
-    or column when undirected.  Classes related to the same classes share
+    or column when undirected, found by indexing that bool row with the
+    class index.  Classes related to the same classes share
     one list (every rank n-1 class of a digraph has only the top class
     above it), and each list's integer targets are dropped once it is
     built.  Undirected graphs also get ``cut``: cut[u] counts the targets
@@ -97,15 +99,15 @@ def _class_targets(G: RelationGraph, names):
     shared = {}  # one list per distinct set of related classes
     targets = []
     for c in range(G.class_count):
-        rel = np.flatnonzero(G.lt[c] if G.directed else G.lt[c] | G.lt[:, c])
-        key = rel.tobytes()
+        related = G.lt[c] if G.directed else G.lt[c] | G.lt[:, c]
+        key = np.flatnonzero(related).tobytes()  # a bool row is C bytes
         fresh = key not in shared
         if fresh or cut is not None:
-            members = G._members(rel)
+            members = np.flatnonzero(related[G.vertex_class])
         if fresh:
             shared[key] = [names[v] for v in members.tolist()]
         if cut is not None:
-            own = G.class_vertices[c]
+            own = np.flatnonzero(G.vertex_class == c)
             cut[own] = np.searchsorted(members, own, side="right")
         targets.append(shared[key])
     return targets, cut if cut is None else memoryview(cut)
@@ -531,7 +533,7 @@ def _class_cycles(G: RelationGraph, perm):
 
 
 def _cycle_text(verts, opens, closes, limbs: int):
-    """'(a b c)(d e' for a chunk of ``_cycle_chunks``."""
+    """'(a b c)(d e' for a chunk of ``_class_cycles``."""
     width = 4 * limbs
     # One row per vertex: "(" or " ", the zero-padded number, then ")"
     # kept only at a cycle's end.

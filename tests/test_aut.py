@@ -20,7 +20,7 @@ from lirg import aut
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
 from lirg.graph import build_full_graph
-from lirg.ideal import ideal_of
+from lirg.ideal import LeftIdeal, ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
@@ -109,7 +109,7 @@ def test_class_permutation(graphs):
     # swap two matrices sharing the row space span{(1, 0)}
     target = ideal_of(F2, ((1, 0), (0, 0)))
     c = G.class_ideals.index(target)
-    verts = [int(v) for v in G.class_vertices[c]]
+    verts = np.flatnonzero(G.vertex_class == c).tolist()
     assert len(verts) == 3
     f = aut.class_permutation_automorphism(
         G, {target: {verts[0]: verts[1], verts[1]: verts[0]}}
@@ -123,6 +123,19 @@ def test_class_permutation_rejects_wrong_class(graphs):
     target = ideal_of(F2, ((1, 0), (0, 0)))
     with pytest.raises(ValueError, match="wrong class"):
         aut.class_permutation_automorphism(G, {target: {0: 0}})
+    # target's members are 1, 4 and 5
+    for mapping, message in [
+        ({1: 4}, "block mapping is not a permutation"),
+        ({99: 99}, "permutation leaves its block"),
+        ({-1: -1}, "permutation leaves its block"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            aut.class_permutation_automorphism(G, {target: mapping})
+        assert str(exc.value) == f"vertex listed in wrong class: {message}"
+    not_canonical = LeftIdeal(2, ((1, 1), (1, 0)))
+    with pytest.raises(ValueError) as exc:
+        aut.class_permutation_automorphism(G, {not_canonical: {}})
+    assert str(exc.value) == f"unknown ideal class {not_canonical}"
     zero_ideal = ideal_of(F2, ((0, 0), (0, 0)))
     assert np.array_equal(
         aut.class_permutation_automorphism(G, {zero_ideal: {0: 0}}), aut.identity_automorphism(G)
@@ -148,6 +161,12 @@ def test_rank_class_permutation_guards(graphs):
     G = graphs(2, 1, 2)
     with pytest.raises(ValueError, match="wrong rank class"):
         aut.rank_class_automorphism(G, {1: {0: 0}})
+    with pytest.raises(ValueError) as exc:
+        aut.rank_class_automorphism(G, {5: {}})
+    assert str(exc.value) == "no rank class 5"
+    with pytest.raises(ValueError) as exc:
+        aut.rank_class_automorphism(G, {1: {1: 4}})
+    assert str(exc.value) == "vertex listed in wrong rank class: block mapping is not a permutation"
 
 
 def test_sampled_rank_class_permutations_verify(graphs):
@@ -187,7 +206,7 @@ def test_random_draws_unchanged(graphs):
     rng = random.Random(11)
     assert random_invertible(G.field, G.n, rng) == P and rng.randrange(G.field.m) == t
     expected = np.arange(G.vertex_count)
-    for verts in G.class_vertices:
+    for verts in (np.flatnonzero(G.vertex_class == c) for c in range(G.class_count)):
         shuffled = verts.tolist()
         rng.shuffle(shuffled)
         expected[verts] = shuffled
@@ -370,7 +389,7 @@ def test_decompose_rejects_non_automorphism(graphs, lines, message):
     else:
         # swaps the ideal classes of two lines, member i for member i
         ca, cb = (G.class_ideals.index(ideal_of(F2, first_row_matrix(3, a))) for a in lines)
-        va, vb = G.class_vertices[ca], G.class_vertices[cb]
+        va, vb = (np.flatnonzero(G.vertex_class == c) for c in (ca, cb))
         bad[va], bad[vb] = vb, va
     with pytest.raises(aut.DecompositionError, match=message):
         aut.decompose(G, bad)

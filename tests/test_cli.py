@@ -308,6 +308,31 @@ def test_build_graph_quotient(capsys):
     assert "vertices=5" in out.splitlines()[0]
 
 
+def test_build_graph_quotient_huge_field_n1(capsys):
+    # q = 2^81: the quotient of M_1 is {0} < F_q, with no middle rank whose
+    # span would need a table of q^n entries.
+    code, out, _ = run(capsys, "build-graph", "--quotient", "--n", "1", "--p", "2", "--m", "81")
+    modulus = ",".join(["1"] + ["0"] * 76 + ["1", "0", "0", "0", "1"])
+    assert (code, out) == (
+        0,
+        f"graph kind=quotient n=1 p=2 m=81 modulus={modulus} directed=1 vertices=2 edges=1\n0 1\n",
+    )
+
+
+def test_memory_error_is_one_error_line(capsys, monkeypatch):
+    # A build that numpy cannot allocate ends as a usage error, not a
+    # traceback.
+    import lirg.cli as cli
+
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB for an array with shape (99992, 99992)")
+
+    monkeypatch.setattr(cli, "build_quotient_graph", too_big)
+    code, out, err = run(capsys, "build-graph", "--quotient", "--n", "2", "--p", "99989")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 9.31 GiB for an array with shape (99992, 99992)\n"
+
+
 def test_invariants_match(capsys):
     code, out, _ = run(capsys, "invariants", "--n", "2", "--p", "2")
     assert code == 0

@@ -343,7 +343,6 @@ def test_compute_report_builds_no_member_lists():
     # the first full-rank vertex: the anti-diagonal has the lowest high digits
     anti_diagonal = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
     assert rep.odd_degree_witness == vertex_encode(F5, anti_diagonal)
-    assert "class_vertices" not in G.__dict__
 
 
 def test_compute_report_coherence():
