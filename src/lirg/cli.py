@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -139,9 +140,10 @@ def _write_output(chunks, out_path):
     """Write a string, or an iterable of string chunks or of byte blocks,
     in order, each chunk as it is made.
 
-    With a path the chunks go to a temp file that replaces the path only
-    once every chunk is written, so a failure leaves the old file intact;
-    without one they go to stdout.  Byte blocks go to the binary stream;
+    A regular file (a symlink's target) is replaced by a temp file, with its
+    mode, once every chunk is written, so a failure leaves it intact; any
+    other path that exists, such as a FIFO, is written in place; without a
+    path the chunks go to stdout.  Byte blocks go to the binary stream;
     strings through the text layer, which writes an ASCII string without an
     encoded copy.
     """
@@ -154,12 +156,24 @@ def _write_output(chunks, out_path):
             sys.stdout.flush()  # the bytes follow anything written as text
         (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lirg-")
+    open_out = lambda file: open(file, "wb") if binary else open(file, "w", newline="\n")
+    target = os.path.realpath(out_path)
     try:
-        with os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", newline="\n") as fh:
+        mode = os.stat(target).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
+        with open_out(target) as fh:
             fh.writelines(chunks)
-        os.replace(tmp, out_path)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".lirg-")
+    try:
+        with open_out(fd) as fh:
+            os.fchmod(fd, stat.S_IMODE(mode))
+            fh.writelines(chunks)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -4,14 +4,13 @@ Vertices of the full graph are all q^(n^2) matrices; there is a directed
 edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
-holds.  Since adjacency depends only on row spaces, the graph is stored as
-two arrays and nothing else: the class containment matrix ``lt``, the
-only form of the class relation, and one narrow vertex -> class index.
-Degrees and edge counts read rows and columns of ``lt`` weighted by the
-class sizes, which are counted from the index without sorting it.  No
-member list of a class is kept: a reader finds members by comparing the
-index with a class, or by indexing a bool row of ``lt`` with it.  The one
-way edges leave a graph is ``serialize``, which streams them one source
+holds.  Since adjacency depends only on row spaces, a graph is the class
+containment matrix ``lt``, the only form of the class relation, and the
+class sizes, closed forms that degrees and invariants weight ``lt`` by.
+The one array per vertex, a narrow vertex -> class index, is made on
+first read.  No member list of a class is kept: a reader compares the
+index with a class, or indexes a bool row of ``lt`` with it.  The one way
+edges leave a graph is ``serialize``, which streams them one source
 vertex at a time.  No query materializes the (possibly huge) edge set.
 
 Class assignment generates each class's members as the matrices W·B
@@ -26,7 +25,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from lirg.counting import gaussian_binomial
+from lirg.counting import fiber_size, gaussian_binomial
 from lirg.field import Field
 from lirg.ideal import LeftIdeal
 from lirg.matrix import (
@@ -37,7 +36,23 @@ from lirg.matrix import (
     _span_codes,
 )
 
-_COUNT_SLICE = 1 << 16
+# The most ideal classes a full graph is built with.  Invariants multiply
+# C x C float32 matrices: the largest ring accepted, M_2(F_4493) with
+# C = 4,496, takes ~9 s and ~620 MB.
+CLASS_BOUND = 4_500
+
+
+def _subspace_count(q: int, n: int, bound: int | None, limit: str) -> int:
+    """Number of subspaces of F_q^n, refused (``limit`` names the bound) at
+    the first rank whose running sum passes ``bound``, before the huge middle
+    Gaussian binomials of a large n.  Rank 1 alone has at least 2^(n-1)
+    subspaces, so an n past the bound's bit length is refused at once."""
+    count = 0
+    for r in range(n + 1):
+        count += gaussian_binomial(n, r, q)
+        if bound is not None and (n > bound.bit_length() or count > bound):
+            raise VertexCapExceeded(f"subspace count of F_{q}^{n} exceeds {limit} {bound}")
+    return count
 
 
 def subspaces(F: Field, n: int):
@@ -130,12 +145,12 @@ class RelationGraph:
     n: int
     field: Field
     class_ideals: tuple
-    vertex_class: np.ndarray  # narrowest unsigned type for full graphs
+    fiber_sizes: tuple  # vertices per class, exact ints
     lt: np.ndarray  # lt[c, d]: class c properly contained in class d
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertex_class)
+        return sum(self.fiber_sizes)
 
     @property
     def class_count(self) -> int:
@@ -146,23 +161,12 @@ class RelationGraph:
         return tuple(ideal.rank for ideal in self.class_ideals)
 
     @cached_property
-    def fiber_sizes(self):
-        # Counted in fixed slices: one bincount would copy the whole index
-        # to intp first.
-        counts = np.zeros(self.class_count, dtype=np.int64)
-        for start in range(0, self.vertex_count, _COUNT_SLICE):
-            part = self.vertex_class[start : start + _COUNT_SLICE]
-            counts += np.bincount(part, minlength=self.class_count)
-        return tuple(counts.tolist())
-
-    def first_member(self, c: int) -> int:
-        """The smallest vertex of class c, found in fixed slices: comparing
-        the whole index at once would make an N-byte mask."""
-        for start in range(0, self.vertex_count, _COUNT_SLICE):
-            hits = self.vertex_class[start : start + _COUNT_SLICE] == c
-            if hits.any():
-                return start + int(np.argmax(hits))
-        raise ValueError(f"class {c} has no member")
+    def vertex_class(self) -> np.ndarray:
+        """vertex -> class index: the narrowest unsigned type over a full
+        graph's q^(n^2) vertices, the identity on a quotient's classes."""
+        if self.kind == "quotient":
+            return np.arange(self.class_count, dtype=np.int64)
+        return _assign_classes(self.field, self.n, self.class_ideals)
 
     # -- vertex queries ---------------------------------------------------
 
@@ -195,8 +199,10 @@ class RelationGraph:
 def build_full_graph(
     F: Field, n: int, directed: bool = True, cap: int | None = DEFAULT_VERTEX_CAP
 ) -> RelationGraph:
-    """Relation graph on all matrices, bucketed by canonical ideal."""
+    """Relation graph on all matrices, bucketed by canonical ideal; refused
+    above ``cap`` vertices or CLASS_BOUND classes."""
     _check_vertex_cap(F.p, F.m, n, cap)
+    _subspace_count(F.q, n, CLASS_BOUND, "the class bound")
     ideals = tuple(subspaces(F, n))
     return RelationGraph(
         kind="full",
@@ -204,7 +210,7 @@ def build_full_graph(
         n=n,
         field=F,
         class_ideals=ideals,
-        vertex_class=_assign_classes(F, n, ideals),
+        fiber_sizes=tuple(fiber_size(n, ideal.rank, F.q) for ideal in ideals),
         lt=_containment_matrix(F, n, ideals),
     )
 
@@ -212,20 +218,9 @@ def build_full_graph(
 def build_quotient_graph(
     F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP, directed: bool = True
 ) -> RelationGraph:
-    """Graph on ideal classes themselves: the subspace lattice of F_q^n.
-
-    The subspace count is summed rank by rank and refused at the first rank
-    that passes ``cap``, before the huge middle Gaussian binomials of a
-    large n.  Rank 1 alone has at least 2^(n-1) subspaces, so an n beyond
-    the bit length of cap is refused before any power of q is formed.
-    """
-    count = 0
-    for r in range(n + 1):
-        count += gaussian_binomial(n, r, F.q)
-        if cap is not None and (n > cap.bit_length() or count > cap):
-            raise VertexCapExceeded(
-                f"subspace count of F_{F.q}^{n} exceeds the vertex cap {cap}"
-            )
+    """Graph on ideal classes themselves: the subspace lattice of F_q^n,
+    refused above ``cap`` subspaces (see ``_subspace_count``)."""
+    count = _subspace_count(F.q, n, cap, "the vertex cap")
     ideals = tuple(subspaces(F, n))
     assert len(ideals) == count
     return RelationGraph(
@@ -234,6 +229,6 @@ def build_quotient_graph(
         n=n,
         field=F,
         class_ideals=ideals,
-        vertex_class=np.arange(count, dtype=np.int64),
+        fiber_sizes=(1,) * count,
         lt=_containment_matrix(F, n, ideals),
     )

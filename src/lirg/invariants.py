@@ -166,15 +166,13 @@ def metric(G: RelationGraph):
 def domination_number(G: RelationGraph) -> int:
     """Always 1: the zero matrix is adjacent to every other vertex.
 
-    Verified structurally (the zero class sits below every other class)
-    rather than by search.
+    Verified structurally (the zero class, class 0, sits below every other
+    class) rather than by search.
     """
     _require_full(G)
-    zero_class = G.class_of(0)
-    if G.class_rank[zero_class] != 0:
-        raise AssertionError("vertex 0 is not the zero matrix")
-    others = np.arange(G.class_count) != zero_class
-    if not np.array_equal(G.lt[zero_class] | G.lt[:, zero_class], others):
+    if G.class_rank[0] != 0:
+        raise AssertionError("class 0 is not the zero class")
+    if not G.lt[0, 1:].all():
         raise AssertionError("zero matrix fails to dominate")
     return 1
 
@@ -199,10 +197,11 @@ def _reduced_clique_number(G: RelationGraph) -> int:
     return _longest_chain(G.lt[np.ix_(reps, reps)])
 
 
-def strong_metric_dimension(G: RelationGraph) -> int:
-    """|V| minus the clique number of the reduced graph; needs diameter 2."""
+def strong_metric_dimension(G: RelationGraph, diameter=None) -> int:
+    """|V| minus the clique number of the reduced graph; needs diameter 2,
+    computed unless given."""
     _require_full(G)
-    diameter, _, _ = metric(G)
+    diameter = metric(G)[0] if diameter is None else diameter
     if diameter != 2:
         raise ValueError(
             f"strong metric dimension formula requires diameter 2, got {diameter}"
@@ -213,29 +212,19 @@ def strong_metric_dimension(G: RelationGraph) -> int:
 def eulerian_check(G: RelationGraph):
     """(False, odd-degree witness vertex): the graph is never Eulerian.
 
-    For even q the zero matrix has odd degree q^(n^2) - 1; for odd q any
-    full-rank vertex has odd degree q^(n^2) - |GL(n, q)|.  The parity of
-    the witness is checked exactly, and Eulerian-ness itself is decided
-    from all class degrees.
+    For even q the zero matrix has odd degree q^(n^2) - 1; for odd q each
+    full-rank vertex has odd degree q^(n^2) - |GL(n, q)|, and the first is
+    the anti-diagonal, since a vertex code's last row holds its top digits.
+    Eulerian-ness itself is decided from the parities of all class degrees.
     """
     _require_full(G)
-    degrees = ((G.lt | G.lt.T) @ np.array(G.fiber_sizes)).tolist()
-    eulerian = all(d % 2 == 0 for d in degrees)
-    if eulerian:
+    odd = ((G.lt | G.lt.T) @ [f % 2 for f in G.fiber_sizes] % 2).tolist()
+    if not any(odd):
         return True, None
-    q = G.field.q
-    if q % 2 == 0:
-        witness = 0  # the zero matrix
-    else:
-        full_rank = max(range(G.class_count), key=lambda c: G.class_rank[c])
-        witness = G.first_member(full_rank)
-    wc = G.class_of(witness)
-    if degrees[wc] % 2 == 0:
-        # fall back to any odd-degree vertex
-        wc = next(c for c in range(G.class_count) if degrees[c] % 2 == 1)
-        witness = G.first_member(wc)
-    assert degrees[wc] % 2 == 1
-    return False, witness
+    even = G.field.q % 2 == 0
+    assert odd[0 if even else -1]  # the witness's class, of rank 0 or n
+    # the zero matrix, or the anti-diagonal: the identity's rows reversed
+    return False, 0 if even else vertex_encode(G.field, rank_marker(G.n, G.n)[::-1])
 
 
 def k33_witness(F: Field, n: int):
@@ -276,7 +265,7 @@ def compute_report(G: RelationGraph) -> InvariantReport:
     g = girth(G)
     diameter, radius, ecc = metric(G)
     gamma = domination_number(G)
-    sdim = G.vertex_count - _reduced_clique_number(G) if diameter == 2 else None
+    sdim = strong_metric_dimension(G, diameter) if diameter == 2 else None
     eulerian, witness = eulerian_check(G)
     planarity = None
     if n >= 2:

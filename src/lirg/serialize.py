@@ -200,8 +200,9 @@ def dot_chunks(G: RelationGraph):
 
 
 def graph_chunks(G: RelationGraph, fmt: str):
-    """Byte chunks of G in ``fmt`` ('edges' or 'dot'); an unknown format
-    raises here, before any chunk is produced."""
+    """Byte chunks of G in ``fmt`` ('edges' or 'dot'); an unknown format, or
+    a vertex index that cannot be made, raises here, before any chunk."""
+    G.vertex_class
     if fmt == "edges":
         return edge_list_chunks(G)
     if fmt == "dot":

@@ -5,8 +5,10 @@ import hashlib
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -14,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import lirg
-from lirg import serialize
+from lirg import graph, serialize
 from lirg.cli import INPUT_SLACK, UsageError, _printable_table, _read_input, _write_output, main
 from lirg.field import PRIME_LIMIT, Field, make_field
 
@@ -103,6 +105,25 @@ def test_oversized_ring_refused_before_modulus_search(capsys, argv, message):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        ("invariants --n 20 --p 2 --cap 1" + "0" * 200, 20),
+        ("aut sample --n 20 --p 2 --cap 1" + "0" * 200, 20),
+        ("build-graph --n 12 --p 2 --cap 1" + "0" * 60, 12),
+    ],
+    ids=["invariants", "aut-sample", "build-graph"],
+)
+def test_class_bound_refused_before_enumeration(capsys, argv, n):
+    """A cap raised past q^(n^2) leaves the class bound, checked before
+    any subspace is enumerated; enumerating these did not end in 10 s."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv.split())
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == f"error: subspace count of F_2^{n} exceeds the class bound {graph.CLASS_BOUND}\n"
 
 
 @pytest.mark.parametrize(
@@ -333,6 +354,18 @@ def test_memory_error_is_one_error_line(capsys, monkeypatch):
     assert err == "error: out of memory: Unable to allocate 9.31 GiB for an array with shape (99992, 99992)\n"
 
 
+@pytest.mark.parametrize("fmt", ["edges", "dot"])
+def test_vertex_index_failure_writes_nothing(capsys, monkeypatch, fmt):
+    # The export makes the vertex index before its first byte.
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 81 B")
+
+    monkeypatch.setattr(graph, "_assign_classes", too_big)
+    code, out, err = run(capsys, "build-graph", "--n", "2", "--p", "3", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 81 B\n"
+
+
 def test_invariants_match(capsys):
     code, out, _ = run(capsys, "invariants", "--n", "2", "--p", "2")
     assert code == 0
@@ -432,6 +465,31 @@ def test_invariants_bytes_pinned_16_bit_class_index(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a1555ecb1ad506084f0bf33a2ad67533b9c7c050d3a38735e8846dddd19dfb5c"
     )
+
+
+def test_invariants_make_no_vertex_index(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("invariants made the vertex index")
+
+    monkeypatch.setattr(graph, "_assign_classes", refuse)
+    # the classify benchmark's command, and its bytes pinned above
+    code, out, _ = run(
+        capsys, "invariants", "--n", "3", "--p", "5", "--cap", "2000000", "--format", "json-kv"
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "184bb505ead244c54b1600170ec0d1a91eaa4715502522bbca10eb6e32396b25"
+    )
+
+
+@pytest.mark.parametrize(
+    "ring", ["--n 4 --p 5 --cap 1000000000000", "--n 2 --p 1009 --cap 10000000000000"]
+)
+def test_invariants_beyond_any_vertex_index(capsys, ring):
+    # 5^16 and 1009^4 vertices, about 1.5e11 and 1.0e12: no index fits.
+    code, out, _ = run(capsys, "invariants", *ring.split())
+    assert code == 0
+    assert [line.split()[-1] for line in out.splitlines()[2:10]] == ["match"] * 8
 
 
 def test_invariants_mismatch_trips_exit_code(capsys, monkeypatch):
@@ -894,3 +952,41 @@ def test_failed_stream_keeps_old_output(tmp_path):
         _write_output(chunks(), str(out))
     assert out.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["graph.txt"]
+
+
+def test_out_writes_into_a_fifo(capsys, tmp_path):
+    fifo = tmp_path / "graph.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, _, _ = run(capsys, "build-graph", "--n", "2", "--p", "2", "--out", str(fifo))
+    reader.join(timeout=10)
+    assert code == 0 and not reader.is_alive()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.fifo"]
+    _, out, _ = run(capsys, "build-graph", "--n", "2", "--p", "2")
+    assert got == [out.encode()]
+
+
+def test_out_through_a_symlink_replaces_its_target(capsys, tmp_path):
+    target, link = tmp_path / "info.txt", tmp_path / "link.txt"
+    target.write_bytes(b"old bytes\n")
+    link.symlink_to(target)
+    code, _, _ = run(capsys, "ring-info", "--n", "2", "--p", "2", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    _, out, _ = run(capsys, "ring-info", "--n", "2", "--p", "2")
+    assert target.read_text() == out
+
+
+def test_out_keeps_the_mode_of_the_file_it_replaces(capsys, tmp_path):
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_bytes(b"old bytes\n")
+    kept.chmod(0o640)
+    for path in (kept, new):
+        assert run(capsys, "ring-info", "--n", "2", "--p", "2", "--out", str(path))[0] == 0
+    umask = os.umask(0)
+    os.umask(umask)
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask

@@ -12,7 +12,7 @@ import pytest
 from conftest import brute_ideal_sets, exported_edges
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
-from lirg import graph, invariants
+from lirg import invariants
 from lirg.counting import predicted_degree
 from lirg.invariants import (
     ACYCLIC,
@@ -277,23 +277,18 @@ def test_eulerian_witness_degree_is_odd_everywhere():
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])
-def test_first_member_matches_argmax(monkeypatch, p, m):
-    # q = 3, 5, 7 and 9 at n = 2, scanned in slices of 7 vertices: the first
-    # member of every class, and the odd-degree witness (the first
-    # full-rank vertex), are those np.argmax finds over the whole index.
-    monkeypatch.setattr(graph, "_COUNT_SLICE", 7)
+def test_first_member_matches_argmax(p, m):
+    # q = 3, 5, 7 and 9 at n = 2: the odd-degree witness, the anti-diagonal,
+    # is the first full-rank vertex that np.argmax finds over the index.
     G = build_full_graph(make_field(p, m), 2, directed=False)
-    for c in range(G.class_count):
-        assert G.first_member(c) == int(np.argmax(G.vertex_class == c))
     full_rank = G.class_rank.index(2)
     assert eulerian_check(G) == (False, int(np.argmax(G.vertex_class == full_rank)))
 
 
 def test_eulerian_check_memory_follows_slices():
-    # 1,953,125 vertices: the witness search holds one slice of the class
-    # index, not an N-byte mask (1.9 MB).  Measured peak: 0.07 MB.
+    # 1,953,125 vertices: the witness is a closed form, so the check holds
+    # no N-byte mask (1.9 MB) and no class index.
     G = build_full_graph(F5, 3, directed=False, cap=None)
-    G.fiber_sizes  # cached outside the trace
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
