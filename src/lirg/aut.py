@@ -358,10 +358,7 @@ def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:
 
     # sigma = (row table of (P, t))^-1 applied to f's images, in place.
     P = mat_inverse(F, P_acc)
-    table = _row_table(G, P, t)
-    inverse = np.empty_like(table)
-    inverse[table] = np.arange(len(table))
-    for lo, block in _map_rows(G, f, inverse):
+    for lo, block in _map_rows(G, f, inverse(_row_table(G, P, t))):
         moved = G.vertex_class[block] != G.vertex_class[lo : lo + len(block)]
         if moved.any():
             v = lo + int(np.argmax(moved))

@@ -1,13 +1,15 @@
 """Graph invariants of the undirected relation graph, with closed forms.
 
 Adjacency is comparability of ideals, so every invariant reduces to the
-class containment matrix ``G.lt`` and the fiber sizes, which keeps the
-19683-vertex cases instant.  Two routines do the class-level work.
+class containment matrix ``G.lt`` and the fiber sizes, and the cost
+follows the class count, not the vertex count.  ``compute_report``
+derives every invariant in one pass: it forms the class adjacency
+``lt | lt.T`` and the fiber-size array once, and runs ``_class_bfs``
+once, one breadth-first search from every class at once, for the
+distances between all classes and the shortest cycle.
 ``_longest_chain`` gives the clique number and the reduced clique number
 behind the strong metric dimension, since cliques are chains of nested
-row spaces; there is no generic clique search.  ``_class_bfs`` gives the
-distances between all classes and the shortest cycle, by one
-breadth-first search from every class at once.
+row spaces; there is no generic clique search.
 
 Functions in this module treat their input graph as undirected regardless
 of the flag it was built with.
@@ -62,23 +64,6 @@ def _longest_chain(lt) -> int:
     return int(depth.max(initial=0))
 
 
-def clique_and_chromatic(G: RelationGraph):
-    """(clique number, chromatic number).
-
-    The clique number is the longest chain of nested ideal classes.  The
-    rank coloring (one color per rank, n+1 colors available) is proper
-    because equal-rank vertices are never adjacent; together with the
-    chain lower bound this pins the chromatic number without search.
-    """
-    _require_full(G)
-    omega = _longest_chain(G.lt)
-    ranks_used = len(set(G.class_rank))
-    if not omega <= ranks_used:
-        raise AssertionError("chain longer than the number of rank colors")
-    chi = omega  # rank coloring meets the clique lower bound
-    return omega, chi
-
-
 def _class_bfs(A):
     """(distance matrix, shortest cycle) of the symmetric adjacency ``A``.
 
@@ -89,13 +74,15 @@ def _class_bfs(A):
     node with two neighbours in level k one of at most 2k + 2.  No level
     below (g - 1) // 2 shows either for a girth g, and that level shows
     one from every node of a shortest cycle, so the first cycle found is
-    the girth.  Distances are -1 for unreachable pairs; the cycle is None
-    for a forest.  Counts stay below 2^24, so the float32 product is exact.
+    the girth.  Distances are -1 for unreachable pairs, in the narrowest
+    signed type that holds ``len(A)``; the cycle is None for a forest.
+    Counts stay below 2^24, so the float32 product is exact.
     """
     adj = A.astype(np.float32)
     front = np.eye(len(A), dtype=bool)
     seen = front.copy()
-    dist = np.where(front, 0, -1)
+    dist = np.full(A.shape, -1, dtype=np.min_scalar_type(-len(A) - 1))
+    np.fill_diagonal(dist, 0)
     cycle = None
     k = 0
     while front.any():
@@ -112,25 +99,6 @@ def _class_bfs(A):
     return dist, cycle
 
 
-def girth(G: RelationGraph):
-    """Length of the shortest cycle, or the ACYCLIC token.
-
-    A cycle either passes through three or more distinct ideal classes
-    (shortest such found on the small class graph) or bounces between two
-    vertices of one class and two comparable outside vertices, giving a
-    4-cycle whenever some class has two members and two comparable
-    vertices in total.
-    """
-    _require_full(G)
-    A = G.lt | G.lt.T
-    _, cycle = _class_bfs(A)
-    candidates = [] if cycle is None else [cycle]
-    fib = np.array(G.fiber_sizes)
-    if ((fib >= 2) & (A @ fib >= 2)).any():
-        candidates.append(4)
-    return min(candidates) if candidates else ACYCLIC
-
-
 def triangle_witness(F: Field, n: int):
     """Vertices of the 3-cycle on the rank markers 0, 1 and n (n >= 2)."""
     if n < 2:
@@ -138,93 +106,25 @@ def triangle_witness(F: Field, n: int):
     return tuple(vertex_encode(F, rank_marker(n, r)) for r in (0, 1, n))
 
 
-def metric(G: RelationGraph):
-    """(diameter, radius, eccentricity per rank class).
-
-    Distances factor through ideal classes: vertices in distinct classes
-    are as far apart as their classes in the comparability graph, and two
-    distinct vertices of one class are at distance 2 through any
-    comparable vertex.  Raises on a disconnected graph, which would signal
-    a construction bug.
-    """
-    _require_full(G)
-    A = G.lt | G.lt.T
-    dist, _ = _class_bfs(A)
-    shared = np.array(G.fiber_sizes) >= 2
-    if (dist < 0).any() or (shared & ~A.any(axis=1)).any():
-        raise ValueError("relation graph is disconnected")
-    ecc = dist.max(axis=1)
-    # two members of one class are at distance 2, through any neighbor
-    ecc[shared] = np.maximum(ecc[shared], 2)
-    ecc = ecc.tolist()
-    by_rank = {}
-    for c, r in enumerate(G.class_rank):
-        by_rank[r] = max(by_rank.get(r, 0), ecc[c])
-    return max(ecc), min(ecc), tuple(sorted(by_rank.items()))
-
-
-def domination_number(G: RelationGraph) -> int:
-    """Always 1: the zero matrix is adjacent to every other vertex.
-
-    Verified structurally (the zero class, class 0, sits below every other
-    class) rather than by search.
-    """
-    _require_full(G)
-    if G.class_rank[0] != 0:
-        raise AssertionError("class 0 is not the zero class")
-    if not G.lt[0, 1:].all():
-        raise AssertionError("zero matrix fails to dominate")
-    return 1
-
-
-def _reduced_clique_number(G: RelationGraph) -> int:
+def _reduced_clique_number(G: RelationGraph, A) -> int:
     """Clique number of the reduced graph, which merges vertices with equal
     closed neighborhoods.
 
     A vertex's closed neighborhood holds none of its class-mates, so only
     vertices of single-member classes merge, and they merge exactly when
-    their classes have equal closed neighborhoods, rows of ``lt | lt.T | I``.
-    The reduced graph is then the subgraph induced on one representative
-    class per group: the members of a larger class are pairwise
-    non-adjacent, so a clique uses at most one of them.
+    their classes have equal closed neighborhoods, rows of ``A | I`` for the
+    class adjacency ``A = lt | lt.T``.  The reduced graph is then the
+    subgraph induced on one representative class per group: the members of
+    a larger class are pairwise non-adjacent, so a clique uses at most one
+    of them.
     """
-    closed = G.lt | G.lt.T | np.eye(G.class_count, dtype=bool)
+    closed = A | np.eye(G.class_count, dtype=bool)
     groups = {}
     for c, size in enumerate(G.fiber_sizes):
         key = closed[c].tobytes() if size == 1 else c
         groups.setdefault(key, c)
     reps = list(groups.values())
     return _longest_chain(G.lt[np.ix_(reps, reps)])
-
-
-def strong_metric_dimension(G: RelationGraph, diameter=None) -> int:
-    """|V| minus the clique number of the reduced graph; needs diameter 2,
-    computed unless given."""
-    _require_full(G)
-    diameter = metric(G)[0] if diameter is None else diameter
-    if diameter != 2:
-        raise ValueError(
-            f"strong metric dimension formula requires diameter 2, got {diameter}"
-        )
-    return G.vertex_count - _reduced_clique_number(G)
-
-
-def eulerian_check(G: RelationGraph):
-    """(False, odd-degree witness vertex): the graph is never Eulerian.
-
-    For even q the zero matrix has odd degree q^(n^2) - 1; for odd q each
-    full-rank vertex has odd degree q^(n^2) - |GL(n, q)|, and the first is
-    the anti-diagonal, since a vertex code's last row holds its top digits.
-    Eulerian-ness itself is decided from the parities of all class degrees.
-    """
-    _require_full(G)
-    odd = ((G.lt | G.lt.T) @ [f % 2 for f in G.fiber_sizes] % 2).tolist()
-    if not any(odd):
-        return True, None
-    even = G.field.q % 2 == 0
-    assert odd[0 if even else -1]  # the witness's class, of rank 0 or n
-    # the zero matrix, or the anti-diagonal: the identity's rows reversed
-    return False, 0 if even else vertex_encode(G.field, rank_marker(G.n, G.n)[::-1])
 
 
 def k33_witness(F: Field, n: int):
@@ -259,14 +159,73 @@ def k33_witness(F: Field, n: int):
 
 
 def compute_report(G: RelationGraph) -> InvariantReport:
+    """Every invariant, from one class adjacency and one breadth-first search.
+
+    Clique and chromatic number: the longest chain of nested classes.  The
+    rank coloring (one color per rank) is proper because equal-rank
+    vertices are never adjacent, so with the chain lower bound it pins the
+    chromatic number without search.
+
+    Girth: a cycle either passes through three or more classes (the
+    shortest one on the class graph) or bounces between two members of one
+    class and two comparable outside vertices, a 4-cycle.
+
+    Distances factor through classes: vertices in distinct classes are as
+    far apart as their classes, and two members of one class are at
+    distance 2 through any comparable vertex.  A disconnected graph, which
+    would signal a construction bug, raises.
+
+    Domination number: always 1, since the zero class, class 0, sits below
+    every other class.  Strong metric dimension: |V| minus the reduced
+    clique number, defined only at diameter 2.
+
+    Euler parity: a vertex's degree is the size of the classes comparable
+    to its own.  For even q the zero matrix has odd degree q^(n^2) - 1; for
+    odd q each full-rank vertex has odd degree q^(n^2) - |GL(n, q)|, and the
+    first is the anti-diagonal, since a vertex code's last row holds its
+    top digits.
+    """
     _require_full(G)
     F, n = G.field, G.n
-    omega, chi = clique_and_chromatic(G)
-    g = girth(G)
-    diameter, radius, ecc = metric(G)
-    gamma = domination_number(G)
-    sdim = strong_metric_dimension(G, diameter) if diameter == 2 else None
-    eulerian, witness = eulerian_check(G)
+    A = G.lt | G.lt.T
+    fib = np.array(G.fiber_sizes)
+    dist, cycle = _class_bfs(A)
+
+    omega = _longest_chain(G.lt)
+    if omega > len(set(G.class_rank)):
+        raise AssertionError("chain longer than the number of rank colors")
+
+    shared = fib >= 2
+    candidates = [] if cycle is None else [cycle]
+    if (shared & (A @ fib >= 2)).any():
+        candidates.append(4)
+    g = min(candidates, default=ACYCLIC)
+
+    if (dist < 0).any() or (shared & ~A.any(axis=1)).any():
+        raise ValueError("relation graph is disconnected")
+    ecc = dist.max(axis=1)
+    # two members of one class are at distance 2, through any neighbor
+    ecc[shared] = np.maximum(ecc[shared], 2)
+    ecc = ecc.tolist()
+    by_rank = {}
+    for c, r in enumerate(G.class_rank):
+        by_rank[r] = max(by_rank.get(r, 0), ecc[c])
+    diameter = max(ecc)
+
+    if G.class_rank[0] != 0:
+        raise AssertionError("class 0 is not the zero class")
+    if not G.lt[0, 1:].all():
+        raise AssertionError("zero matrix fails to dominate")
+
+    odd = A @ (fib % 2) % 2
+    witness = None
+    if odd.any():
+        even = F.q % 2 == 0
+        if not odd[0 if even else -1]:  # the witness's class, of rank 0 or n
+            raise AssertionError("odd-degree witness has even degree")
+        # the zero matrix, or the anti-diagonal: the identity's rows reversed
+        witness = 0 if even else vertex_encode(F, rank_marker(n, n)[::-1])
+
     planarity = None
     if n >= 2:
         side1, side2 = k33_witness(F, n)
@@ -278,15 +237,17 @@ def compute_report(G: RelationGraph) -> InvariantReport:
         n=n,
         q=F.q,
         clique_number=omega,
-        chromatic_number=chi,
+        chromatic_number=omega,
         girth=g,
         girth_witness=triangle_witness(F, n) if n >= 2 and g == 3 else None,
         diameter=diameter,
-        radius=radius,
-        eccentricity_by_rank=ecc,
-        domination_number=gamma,
-        strong_metric_dimension=sdim,
-        eulerian=eulerian,
+        radius=min(ecc),
+        eccentricity_by_rank=tuple(sorted(by_rank.items())),
+        domination_number=1,
+        strong_metric_dimension=(
+            G.vertex_count - _reduced_clique_number(G, A) if diameter == 2 else None
+        ),
+        eulerian=witness is None,
         odd_degree_witness=witness,
         planarity_witness=planarity,
     )

@@ -23,15 +23,7 @@ from lirg.counting import (
 from lirg.field import make_field
 from lirg.graph import build_full_graph
 from lirg.ideal import ideal_of, proper_subset
-from lirg.invariants import (
-    clique_and_chromatic,
-    eulerian_check,
-    girth,
-    k33_witness,
-    metric,
-    domination_number,
-    strong_metric_dimension,
-)
+from lirg.invariants import compute_report, k33_witness
 from lirg.matrix import enumerate_matrices
 
 REGRESSION_CASES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)]
@@ -49,13 +41,15 @@ def test_criterion_01_invariant_regression(graphs):
     for p, m, n in REGRESSION_CASES:
         G = graphs(p, m, n)
         q = G.field.q
+        rep = compute_report(G)
         computed = (
-            *clique_and_chromatic(G),
-            girth(G),
-            metric(G)[0],
-            metric(G)[1],
-            domination_number(G),
-            strong_metric_dimension(G),
+            rep.clique_number,
+            rep.chromatic_number,
+            rep.girth,
+            rep.diameter,
+            rep.radius,
+            rep.domination_number,
+            rep.strong_metric_dimension,
         )
         expected = (n + 1, n + 1, 3, 2, 1, 1, q ** (n * n) - n - 1)
         if computed != expected:
@@ -75,10 +69,10 @@ def test_criterion_02_eulerian(graphs):
     failures = []
     for p, m, n in REGRESSION_CASES:
         G = graphs(p, m, n)
-        is_eulerian, witness = eulerian_check(G)
-        d_i, d_o = G.degrees(witness)
-        if is_eulerian or (d_i + d_o) % 2 == 0:
-            failures.append((n, G.field.q, witness))
+        rep = compute_report(G)
+        d_i, d_o = G.degrees(rep.odd_degree_witness)
+        if rep.eulerian or (d_i + d_o) % 2 == 0:
+            failures.append((n, G.field.q, rep.odd_degree_witness))
     assert report(
         2,
         not failures,

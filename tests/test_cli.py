@@ -483,10 +483,16 @@ def test_invariants_make_no_vertex_index(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ring", ["--n 4 --p 5 --cap 1000000000000", "--n 2 --p 1009 --cap 10000000000000"]
+    "ring",
+    [
+        "--n 4 --p 5 --cap 1000000000000",
+        "--n 2 --p 1009 --cap 10000000000000",
+        "--n 6 --p 2 --cap 100000000000",
+    ],
 )
 def test_invariants_beyond_any_vertex_index(capsys, ring):
-    # 5^16 and 1009^4 vertices, about 1.5e11 and 1.0e12: no index fits.
+    # 5^16, 1009^4 and 2^36 vertices, about 1.5e11, 1.0e12 and 6.9e10: no
+    # index fits.
     code, out, _ = run(capsys, "invariants", *ring.split())
     assert code == 0
     assert [line.split()[-1] for line in out.splitlines()[2:10]] == ["match"] * 8

@@ -18,15 +18,9 @@ from lirg.invariants import (
     ACYCLIC,
     _reduced_clique_number,
     _require_full,
-    clique_and_chromatic,
     compute_report,
-    domination_number,
-    eulerian_check,
-    girth,
     k33_witness,
-    metric,
     predicted_invariants,
-    strong_metric_dimension,
     triangle_witness,
 )
 from lirg.matrix import vertex_encode
@@ -106,10 +100,14 @@ def oracle_reduced_sdim(adj):
     return N - omega_hat
 
 
+def report(F, n):
+    return compute_report(build_full_graph(F, n))
+
+
 def test_clique_and_chromatic_examples():
-    assert clique_and_chromatic(build_full_graph(F2, 2)) == (3, 3)
-    assert clique_and_chromatic(build_full_graph(F2, 3)) == (4, 4)
-    assert clique_and_chromatic(build_full_graph(F3, 1)) == (2, 2)
+    for F, n, expected in [(F2, 2, (3, 3)), (F2, 3, (4, 4)), (F3, 1, (2, 2))]:
+        rep = report(F, n)
+        assert (rep.clique_number, rep.chromatic_number) == expected
 
 
 @pytest.mark.parametrize("F,n", [(F2, 2), (F2, 3), (F3, 2), (F3, 3), (F2, 1)])
@@ -121,18 +119,18 @@ def test_clique_number_matches_brute_force_on_quotient(F, n):
         for d in np.flatnonzero(Q.lt[c]).tolist():
             H.add_edge(c, d)
     brute = max(len(c) for c in nx.find_cliques(H))
-    assert clique_and_chromatic(build_full_graph(F, n))[0] == brute
+    assert report(F, n).clique_number == brute
 
 
 def test_girth_examples():
-    assert girth(build_full_graph(F2, 2)) == 3
-    assert girth(build_full_graph(F2, 1)) == ACYCLIC
-    assert girth(build_full_graph(F5, 1)) == ACYCLIC
+    assert report(F2, 2).girth == 3
+    assert report(F2, 1).girth == ACYCLIC
+    assert report(F5, 1).girth == ACYCLIC
 
 
 @pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F2, 1), (F3, 1), (F5, 1)])
 def test_girth_matches_vertex_level_oracle(F, n):
-    assert girth(build_full_graph(F, n)) == oracle_girth(oracle_adjacency(F, n))
+    assert report(F, n).girth == oracle_girth(oracle_adjacency(F, n))
 
 
 def assert_class_bfs_matches_networkx(H):
@@ -191,89 +189,89 @@ def test_triangle_witness_is_a_triangle():
 
 
 def test_metric_examples():
-    diameter, radius, ecc = metric(build_full_graph(F2, 2))
-    assert (diameter, radius) == (2, 1)
-    assert dict(ecc) == {0: 1, 1: 2, 2: 2}
-    diameter, radius, _ = metric(build_full_graph(F2, 1))
-    assert (diameter, radius) == (1, 1)
+    rep = report(F2, 2)
+    assert (rep.diameter, rep.radius) == (2, 1)
+    assert dict(rep.eccentricity_by_rank) == {0: 1, 1: 2, 2: 2}
+    rep = report(F2, 1)
+    assert (rep.diameter, rep.radius) == (1, 1)
 
 
 @pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F2, 1), (F3, 1), (F5, 1)])
 def test_metric_matches_vertex_level_oracle(F, n):
     ecc_oracle = oracle_eccentricities(oracle_adjacency(F, n))
-    diameter, radius, by_rank = metric(build_full_graph(F, n))
-    assert diameter == max(ecc_oracle)
-    assert radius == min(ecc_oracle)
     G = build_full_graph(F, n)
+    rep = compute_report(G)
+    assert rep.diameter == max(ecc_oracle)
+    assert rep.radius == min(ecc_oracle)
     per_rank = {}
     for v, e in enumerate(ecc_oracle):
         r = G.rank_of_vertex(v)
         per_rank[r] = max(per_rank.get(r, 0), e)
-    assert dict(by_rank) == per_rank
+    assert dict(rep.eccentricity_by_rank) == per_rank
 
 
 def test_domination_number():
     for F, n in [(F2, 2), (F2, 3), (F2, 1)]:
-        assert domination_number(build_full_graph(F, n)) == 1
+        assert report(F, n).domination_number == 1
     G = build_full_graph(F2, 2, directed=False)
     # 0 is the smallest vertex, so the stream lists each of its edges as (0, v)
     assert [v for u, v in exported_edges(G) if 0 in (u, v)] == list(range(1, 16))
 
 
 def test_sdim_examples():
-    assert strong_metric_dimension(build_full_graph(F2, 2)) == 13
-    assert strong_metric_dimension(build_full_graph(F3, 2)) == 78
-    assert strong_metric_dimension(build_full_graph(F2, 3)) == 508
-    with pytest.raises(ValueError, match="diameter"):
-        strong_metric_dimension(build_full_graph(F2, 1))
+    assert report(F2, 2).strong_metric_dimension == 13
+    assert report(F3, 2).strong_metric_dimension == 78
+    assert report(F2, 3).strong_metric_dimension == 508
+    # diameter 1: the formula does not apply
+    assert report(F2, 1).strong_metric_dimension is None
 
 
 @pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F3, 1), (F5, 1)])
 def test_sdim_matches_reduced_graph_oracle(F, n):
     expected = oracle_reduced_sdim(oracle_adjacency(F, n))
-    assert strong_metric_dimension(build_full_graph(F, n)) == expected
+    assert report(F, n).strong_metric_dimension == expected
 
 
 def test_twin_merge_on_gf2_n1():
     """The only ring whose reduced graph merges vertices: over GF(2), n = 1,
     the zero and identity classes share the closed neighborhood {0, 1}."""
     G = build_full_graph(F2, 1)
-    assert _reduced_clique_number(G) == 1
+    assert _reduced_clique_number(G, G.lt | G.lt.T) == 1
     assert G.vertex_count - 1 == oracle_reduced_sdim(oracle_adjacency(F2, 1))
     for F, n in [(F2, 2), (F3, 1), (F3, 2)]:
         H = build_full_graph(F, n)
-        assert _reduced_clique_number(H) == clique_and_chromatic(H)[0]
+        assert _reduced_clique_number(H, H.lt | H.lt.T) == compute_report(H).clique_number
 
 
 def test_sdim_star_without_closed_form():
     # n = 1, q >= 3: star graph; the reduced-graph method still applies
-    assert strong_metric_dimension(build_full_graph(F3, 1)) == 1
-    assert strong_metric_dimension(build_full_graph(F5, 1)) == 3
+    assert report(F3, 1).strong_metric_dimension == 1
+    assert report(F5, 1).strong_metric_dimension == 3
 
 
 def test_eulerian_check():
     G = build_full_graph(F2, 2, directed=False)
-    ok, witness = eulerian_check(G)
-    assert not ok and witness == 0
+    rep = compute_report(G)
+    assert not rep.eulerian and rep.odd_degree_witness == 0
     assert G.degrees(0) == 15
 
     G3 = build_full_graph(F3, 2, directed=False)
-    ok, witness = eulerian_check(G3)
-    assert not ok
-    assert G3.rank_of_vertex(witness) == 2
-    assert G3.degrees(witness) == 81 - 48 == 33  # M(2,2,2,3) = (9-1)(9-3)
+    rep = compute_report(G3)
+    assert not rep.eulerian
+    assert G3.rank_of_vertex(rep.odd_degree_witness) == 2
+    assert G3.degrees(rep.odd_degree_witness) == 81 - 48 == 33  # M(2,2,2,3) = (9-1)(9-3)
 
     G1 = build_full_graph(F2, 1, directed=False)
-    ok, witness = eulerian_check(G1)
-    assert not ok and G1.degrees(witness) == 1
+    rep = compute_report(G1)
+    assert not rep.eulerian and G1.degrees(rep.odd_degree_witness) == 1
 
 
 def test_eulerian_witness_degree_is_odd_everywhere():
     for F, n in [(F2, 2), (F3, 2), (F2, 3), (F2, 1), (F3, 1)]:
         G = build_full_graph(F, n, directed=False)
-        ok, witness = eulerian_check(G)
-        assert not ok
-        assert G.degrees(witness) % 2 == 1
+        rep = compute_report(G)
+        assert not rep.eulerian
+        assert G.degrees(rep.odd_degree_witness) % 2 == 1
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])
@@ -282,17 +280,21 @@ def test_first_member_matches_argmax(p, m):
     # is the first full-rank vertex that np.argmax finds over the index.
     G = build_full_graph(make_field(p, m), 2, directed=False)
     full_rank = G.class_rank.index(2)
-    assert eulerian_check(G) == (False, int(np.argmax(G.vertex_class == full_rank)))
+    rep = compute_report(G)
+    assert (rep.eulerian, rep.odd_degree_witness) == (
+        False,
+        int(np.argmax(G.vertex_class == full_rank)),
+    )
 
 
 def test_eulerian_check_memory_follows_slices():
-    # 1,953,125 vertices: the witness is a closed form, so the check holds
+    # 1,953,125 vertices: the witness is a closed form, so the report holds
     # no N-byte mask (1.9 MB) and no class index.
     G = build_full_graph(F5, 3, directed=False, cap=None)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        assert eulerian_check(G)[0] is False
+        assert compute_report(G).eulerian is False
         peak = (tracemalloc.get_traced_memory()[1] - base) / 2**20
     finally:
         tracemalloc.stop()
@@ -315,15 +317,15 @@ def test_k33_witness():
             assert (min(u, v), max(u, v)) in edges
 
 
-def test_compute_report_runs_metric_once(monkeypatch):
+def test_compute_report_runs_class_bfs_once(monkeypatch):
     calls = []
-    real = invariants.metric
+    real = invariants._class_bfs
 
-    def counted(G):
-        calls.append(G)
-        return real(G)
+    def counted(A):
+        calls.append(A)
+        return real(A)
 
-    monkeypatch.setattr(invariants, "metric", counted)
+    monkeypatch.setattr(invariants, "_class_bfs", counted)
     for F, n in [(F2, 2), (F2, 1)]:
         calls.clear()
         rep = compute_report(build_full_graph(F, n, directed=False))
