@@ -1,26 +1,25 @@
 """Automorphisms of the directed relation graph.
 
-Four standard families are constructed directly: right multiplication by
-an invertible matrix, the entrywise Frobenius maps, permutations acting
-inside each ideal class, and (for n = 2) permutations acting inside each
-rank class.  Arbitrary vertex permutations can be verified exactly, and
-every verified automorphism decomposes constructively: for n >= 3 into a
-class-fixing permutation followed by an entrywise Frobenius map followed
-by right multiplication; for n = 2 into per-rank-class permutations.
+The paper's generators are constructed directly: right multiplication by
+an invertible matrix and the entrywise Frobenius maps.  Arbitrary vertex
+permutations can be verified exactly, and for n >= 3 every verified
+automorphism decomposes constructively into a class-fixing permutation
+followed by an entrywise Frobenius map followed by right multiplication.
+For n = 2 adjacency depends only on rank, so the automorphisms are the
+permutations inside rank classes; ``full_aut_order`` counts them.
 
-Permutations are dense int64 arrays indexed by vertex; composition is
-"right factor acts first": compose(f, g) applies g, then f.  Right
-multiplication and the entrywise Frobenius power act on each row of a
-matrix alone, so together they are one table on the q^n row codes (see
-``_row_table``).  Sampling, decomposition and recomposition apply that
-table to the images of sigma, or its inverse to those of f, in place and
-a block of vertices at a time: ``decompose`` rewrites f's array into
-sigma's and ``recompose`` rewrites sigma's into the composition, so one
-permutation of the vertex set is held at once (pass a copy to keep the
-input).  Random class permutations shuffle each class's member array in
-place with exactly the draws of ``random.Random.shuffle``, so a seed gives
-the same permutation, and leaves the generator in the same state, as
-shuffling Python lists.
+Permutations are dense int64 arrays indexed by vertex; f[g] applies g,
+then f.  Right multiplication and the entrywise Frobenius power act on
+each row of a matrix alone, so together they are one table on the q^n
+row codes (see ``_row_table``).  Sampling, decomposition and
+recomposition apply that table to the images of sigma, or its inverse to
+those of f, in place and a block of vertices at a time: ``decompose``
+rewrites f's array into sigma's and ``recompose`` rewrites sigma's into
+the composition, so one permutation of the vertex set is held at once
+(pass a copy to keep the input).  Random class permutations shuffle each
+class's member array in place with exactly the draws of
+``random.Random.shuffle``, so a seed gives the same permutation, and
+leaves the generator in the same state, as shuffling Python lists.
 
 Group orders come from one search over a bool adjacency matrix, the class
 containment matrix ``lt`` for the quotient and full graphs alike (see
@@ -28,7 +27,6 @@ containment matrix ``lt`` for the quotient and full graphs alike (see
 """
 
 import math
-import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -65,11 +63,6 @@ class DecompositionError(RuntimeError):
 def _check_context(G: RelationGraph):
     if G.kind != "full" or not G.directed:
         raise ValueError("automorphisms are defined on the directed full graph")
-
-
-def identity_automorphism(G: RelationGraph) -> np.ndarray:
-    _check_context(G)
-    return np.arange(G.vertex_count, dtype=np.int64)
 
 
 # Vertices per block when a permutation is checked or rewritten in place.
@@ -123,69 +116,6 @@ def right_mul_automorphism(G: RelationGraph, P) -> np.ndarray:
 def frobenius_automorphism(G: RelationGraph, t: int) -> np.ndarray:
     """Entrywise a -> a^(p^t) on every matrix, built from its row table."""
     return _digit_sum(_row_table(G, identity_matrix(G.n), t), G.field.q**G.n, G.n)
-
-
-def _perm_within(G: RelationGraph, label_of, blocks):
-    """Permutation acting inside groups of vertices, identity elsewhere.
-
-    ``blocks`` lists (label, mapping dict old -> new); every vertex that a
-    mapping names must be a vertex whose ``label_of`` is the label."""
-    N = G.vertex_count
-    perm = np.arange(N, dtype=np.int64)
-    for label, mapping in blocks:
-        if not all(
-            isinstance(v, numbers.Integral) and 0 <= v < N and label_of(v) == label
-            for v in [*mapping, *mapping.values()]
-        ):
-            raise ValueError("permutation leaves its block")
-        if sorted(mapping) != sorted(mapping.values()):
-            raise ValueError("block mapping is not a permutation")
-        for old, new in mapping.items():
-            perm[old] = new
-    return perm
-
-
-def class_permutation_automorphism(G: RelationGraph, assignment) -> np.ndarray:
-    """Permute vertices inside ideal classes; identity on unnamed classes.
-
-    ``assignment`` maps a class, by its canonical ``LeftIdeal``, to a dict
-    sending each member vertex to its image within the same class.
-    """
-    _check_context(G)
-    ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
-    for ideal in assignment:
-        if ideal not in ideal_index:
-            raise ValueError(f"unknown ideal class {ideal}")
-    blocks = [(ideal_index[ideal], mapping) for ideal, mapping in assignment.items()]
-    try:
-        return _perm_within(G, G.class_of, blocks)
-    except ValueError as exc:
-        raise ValueError(f"vertex listed in wrong class: {exc}") from exc
-
-
-def rank_class_automorphism(G: RelationGraph, assignment) -> np.ndarray:
-    """Permute vertices inside rank classes (n = 2 only).
-
-    For n = 2 adjacency depends only on rank, so any such permutation is
-    an automorphism; for larger n it generally is not, hence the guard.
-    """
-    _check_context(G)
-    if G.n != 2:
-        raise ValueError("rank class permutations require n = 2")
-    for r in assignment:
-        if r not in range(G.n + 1):
-            raise ValueError(f"no rank class {r}")
-    try:
-        return _perm_within(G, G.rank_of_vertex, assignment.items())
-    except ValueError as exc:
-        raise ValueError(f"vertex listed in wrong rank class: {exc}") from exc
-
-
-def compose(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """f after g: the right factor acts first."""
-    if len(f) != len(g):
-        raise ValueError(f"permutation length mismatch: {len(f)} != {len(g)}")
-    return f[g]
 
 
 def inverse(f: np.ndarray) -> np.ndarray:
@@ -245,11 +175,6 @@ def verify(G: RelationGraph, perm: np.ndarray) -> tuple:
         return next(lo + int(np.argmax(c == code)) for lo, _, c in pair_codes() if (c == code).any())
 
     return False, (first_carrier(uniq[a]), first_carrier(uniq[b]))
-
-
-def preserves_rank(G: RelationGraph, f: np.ndarray) -> bool:
-    ranks = np.array(G.class_rank)[G.vertex_class]
-    return bool(np.array_equal(ranks, ranks[f]))
 
 
 # -- constructive decomposition ------------------------------------------
@@ -379,21 +304,6 @@ def recompose(G: RelationGraph, dec: Decomposition) -> np.ndarray:
     return dec.sigma
 
 
-def decompose_rank_classes(G: RelationGraph, f: np.ndarray):
-    """Split an n = 2 automorphism into per-rank-class permutations."""
-    _check_context(G)
-    if G.n != 2:
-        raise ValueError("rank class decomposition is the n = 2 form")
-    if not preserves_rank(G, f):
-        raise DecompositionError("permutation does not preserve rank classes")
-    ranks = np.array(G.class_rank)[G.vertex_class]
-    assignment = {}
-    for r in range(G.n + 1):
-        verts = np.flatnonzero(ranks == r)
-        assignment[r] = {int(v): int(f[v]) for v in verts if f[v] != v}
-    return assignment
-
-
 # -- random sampling -------------------------------------------------------
 
 
@@ -435,13 +345,6 @@ def random_class_permutation(G: RelationGraph, rng) -> np.ndarray:
     # every vertex is held (or cached on G).
     masks = (G.vertex_class == c for c in range(G.class_count))
     return _shuffle_within(G, masks, rng)
-
-
-def random_rank_class_permutation(G: RelationGraph, rng) -> np.ndarray:
-    if G.n != 2:
-        raise ValueError("rank class permutations require n = 2")
-    ranks = np.array(G.class_rank)[G.vertex_class]
-    return _shuffle_within(G, (ranks == r for r in range(3)), rng)
 
 
 def random_decomposition(G: RelationGraph, seed: int) -> Decomposition:

@@ -9,7 +9,6 @@ Twister (random.Random).
 
 import argparse
 import codecs
-import itertools
 import json
 import math
 import os
@@ -137,26 +136,17 @@ def _parse_input(parse, path, vertex_count):
 
 
 def _write_output(chunks, out_path):
-    """Write a string, or an iterable of string chunks or of byte blocks,
-    in order, each chunk as it is made.
+    """Write an iterable of byte blocks, in order, each block as it is made.
 
     A regular file (a symlink's target) is replaced by a temp file, with its
-    mode, once every chunk is written, so a failure leaves it intact; any
+    mode, once every block is written, so a failure leaves it intact; any
     other path that exists, such as a FIFO, is written in place; without a
-    path the chunks go to stdout.  Byte blocks go to the binary stream;
-    strings through the text layer, which writes an ASCII string without an
-    encoded copy.
+    path the blocks go to stdout's binary stream.
     """
-    chunks = iter((chunks,) if isinstance(chunks, str) else chunks)
-    first = next(chunks, "")
-    binary = not isinstance(first, str)
-    chunks = itertools.chain([first], chunks)
     if out_path is None:
-        if binary:
-            sys.stdout.flush()  # the bytes follow anything written as text
-        (sys.stdout.buffer if binary else sys.stdout).writelines(chunks)
+        sys.stdout.flush()  # the bytes follow anything written as text
+        sys.stdout.buffer.writelines(chunks)
         return
-    open_out = lambda file: open(file, "wb") if binary else open(file, "w", newline="\n")
     target = os.path.realpath(out_path)
     try:
         mode = os.stat(target).st_mode
@@ -165,12 +155,12 @@ def _write_output(chunks, out_path):
         os.umask(umask)
         mode = stat.S_IFREG | 0o666 & ~umask
     if not stat.S_ISREG(mode):
-        with open_out(target) as fh:
+        with open(target, "wb") as fh:
             fh.writelines(chunks)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".lirg-")
     try:
-        with open_out(fd) as fh:
+        with open(fd, "wb") as fh:
             os.fchmod(fd, stat.S_IMODE(mode))
             fh.writelines(chunks)
         os.replace(tmp, target)
@@ -222,7 +212,7 @@ def cmd_ring_info(args) -> int:
     for key in sorted(preds):
         value = preds[key]
         lines.append(f"predicted {key}: {'n/a (n<2)' if value is None else value}")
-    _write_output("\n".join(lines) + "\n", args.out)
+    _write_output([("\n".join(lines) + "\n").encode()], args.out)
     return 0
 
 
@@ -293,7 +283,7 @@ def cmd_invariants(args) -> int:
         if report.planarity_witness:
             lines.append(f"K_3,3 witness vertices: {report.planarity_witness}")
         text = "\n".join(lines) + "\n"
-    _write_output(text, args.out)
+    _write_output([text.encode()], args.out)
     return 1 if mismatch else 0
 
 
@@ -302,10 +292,8 @@ def cmd_aut(args) -> int:
     config = serialize.field_tokens(args.n, F)
     if args.sub == "count-quotient":
         order = aut.quotient_aut_order(F, args.n)
-        _write_output(
-            f"count-quotient {config}\nquotient automorphism group order: {order}\n",
-            args.out,
-        )
+        text = f"count-quotient {config}\nquotient automorphism group order: {order}\n"
+        _write_output([text.encode()], args.out)
         return 0
 
     if args.sub == "sample":
@@ -325,20 +313,17 @@ def cmd_aut(args) -> int:
     ok, witness = aut.verify(G, f)
     if not ok:
         u, v = witness
-        _write_output(
-            f"verify {config}\n"
-            f"verification failed: edge relation broken at pair ({u}, {v})\n",
-            args.out,
-        )
+        text = f"verify {config}\nverification failed: edge relation broken at pair ({u}, {v})\n"
+        _write_output([text.encode()], args.out)
         return 1
     if args.sub == "verify":
-        _write_output(f"verify {config}\nautomorphism verified\n", args.out)
+        _write_output([f"verify {config}\nautomorphism verified\n".encode()], args.out)
         return 0
 
     try:
         dec = aut.decompose(G, f)  # f's array becomes sigma's
     except aut.DecompositionError as exc:
-        _write_output(f"decomposition failed: {exc}\n", args.out)
+        _write_output([f"decomposition failed: {exc}\n".encode()], args.out)
         return 1
     _write_output(serialize.render_decomposition(G, dec), args.out)
     return 0

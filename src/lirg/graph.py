@@ -38,7 +38,7 @@ from lirg.matrix import (
 
 # The most ideal classes a full graph is built with.  Invariants multiply
 # C x C float32 matrices: the largest ring accepted, M_2(F_4493) with
-# C = 4,496, takes ~6.8 s and ~484 MB for `invariants` (process wall time
+# C = 4,496, takes ~4.4 s and ~483 MB for `invariants` (process wall time
 # and peak RSS, median of 3 runs on a 2-vCPU VM).
 CLASS_BOUND = 4_500
 
@@ -168,24 +168,6 @@ class RelationGraph:
         if self.kind == "quotient":
             return np.arange(self.class_count, dtype=np.int64)
         return _assign_classes(self.field, self.n, self.class_ideals)
-
-    # -- vertex queries ---------------------------------------------------
-
-    def class_of(self, v: int) -> int:
-        return int(self.vertex_class[v])
-
-    def rank_of_vertex(self, v: int) -> int:
-        return self.class_rank[self.class_of(v)]
-
-    def ideal_of_vertex(self, v: int) -> LeftIdeal:
-        return self.class_ideals[self.class_of(v)]
-
-    def degrees(self, v: int):
-        """(d_i, d_o) on the directed graph, a single degree otherwise."""
-        c = self.class_of(v)
-        fib = np.array(self.fiber_sizes)
-        d_i, d_o = int(fib[self.lt[:, c]].sum()), int(fib[self.lt[c]].sum())
-        return (d_i, d_o) if self.directed else d_i + d_o
 
     def edge_count(self) -> int:
         """Directed edge count; the undirected graph has the same number of

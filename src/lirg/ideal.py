@@ -10,7 +10,7 @@ ideal has q^(n*r) elements without ever being materialized.
 from dataclasses import dataclass
 
 from lirg.field import Field
-from lirg.matrix import row_reduce, stacked_matrix, unit_vector, zero_matrix
+from lirg.matrix import row_reduce
 
 
 @dataclass(frozen=True, order=True)
@@ -21,11 +21,6 @@ class LeftIdeal:
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    @property
-    def dim(self) -> int:
-        """Dimension as an F_q vector space: n * rank."""
-        return self.n * self.rank
 
     def __repr__(self):
         return f"LeftIdeal(n={self.n}, rank={self.rank}, basis={self.basis})"
@@ -70,35 +65,6 @@ def is_subideal(F: Field, I: LeftIdeal, J: LeftIdeal) -> bool:
 
 def proper_subset(F: Field, I: LeftIdeal, J: LeftIdeal) -> bool:
     return I.rank < J.rank and is_subideal(F, I, J)
-
-
-def generator(I: LeftIdeal, F: Field):
-    """Matrix with the basis rows stacked on top, zero rows below.
-
-    Generates I as a left ideal.
-    """
-    if I.rank == 0:
-        return zero_matrix(I.n)
-    return stacked_matrix(F, I.n, I.basis)
-
-
-def normal_form(F: Field, I: LeftIdeal):
-    """(r, P) with P invertible such that the rank marker times P generates I.
-
-    P extends the basis greedily with standard vectors, so the first r rows
-    of P are the basis itself.
-    """
-    n, r = I.n, I.rank
-    rows = list(I.basis)
-    for i in range(n):
-        if len(rows) == n:
-            break
-        cand = unit_vector(n, i)
-        _, rk = row_reduce(F, rows + [cand])
-        if rk == len(rows) + 1:
-            rows.append(cand)
-    P = tuple(rows)
-    return r, P
 
 
 def line_vector(I: LeftIdeal):

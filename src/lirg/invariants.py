@@ -85,7 +85,9 @@ def _class_bfs(A):
     np.fill_diagonal(dist, 0)
     cycle = None
     k = 0
-    while front.any():
+    # Once the cycle is known and every pair is seen, no level can change
+    # either, so the search stops without forming the empty level.
+    while front.any() and not (cycle is not None and seen.all()):
         nbrs = front.astype(np.float32) @ adj
         nxt = (nbrs > 0) & ~seen
         if cycle is None and (front & (nbrs > 0)).any():

@@ -40,10 +40,6 @@ def _check_vertex_cap(p: int, m: int, n: int, cap: int | None):
         )
 
 
-def zero_matrix(n: int):
-    return tuple((0,) * n for _ in range(n))
-
-
 def identity_matrix(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 

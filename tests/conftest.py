@@ -82,6 +82,13 @@ def random_right_mul(G, seed):
     return right_mul_automorphism(G, random_invertible(G.field, G.n, random.Random(seed)))
 
 
+def vertex_degrees(G, v):
+    """(d_i, d_o) of vertex v of G taken as directed: the fiber sizes summed
+    over the classes below and above its class."""
+    c, fib = G.vertex_class[v], np.array(G.fiber_sizes)
+    return int(fib[G.lt[:, c]].sum()), int(fib[G.lt[c]].sum())
+
+
 def exported_edges(G):
     """The (u, v) lines of G's edge-list stream, in stream order."""
     lines = b"".join(edge_list_chunks(G)).decode().splitlines()[1:]
@@ -97,6 +104,12 @@ def exported_neighbors(G):
         outs[u].add(v)
         ins[v].add(u)
     return outs, ins
+
+
+def exported_degrees(G):
+    """(d_i, d_o) of every vertex, read off the edge-list stream."""
+    outs, ins = exported_neighbors(G)
+    return [(len(i), len(o)) for i, o in zip(ins, outs)]
 
 
 def adjacency(out_sets):

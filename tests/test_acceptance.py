@@ -11,7 +11,14 @@ import time
 
 import numpy as np
 
-from conftest import brute_ideal_sets, exported_adjacency, random_right_mul, random_triple
+from conftest import (
+    brute_ideal_sets,
+    exported_adjacency,
+    exported_degrees,
+    random_right_mul,
+    random_triple,
+    vertex_degrees,
+)
 from lirg import aut
 from lirg.counting import (
     fiber_size,
@@ -70,7 +77,7 @@ def test_criterion_02_eulerian(graphs):
     for p, m, n in REGRESSION_CASES:
         G = graphs(p, m, n)
         rep = compute_report(G)
-        d_i, d_o = G.degrees(rep.odd_degree_witness)
+        d_i, d_o = vertex_degrees(G, rep.odd_degree_witness)
         if rep.eulerian or (d_i + d_o) % 2 == 0:
             failures.append((n, G.field.q, rep.odd_degree_witness))
     assert report(
@@ -132,9 +139,8 @@ def test_criterion_05_degree_laws(graphs):
         G = graphs(p, m, n)
         q = G.field.q
         per_rank = {}
-        for v in range(G.vertex_count):
-            r = G.rank_of_vertex(v)
-            d = G.degrees(v)
+        for v, d in enumerate(exported_degrees(G)):
+            r = G.class_rank[G.vertex_class[v]]
             per_rank.setdefault(r, set()).add(d)
             if d != predicted_degree(n, r, q)[:2]:
                 failures.append((n, q, v, d))
@@ -192,7 +198,8 @@ def test_criterion_06_standard_automorphisms(graphs):
     for seed in range(1, 11):
         for p in (2, 3):
             G = graphs(p, 1, 2)
-            f = aut.random_rank_class_permutation(G, random.Random(seed))
+            ranks = np.array(G.class_rank)[G.vertex_class]
+            f = aut._shuffle_within(G, (ranks == r for r in range(3)), random.Random(seed))
             ok, witness = aut.verify(G, f)
             checked += 1
             if not ok:
@@ -252,7 +259,7 @@ def test_criterion_09_full_group_order(graphs):
     class-respecting product undercounts.  Expected to fail on the stated
     constant; the structural order agrees with the brute force."""
     G = graphs(2, 1, 2)
-    ranks = [G.rank_of_vertex(v) for v in range(16)]
+    ranks = [G.class_rank[c] for c in G.vertex_class]
     brute = aut.digraph_aut_order(exported_adjacency(G), ranks)
     structural = aut.full_aut_order(make_field(2, 1), 2)
     stated = 6 * math.factorial(3) ** 3 * math.factorial(6)

@@ -20,7 +20,7 @@ from lirg import aut
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
 from lirg.graph import build_full_graph
-from lirg.ideal import LeftIdeal, ideal_of
+from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
@@ -46,13 +46,14 @@ F4 = make_field(2, 2)
 
 def test_right_mul_all_of_gl22(graphs):
     G = graphs(2, 1, 2)
+    ranks = np.array(G.class_rank)[G.vertex_class]
     for P in enumerate_matrices(F2, 2):
         if not is_invertible(F2, P):
             continue
         f = aut.right_mul_automorphism(G, P)
         assert aut.verify(G, f) == (True, None)
         assert int(f[0]) == 0  # zero matrix fixed
-        assert aut.preserves_rank(G, f)
+        assert np.array_equal(ranks[f], ranks)
 
 
 def test_right_mul_matches_matrix_action(graphs):
@@ -66,7 +67,7 @@ def test_right_mul_matches_matrix_action(graphs):
             assert f[v] == vertex_encode(F, XP), (p, m, n, v)
             assert apply_matrix(G, f, X) == XP
         undo = aut.right_mul_automorphism(G, mat_inverse(F, P))
-        assert np.array_equal(aut.compose(undo, f), aut.identity_automorphism(G))
+        assert np.array_equal(undo[f], np.arange(G.vertex_count))
 
 
 def test_right_mul_rejects_singular(graphs):
@@ -92,87 +93,48 @@ def test_frobenius_automorphism(graphs):
         with pytest.raises(ValueError):
             aut.frobenius_automorphism(G, m)
     G = graphs(2, 2, 2)
-    assert np.array_equal(aut.frobenius_automorphism(G, 0), aut.identity_automorphism(G))
+    assert np.array_equal(aut.frobenius_automorphism(G, 0), np.arange(G.vertex_count))
     assert aut.verify(G, aut.frobenius_automorphism(G, 1)) == (True, None)
 
 
 def test_prime_field_has_only_trivial_frobenius(graphs):
     G = graphs(2, 1, 2)
     assert F2.automorphism_exponents() == [0]
-    assert np.array_equal(aut.frobenius_automorphism(G, 0), aut.identity_automorphism(G))
+    assert np.array_equal(aut.frobenius_automorphism(G, 0), np.arange(G.vertex_count))
 
 
 def test_class_permutation(graphs):
     G = graphs(2, 1, 2)
-    ident = aut.class_permutation_automorphism(G, {})
-    assert np.array_equal(ident, aut.identity_automorphism(G))
     # swap two matrices sharing the row space span{(1, 0)}
     target = ideal_of(F2, ((1, 0), (0, 0)))
     c = G.class_ideals.index(target)
     verts = np.flatnonzero(G.vertex_class == c).tolist()
     assert len(verts) == 3
-    f = aut.class_permutation_automorphism(
-        G, {target: {verts[0]: verts[1], verts[1]: verts[0]}}
-    )
+    f = np.arange(G.vertex_count)
+    f[verts[:2]] = verts[1::-1]
     assert aut.verify(G, f) == (True, None)
-    assert np.array_equal(aut.compose(f, f), aut.identity_automorphism(G))
-
-
-def test_class_permutation_rejects_wrong_class(graphs):
-    G = graphs(2, 1, 2)
-    target = ideal_of(F2, ((1, 0), (0, 0)))
-    with pytest.raises(ValueError, match="wrong class"):
-        aut.class_permutation_automorphism(G, {target: {0: 0}})
-    # target's members are 1, 4 and 5
-    for mapping, message in [
-        ({1: 4}, "block mapping is not a permutation"),
-        ({99: 99}, "permutation leaves its block"),
-        ({-1: -1}, "permutation leaves its block"),
-    ]:
-        with pytest.raises(ValueError) as exc:
-            aut.class_permutation_automorphism(G, {target: mapping})
-        assert str(exc.value) == f"vertex listed in wrong class: {message}"
-    not_canonical = LeftIdeal(2, ((1, 1), (1, 0)))
-    with pytest.raises(ValueError) as exc:
-        aut.class_permutation_automorphism(G, {not_canonical: {}})
-    assert str(exc.value) == f"unknown ideal class {not_canonical}"
-    zero_ideal = ideal_of(F2, ((0, 0), (0, 0)))
-    assert np.array_equal(
-        aut.class_permutation_automorphism(G, {zero_ideal: {0: 0}}), aut.identity_automorphism(G)
-    )
+    assert np.array_equal(f[f], np.arange(G.vertex_count))
 
 
 def test_rank_class_permutation_mixes_row_spaces(graphs):
     G = graphs(2, 1, 2)
     # two rank-1 vertices with different row spaces: a legal swap for n = 2
     # that is not a class permutation
-    r1 = [v for v in range(16) if G.rank_of_vertex(v) == 1]
+    cls = G.vertex_class
+    r1 = np.flatnonzero(np.array(G.class_rank)[cls] == 1)
     u = r1[0]
-    v = next(w for w in r1 if G.class_of(w) != G.class_of(u))
-    f = aut.rank_class_automorphism(G, {1: {u: v, v: u}})
+    v = next(w for w in r1 if cls[w] != cls[u])
+    f = np.arange(G.vertex_count)
+    f[[u, v]] = v, u
     assert aut.verify(G, f) == (True, None)
-    assert G.class_of(int(f[u])) != G.class_of(u)
-
-
-def test_rank_class_permutation_guards(graphs):
-    G3 = graphs(2, 1, 3)
-    with pytest.raises(ValueError, match="n = 2"):
-        aut.rank_class_automorphism(G3, {})
-    G = graphs(2, 1, 2)
-    with pytest.raises(ValueError, match="wrong rank class"):
-        aut.rank_class_automorphism(G, {1: {0: 0}})
-    with pytest.raises(ValueError) as exc:
-        aut.rank_class_automorphism(G, {5: {}})
-    assert str(exc.value) == "no rank class 5"
-    with pytest.raises(ValueError) as exc:
-        aut.rank_class_automorphism(G, {1: {1: 4}})
-    assert str(exc.value) == "vertex listed in wrong rank class: block mapping is not a permutation"
+    assert cls[f[u]] != cls[u]
 
 
 def test_sampled_rank_class_permutations_verify(graphs):
     G = graphs(2, 1, 2)
+    ranks = np.array(G.class_rank)[G.vertex_class]
     for seed in range(1, 11):
-        f = aut.random_rank_class_permutation(G, random.Random(seed))
+        f = aut._shuffle_within(G, (ranks == r for r in range(3)), random.Random(seed))
         assert aut.verify(G, f) == (True, None)
 
 
@@ -212,7 +174,7 @@ def test_random_draws_unchanged(graphs):
         expected[verts] = shuffled
     assert np.array_equal(sigma, expected)
     phi, ups = aut.right_mul_automorphism(G, P), aut.frobenius_automorphism(G, t)
-    assert np.array_equal(f, aut.compose(phi, aut.compose(ups, sigma)))
+    assert np.array_equal(f, phi[ups[sigma]])
     # Rank classes of n = 2 are shuffled as lists too, rank 0 first.
     G = graphs(3, 1, 2)
     ranks = np.array(G.class_rank)[G.vertex_class]
@@ -223,31 +185,26 @@ def test_random_draws_unchanged(graphs):
             shuffled = np.flatnonzero(ranks == r).tolist()
             rng.shuffle(shuffled)
             expected[ranks == r] = shuffled
-        assert np.array_equal(aut.random_rank_class_permutation(G, random.Random(seed)), expected)
+        masks = (ranks == r for r in range(3))
+        assert np.array_equal(aut._shuffle_within(G, masks, random.Random(seed)), expected)
 
 
 def test_compose_inverse_identity(graphs):
     G = graphs(2, 1, 2)
     f = random_right_mul(G, 5)
-    assert np.array_equal(aut.compose(f, aut.inverse(f)), aut.identity_automorphism(G))
-    assert np.array_equal(aut.compose(aut.identity_automorphism(G), f), f)
+    identity = np.arange(G.vertex_count)
+    assert np.array_equal(f[aut.inverse(f)], identity)
+    assert np.array_equal(identity[f], f)
 
 
 def test_right_mul_homomorphism_exhaustive(graphs):
-    """compose(phi_P, phi_Q) equals phi_{QP}: apply Q first, then P."""
+    """phi_P[phi_Q] equals phi_{QP}: apply Q first, then P."""
     G = graphs(2, 1, 2)
     gl = [X for X in enumerate_matrices(F2, 2) if is_invertible(F2, X)]
     cache = {P: aut.right_mul_automorphism(G, P) for P in gl}
     for P in gl:
         for Q in gl:
-            assert np.array_equal(aut.compose(cache[P], cache[Q]), cache[mat_mul(F2, Q, P)])
-
-
-def test_compose_context_mismatch(graphs):
-    f = aut.identity_automorphism(graphs(2, 1, 2))
-    g = aut.identity_automorphism(graphs(3, 1, 2))
-    with pytest.raises(ValueError, match="mismatch"):
-        aut.compose(f, g)
+            assert np.array_equal(cache[P][cache[Q]], cache[mat_mul(F2, Q, P)])
 
 
 def test_frobenius_commutation_with_right_mul():
@@ -261,8 +218,8 @@ def test_frobenius_commutation_with_right_mul():
     for _ in range(3):
         P = random_invertible(F, 3, rng)
         P_pre = tuple(tuple(F.frobenius(a, t_inv) for a in row) for row in P)
-        lhs = aut.compose(aut.right_mul_automorphism(G, P), aut.frobenius_automorphism(G, t))
-        rhs = aut.compose(aut.frobenius_automorphism(G, t), aut.right_mul_automorphism(G, P_pre))
+        lhs = aut.right_mul_automorphism(G, P)[aut.frobenius_automorphism(G, t)]
+        rhs = aut.frobenius_automorphism(G, t)[aut.right_mul_automorphism(G, P_pre)]
         assert np.array_equal(lhs, rhs)
 
 
@@ -299,7 +256,7 @@ def test_row_table_matches_factor_composition(graphs, p, m, n):
             sigma = aut.random_class_permutation(G, rng)
             phi = _right_mul_by_digit_sums(G, P)
             assert np.array_equal(aut.right_mul_automorphism(G, P), phi)
-            expected = aut.compose(phi, aut.compose(ups, sigma))
+            expected = phi[ups[sigma]]
             assert np.array_equal(aut.recompose(G, aut.Decomposition(P, t, sigma.copy())), expected)
 
 
@@ -327,14 +284,15 @@ def test_verify_rejects_non_bijection(graphs):
 
 def test_rank_preservation_of_verified_automorphisms(graphs):
     G = graphs(2, 1, 2)
+    ranks = np.array(G.class_rank)[G.vertex_class]
     for seed in range(1, 6):
         for f in (
             random_right_mul(G, seed),
             aut.random_class_permutation(G, random.Random(seed)),
-            aut.random_rank_class_permutation(G, random.Random(seed)),
+            aut._shuffle_within(G, (ranks == r for r in range(3)), random.Random(seed)),
         ):
             assert aut.verify(G, f) == (True, None)
-            assert aut.preserves_rank(G, f)
+            assert np.array_equal(ranks[f], ranks)
 
 
 # -- decomposition ------------------------------------------------------------
@@ -342,16 +300,16 @@ def test_rank_preservation_of_verified_automorphisms(graphs):
 
 def test_decompose_identity(graphs):
     G = graphs(2, 1, 3)
-    dec = aut.decompose(G, aut.identity_automorphism(G))
+    dec = aut.decompose(G, np.arange(G.vertex_count))
     assert dec.P == identity_matrix(3)
     assert dec.t == 0
-    assert np.array_equal(dec.sigma, aut.identity_automorphism(G))
+    assert np.array_equal(dec.sigma, np.arange(G.vertex_count))
 
 
 def test_decompose_requires_n_at_least_3(graphs):
     G = graphs(2, 1, 2)
     with pytest.raises(ValueError, match="n >= 3"):
-        aut.decompose(G, aut.identity_automorphism(G))
+        aut.decompose(G, np.arange(G.vertex_count))
 
 
 def test_decompose_right_mul_swap(graphs):
@@ -400,22 +358,6 @@ def test_decompose_sigma_fixes_classes(graphs):
     _, _, _, f = random_triple(G, 3)
     dec = aut.decompose(G, f)
     assert np.array_equal(G.vertex_class[dec.sigma], G.vertex_class)
-
-
-def test_decompose_rank_classes(graphs):
-    G = graphs(2, 1, 2)
-    ident = aut.identity_automorphism(G)
-    assert aut.decompose_rank_classes(G, ident) == {0: {}, 1: {}, 2: {}}
-    for seed in range(1, 6):
-        f = random_right_mul(G, seed)
-        assignment = aut.decompose_rank_classes(G, f)
-        assert np.array_equal(aut.rank_class_automorphism(G, assignment), f)
-        rho = aut.random_rank_class_permutation(G, random.Random(seed))
-        assignment = aut.decompose_rank_classes(G, rho)
-        assert np.array_equal(aut.rank_class_automorphism(G, assignment), rho)
-    G3 = graphs(2, 1, 3)
-    with pytest.raises(ValueError, match="n = 2"):
-        aut.decompose_rank_classes(G3, aut.identity_automorphism(G3))
 
 
 # -- group orders -------------------------------------------------------------

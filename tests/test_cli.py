@@ -951,7 +951,7 @@ def test_failed_stream_keeps_old_output(tmp_path):
     out.write_bytes(b"old bytes\n")
 
     def chunks():
-        yield "first chunk\n"
+        yield b"first chunk\n"
         raise RuntimeError("render failed")
 
     with pytest.raises(RuntimeError, match="render failed"):

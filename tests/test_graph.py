@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_ideal_sets, exported_edges
+from conftest import brute_ideal_sets, exported_degrees, exported_edges
 from lirg.counting import fiber_size, gaussian_binomial, predicted_degree
 from lirg.field import make_field
 from lirg.graph import build_full_graph, build_quotient_graph, subspaces
@@ -50,7 +50,7 @@ def test_full_graph_n2_q2_against_brute_force():
 
 def test_no_edges_within_a_rank_level():
     G = build_full_graph(F2, 2)
-    rank1 = [v for v in range(16) if G.rank_of_vertex(v) == 1]
+    rank1 = np.flatnonzero(np.array(G.class_rank)[G.vertex_class] == 1).tolist()
     assert len(rank1) == 9
     edges = set(exported_edges(G))
     assert not any((u, v) in edges for u in rank1 for v in rank1)
@@ -110,7 +110,7 @@ def test_class_assignment_matches_per_vertex_reduction(F, n):
     assert G.vertex_class.dtype == np.min_scalar_type(G.class_count - 1)
     assert G.vertex_class.dtype.kind == "u"
     for v in range(G.vertex_count):
-        assert G.ideal_of_vertex(v) == ideal_of(F, vertex_decode(F, n, v))
+        assert G.class_ideals[int(G.vertex_class[v])] == ideal_of(F, vertex_decode(F, n, v))
     counts = np.bincount(G.vertex_class.astype(np.int64), minlength=G.class_count)
     assert G.fiber_sizes == tuple(counts.tolist())
     assert np.array_equal(G.lt, containment_by_row_reduction(F, G.class_ideals))
@@ -136,12 +136,13 @@ def test_fiber_size_law():
 
 def test_degrees_against_examples():
     G = build_full_graph(F2, 2)
-    assert G.degrees(0) == (0, 15)
-    rank2 = next(v for v in range(16) if G.rank_of_vertex(v) == 2)
+    degrees, ranks = exported_degrees(G), np.array(G.class_rank)[G.vertex_class]
+    assert degrees[0] == (0, 15)
+    rank2 = int(np.argmax(ranks == 2))
     und = build_full_graph(F2, 2, directed=False)
-    assert und.degrees(rank2) == 10
-    rank1 = next(v for v in range(16) if G.rank_of_vertex(v) == 1)
-    assert G.degrees(rank1) == (1, 6)
+    assert sum(exported_degrees(und)[rank2]) == 10
+    rank1 = int(np.argmax(ranks == 1))
+    assert degrees[rank1] == (1, 6)
 
 
 @pytest.mark.parametrize("F,n", [(F2, 2), (F3, 2), (F2, 3)])
@@ -150,9 +151,8 @@ def test_degree_laws_exhaustive(F, n):
     equal to the closed-form prediction."""
     G = build_full_graph(F, n)
     per_rank = {}
-    for v in range(G.vertex_count):
-        r = G.rank_of_vertex(v)
-        d = G.degrees(v)
+    for v, d in enumerate(exported_degrees(G)):
+        r = G.class_rank[G.vertex_class[v]]
         per_rank.setdefault(r, set()).add(d)
         assert d == predicted_degree(n, r, F.q)[:2]
     for r, degs in per_rank.items():
@@ -166,9 +166,8 @@ def test_degree_laws_exhaustive(F, n):
 def test_rank_monotonicity_of_edges():
     for F, n in [(F2, 2), (F3, 2), (F2, 3)]:
         G = build_full_graph(F, n)
-        assert all(
-            G.rank_of_vertex(u) < G.rank_of_vertex(v) for u, v in exported_edges(G)
-        )
+        ranks = np.array(G.class_rank)[G.vertex_class]
+        assert all(ranks[u] < ranks[v] for u, v in exported_edges(G))
 
 
 def test_quotient_containment_against_row_reduction():
@@ -211,7 +210,7 @@ def test_neighbor_lists():
         assert both == sorted(in_neighbors(v) + out_neighbors(v))
     assert out_neighbors(0) == list(range(1, 16))
     assert in_neighbors(0) == []
-    rank1 = next(v for v in range(16) if G.rank_of_vertex(v) == 1)
+    rank1 = int(np.argmax(np.array(G.class_rank)[G.vertex_class] == 1))
     assert in_neighbors(rank1) == [0]
     assert len(out_neighbors(rank1)) == 6
 

@@ -7,13 +7,7 @@ import pytest
 from conftest import brute_ideal_set, brute_ideal_sets
 from lirg.field import make_field
 from lirg.graph import subspaces
-from lirg.ideal import (
-    generator,
-    ideal_of,
-    line_vector,
-    normal_form,
-    proper_subset,
-)
+from lirg.ideal import LeftIdeal, ideal_of, line_vector, proper_subset
 from lirg.matrix import (
     enumerate_matrices,
     identity_matrix,
@@ -21,18 +15,53 @@ from lirg.matrix import (
     rank_marker,
     random_invertible,
     is_invertible,
+    row_reduce,
+    stacked_matrix,
+    unit_vector,
     vertex_decode,
     vertex_encode,
-    zero_matrix,
 )
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 
 
+def zero_matrix(n: int):
+    return tuple((0,) * n for _ in range(n))
+
+
+def generator(I: LeftIdeal, F):
+    """Matrix with the basis rows stacked on top, zero rows below.
+
+    Generates I as a left ideal.
+    """
+    if I.rank == 0:
+        return zero_matrix(I.n)
+    return stacked_matrix(F, I.n, I.basis)
+
+
+def normal_form(F, I: LeftIdeal):
+    """(r, P) with P invertible such that the rank marker times P generates I.
+
+    P extends the basis greedily with standard vectors, so the first r rows
+    of P are the basis itself.
+    """
+    n, r = I.n, I.rank
+    rows = list(I.basis)
+    for i in range(n):
+        if len(rows) == n:
+            break
+        cand = unit_vector(n, i)
+        _, rk = row_reduce(F, rows + [cand])
+        if rk == len(rows) + 1:
+            rows.append(cand)
+    P = tuple(rows)
+    return r, P
+
+
 def test_ideal_of_zero():
     I = ideal_of(F2, zero_matrix(2))
-    assert I.rank == 0 and I.basis == () and I.dim == 0
+    assert I.rank == 0 and I.basis == ()
 
 
 def test_ideal_of_invertible_is_whole_ring():

@@ -9,7 +9,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from conftest import brute_ideal_sets, exported_edges
+from conftest import brute_ideal_sets, exported_edges, vertex_degrees
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
 from lirg import invariants
@@ -177,6 +177,21 @@ def test_class_bfs_matches_networkx_on_random_graphs_and_forests():
         assert_class_bfs_matches_networkx(forest)
 
 
+def test_class_bfs_stops_after_its_last_useful_level():
+    # Over M_3(F_3) the triangle is found, and every class pair seen, at the
+    # second level: a third product could only find an empty level.
+    class Counted(np.ndarray):
+        products = 0
+
+        def __rmatmul__(self, other):
+            Counted.products += 1
+            return np.asarray(other) @ np.asarray(self)
+
+    lt = build_quotient_graph(F3, 3).lt
+    dist, cycle = invariants._class_bfs((lt | lt.T).view(Counted))
+    assert (Counted.products, cycle, dist.max()) == (2, 3, 2)
+
+
 def test_triangle_witness_is_a_triangle():
     for F, n in [(F2, 2), (F2, 3), (F3, 2)]:
         G = build_full_graph(F, n, directed=False)
@@ -205,7 +220,7 @@ def test_metric_matches_vertex_level_oracle(F, n):
     assert rep.radius == min(ecc_oracle)
     per_rank = {}
     for v, e in enumerate(ecc_oracle):
-        r = G.rank_of_vertex(v)
+        r = G.class_rank[G.vertex_class[v]]
         per_rank[r] = max(per_rank.get(r, 0), e)
     assert dict(rep.eccentricity_by_rank) == per_rank
 
@@ -253,17 +268,17 @@ def test_eulerian_check():
     G = build_full_graph(F2, 2, directed=False)
     rep = compute_report(G)
     assert not rep.eulerian and rep.odd_degree_witness == 0
-    assert G.degrees(0) == 15
+    assert sum(vertex_degrees(G, 0)) == 15
 
     G3 = build_full_graph(F3, 2, directed=False)
     rep = compute_report(G3)
     assert not rep.eulerian
-    assert G3.rank_of_vertex(rep.odd_degree_witness) == 2
-    assert G3.degrees(rep.odd_degree_witness) == 81 - 48 == 33  # M(2,2,2,3) = (9-1)(9-3)
+    assert G3.class_rank[G3.vertex_class[rep.odd_degree_witness]] == 2
+    assert sum(vertex_degrees(G3, rep.odd_degree_witness)) == 81 - 48 == 33  # M(2,2,2,3) = (9-1)(9-3)
 
     G1 = build_full_graph(F2, 1, directed=False)
     rep = compute_report(G1)
-    assert not rep.eulerian and G1.degrees(rep.odd_degree_witness) == 1
+    assert not rep.eulerian and sum(vertex_degrees(G1, rep.odd_degree_witness)) == 1
 
 
 def test_eulerian_witness_degree_is_odd_everywhere():
@@ -271,7 +286,7 @@ def test_eulerian_witness_degree_is_odd_everywhere():
         G = build_full_graph(F, n, directed=False)
         rep = compute_report(G)
         assert not rep.eulerian
-        assert G.degrees(rep.odd_degree_witness) % 2 == 1
+        assert sum(vertex_degrees(G, rep.odd_degree_witness)) % 2 == 1
 
 
 @pytest.mark.parametrize("p, m", [(3, 1), (5, 1), (7, 1), (3, 2)])

@@ -212,7 +212,7 @@ def test_undirected_cut_on_name_width_boundary():
     assert on_boundary == [9, 10]
     chunks = {int(bytes(chunk).split()[0]): bytes(chunk) for chunk in list(serialize.edge_list_chunks(G))[1:]}
     for u in on_boundary:
-        assert chunks[u].decode() == "".join(f"{u} {v}\n" for v in targets[G.class_of(u)][cut[u] :])
+        assert chunks[u].decode() == "".join(f"{u} {v}\n" for v in targets[G.vertex_class[u]][cut[u] :])
 
 
 def test_unknown_format(graphs):
