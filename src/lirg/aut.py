@@ -36,20 +36,16 @@ import numpy as np
 from lirg.counting import fiber_size
 from lirg.field import Field
 from lirg.graph import RelationGraph, build_quotient_graph
-from lirg.ideal import ideal_of, line_vector
+from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
-    all_one_row_matrix,
-    column_scale_matrix,
-    column_swap_matrix,
     first_row_matrix,
     identity_matrix,
     is_invertible,
     mat_inverse,
     mat_mul,
     random_invertible,
-    unit_vector,
     vertex_decode,
     vertex_encode,
 )
@@ -191,44 +187,40 @@ class Decomposition:
 
 
 def _normalizer(F: Field, n: int, a, i: int, l: int):
-    """Invertible matrix sending the line of a to the line of e_i, fixing
-    the lines of e_0 .. e_{i-1}; l is the chosen nonzero coordinate."""
-    inv_al = F.inv(a[l])
-    M1 = [list(row) for row in identity_matrix(n)]
-    for j in range(n):
-        if j != l and a[j]:
-            M1[l][j] = F.neg(F.mul(inv_al, a[j]))
-    M1 = tuple(tuple(row) for row in M1)
-    M2 = column_scale_matrix(F, n, l, inv_al)
-    M3 = column_swap_matrix(n, i, l)
-    return mat_mul(F, mat_mul(F, M1, M2), M3)
+    """One inverse of the frame matrix B: the identity with row i set to a
+    and row l to e_i.  As a[l] != 0 the rows of B are a basis, and B^-1
+    sends a to e_i and e_i to e_l and fixes every other e_j: the line of a
+    goes to the line of e_i, and those of e_0 .. e_{i-1} stay."""
+    B = [list(row) for row in identity_matrix(n)]
+    B[l], B[i] = B[i], list(a)
+    return mat_inverse(F, B)
 
 
-def _probe_line(G: RelationGraph, f: np.ndarray, P_acc, X):
-    """Canonical spanning vector of the ideal of f(X) P_acc for rank-1 X."""
+def _probe_line(G: RelationGraph, f: np.ndarray, P_acc, row):
+    """Canonical spanning vector of the ideal of f(X) P_acc, for X the
+    rank-1 matrix with first row ``row``."""
     F, n = G.field, G.n
-    v = vertex_encode(F, X)
-    image = vertex_decode(F, n, int(f[v]))
-    moved = mat_mul(F, image, P_acc)
-    ideal = ideal_of(F, moved)
+    image = vertex_decode(F, n, int(f[vertex_encode(F, first_row_matrix(n, row))]))
+    ideal = ideal_of(F, mat_mul(F, image, P_acc))
     if ideal.rank != 1:
         raise DecompositionError(
             f"image of a rank-1 vertex has rank {ideal.rank}; input is not an "
             "automorphism"
         )
-    return line_vector(ideal)
+    return ideal.basis[0]
 
 
 def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:
     """Factor a verified automorphism (n >= 3) into (P, t, sigma).
 
-    Normalizes the images of the coordinate lines one at a time with
-    explicit invertible matrices, then the all-one line with a diagonal
-    matrix; reads the induced field map off the lines through e_0 + a e_1
-    and matches it to a Frobenius exponent; the residual must fix every
-    ideal class and becomes sigma.  Only composition equality is
-    guaranteed, not uniqueness of the triple.  The array f is rewritten in
-    place into sigma's and returned as ``sigma``: pass a copy to keep f.
+    Normalizes the images of the coordinate lines one at a time, each by
+    one inverse of the frame matrix (see ``_normalizer``), then the all-one
+    line by the inverse of a diagonal matrix; reads the induced field map
+    off the lines through e_0 + a e_1 and matches it to a Frobenius
+    exponent; the residual must fix every ideal class and becomes sigma.
+    Only composition equality is guaranteed, not uniqueness of the triple.
+    The array f is rewritten in place into sigma's and returned as
+    ``sigma``: pass a copy to keep f.
     """
     _check_context(G)
     F, n = G.field, G.n
@@ -237,7 +229,7 @@ def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:
 
     P_acc = identity_matrix(n)
     for i in range(n):
-        a = _probe_line(G, f, P_acc, first_row_matrix(n, unit_vector(n, i)))
+        a = _probe_line(G, f, P_acc, identity_matrix(n)[i])
         l = next((j for j in range(i, n) if a[j]), None)
         if l is None:
             raise DecompositionError(
@@ -246,22 +238,18 @@ def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:
             )
         P_acc = mat_mul(F, P_acc, _normalizer(F, n, a, i, l))
 
-    b = _probe_line(G, f, P_acc, all_one_row_matrix(n))
+    b = _probe_line(G, f, P_acc, (1,) * n)
     if not all(b):
         raise DecompositionError(
             "all-one line maps to a line with a zero coordinate; input is "
             "not an automorphism"
         )
-    diag = tuple(
-        tuple(F.inv(b[i]) if i == j else 0 for j in range(n)) for i in range(n)
-    )
-    P_acc = mat_mul(F, P_acc, diag)
+    diag = tuple(tuple(b[i] if i == j else 0 for j in range(n)) for i in range(n))
+    P_acc = mat_mul(F, P_acc, mat_inverse(F, diag))
 
     field_map = {}
-    e0, e1 = unit_vector(n, 0), unit_vector(n, 1)
     for a in F.elements():
-        row = tuple(F.add(x, F.mul(a, y)) for x, y in zip(e0, e1))
-        c = _probe_line(G, f, P_acc, first_row_matrix(n, row))
+        c = _probe_line(G, f, P_acc, (1, a) + (0,) * (n - 2))
         if c[0] != 1 or any(c[j] for j in range(2, n)):
             raise DecompositionError(
                 f"line through e0 + {a}*e1 maps outside the e0,e1 plane; "

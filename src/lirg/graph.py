@@ -42,6 +42,11 @@ from lirg.matrix import (
 # and peak RSS, median of 3 runs on a 2-vCPU VM).
 CLASS_BOUND = 4_500
 
+# The most subspaces a quotient graph is built with, whatever its cap: its
+# C x C bool ``lt`` then fits in 1 GiB.  `build-graph --quotient --n 2 --p
+# 32749` (C = 32,751) takes 2-3 s at ~1.1 GB peak RSS on the same VM.
+QUOTIENT_BOUND = 1 << 15
+
 
 def _subspace_count(q: int, n: int, bound: int | None, limit: str) -> int:
     """Number of subspaces of F_q^n, refused (``limit`` names the bound) at
@@ -202,8 +207,11 @@ def build_quotient_graph(
     F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP, directed: bool = True
 ) -> RelationGraph:
     """Graph on ideal classes themselves: the subspace lattice of F_q^n,
-    refused above ``cap`` subspaces (see ``_subspace_count``)."""
-    count = _subspace_count(F.q, n, cap, "the vertex cap")
+    refused above ``cap`` or QUOTIENT_BOUND subspaces (see
+    ``_subspace_count``)."""
+    if cap is not None:
+        _subspace_count(F.q, n, cap, "the vertex cap")
+    count = _subspace_count(F.q, n, QUOTIENT_BOUND, "the quotient bound")
     ideals = tuple(subspaces(F, n))
     assert len(ideals) == count
     return RelationGraph(

@@ -65,10 +65,3 @@ def is_subideal(F: Field, I: LeftIdeal, J: LeftIdeal) -> bool:
 
 def proper_subset(F: Field, I: LeftIdeal, J: LeftIdeal) -> bool:
     return I.rank < J.rank and is_subideal(F, I, J)
-
-
-def line_vector(I: LeftIdeal):
-    """The unique spanning row with leading coefficient 1, for rank-1 ideals."""
-    if I.rank != 1:
-        raise ValueError(f"ideal has rank {I.rank}, expected 1")
-    return I.basis[0]

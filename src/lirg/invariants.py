@@ -23,7 +23,7 @@ from lirg.counting import matrix_space_size
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import ideal_of, proper_subset
-from lirg.matrix import first_row_matrix, rank_marker, stacked_matrix, unit_vector, vertex_encode
+from lirg.matrix import first_row_matrix, identity_matrix, rank_marker, stacked_matrix, vertex_encode
 
 ACYCLIC = "acyclic"
 
@@ -139,8 +139,8 @@ def k33_witness(F: Field, n: int):
     """
     if n < 2:
         raise ValueError("K_{3,3} witness requires n >= 2")
-    e1, e2 = unit_vector(n, 0), unit_vector(n, 1)
-    e11 = tuple(F.add(a, b) for a, b in zip(e1, e2))
+    e1, e2 = identity_matrix(n)[:2]
+    e11 = (1, 1) + (0,) * (n - 2)
     side1 = (
         first_row_matrix(n, e1),
         first_row_matrix(n, e2),

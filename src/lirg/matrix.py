@@ -44,27 +44,6 @@ def identity_matrix(n: int):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def column_swap_matrix(n: int, i: int, j: int):
-    """Identity with columns i and j interchanged."""
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"column swap ({i}, {j}) out of range for n = {n}")
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return tuple(tuple(1 if perm[c] == r else 0 for c in range(n)) for r in range(n))
-
-
-def column_scale_matrix(F: Field, n: int, i: int, a: int):
-    """Identity with column i multiplied by a nonzero scalar."""
-    if not 0 <= i < n:
-        raise ValueError(f"column index {i} out of range for n = {n}")
-    if F.check(a) == 0:
-        raise ValueError("column scale factor must be nonzero")
-    return tuple(
-        tuple((a if c == i else 1) if r == c else 0 for c in range(n))
-        for r in range(n)
-    )
-
-
 def rank_marker(n: int, r: int):
     """Diagonal matrix with r leading ones; rank exactly r, and rank 0 gives 0."""
     if not 0 <= r <= n:
@@ -91,17 +70,6 @@ def stacked_matrix(F: Field, n: int, rows):
     if rank != len(rows):
         raise ValueError("row vectors are linearly dependent")
     return tuple(rows) + tuple((0,) * n for _ in range(n - len(rows)))
-
-
-def unit_vector(n: int, i: int):
-    if not 0 <= i < n:
-        raise ValueError(f"unit vector index {i} out of range for n = {n}")
-    return tuple(1 if j == i else 0 for j in range(n))
-
-
-def all_one_row_matrix(n: int):
-    """All-one vector in the first row, all other rows zero."""
-    return first_row_matrix(n, (1,) * n)
 
 
 def _check_matrix(F: Field, A):

@@ -1,5 +1,6 @@
 """Automorphism constructors, verification, decomposition, group orders."""
 
+import itertools
 import math
 import random
 
@@ -24,7 +25,6 @@ from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
-    column_swap_matrix,
     enumerate_matrices,
     first_row_matrix,
     identity_matrix,
@@ -314,7 +314,7 @@ def test_decompose_requires_n_at_least_3(graphs):
 
 def test_decompose_right_mul_swap(graphs):
     G = graphs(2, 1, 3)
-    f = aut.right_mul_automorphism(G, column_swap_matrix(3, 0, 1))
+    f = aut.right_mul_automorphism(G, ((0, 1, 0), (1, 0, 0), (0, 0, 1)))
     dec = aut.decompose(G, f.copy())
     assert dec.t == 0
     assert np.array_equal(aut.recompose(G, dec), f)
@@ -327,6 +327,29 @@ def test_decompose_roundtrip_n3_q2(graphs):
         assert aut.verify(G, f) == (True, None)
         dec = aut.decompose(G, f.copy())
         assert np.array_equal(aut.recompose(G, dec), f)
+
+
+def frame_product(F, n, a, i, l):
+    """The frame change of ``aut._normalizer`` as a product of three
+    matrices: clear every coordinate of a but l, scale column l by
+    a[l]^-1, then swap columns i and l."""
+    inv_al = F.inv(a[l])
+    clear = [list(row) for row in identity_matrix(n)]
+    clear[l] = [1 if j == l else F.neg(F.mul(inv_al, a[j])) for j in range(n)]
+    scale = [[(inv_al if c == l else 1) if r == c else 0 for c in range(n)] for r in range(n)]
+    swap = [list(row) for row in identity_matrix(n)]
+    swap[i], swap[l] = swap[l], swap[i]
+    return mat_mul(F, mat_mul(F, clear, scale), swap)
+
+
+@pytest.mark.parametrize("F, n", [(F2, 3), (F2, 4), (F3, 3), (F4, 3)])
+def test_normalizer_is_the_three_matrix_product(F, n):
+    for a in itertools.product(range(F.q), repeat=n):
+        for i in range(n):
+            for l in (j for j in range(i, n) if a[j]):
+                P = aut._normalizer(F, n, a, i, l)
+                assert P == frame_product(F, n, a, i, l)
+                assert mat_mul(F, first_row_matrix(n, a), P)[0] == identity_matrix(n)[i]
 
 
 @pytest.mark.parametrize(
@@ -435,6 +458,14 @@ def test_full_aut_order_small_cases():
         fiber_size(3, 2, 2): 7,
         fiber_size(3, 3, 2): 1,
     }
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [(1, "1 * (1!)^2"), (2, "1 * 1! * 6! * 9!"), (3, "168 * 1! * (7!)^7 * (42!)^7 * 168!")],
+)
+def test_full_aut_order_str(n, text):
+    assert str(aut.full_aut_order(F2, n)) == text
 
 
 def test_full_aut_order_n1_q3_matches_enumeration(graphs):

@@ -76,6 +76,11 @@ def test_ring_info_large_prime_is_prompt(capsys):
         ("aut count-quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
         ("build-graph --quotient --n 400 --p 2", 2, "F_2^400 exceeds the vertex cap 100000"),
         ("build-graph --quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
+        # C^2 bytes of lt would not fit in memory: refused at the quotient bound.
+        ("build-graph --quotient --n 3 --p 211", 2, "F_211^3 exceeds the quotient bound 32768"),
+        ("build-graph --quotient --n 2 --p 99989", 2, "F_99989^2 exceeds the quotient bound 32768"),
+        (f"build-graph --quotient --n 20 --p 2 --cap 1{'0' * 100}", 2,
+         "subspace count of F_2^20 exceeds the quotient bound 32768"),
     ],
 )
 def test_large_field_or_dimension_answers_promptly(capsys, argv, code, message):
@@ -536,11 +541,15 @@ def test_explicit_modulus_flag(capsys):
 
 
 def test_bad_modulus_rejected(capsys):
-    code, _, err = run(
-        capsys, "ring-info", "--n", "1", "--p", "2", "--m", "2", "--modulus", "1,0,1"
-    )
-    assert code == 2
-    assert "reducible" in err
+    for modulus, message in [
+        ("1,0,1", "reducible"),
+        ("1,x", "bad modulus '1,x': invalid literal for int() with base 10: 'x'"),
+    ]:
+        code, _, err = run(
+            capsys, "ring-info", "--n", "1", "--p", "2", "--m", "2", "--modulus", modulus
+        )
+        assert code == 2
+        assert message in err
 
 
 def test_nonprime_p_usage_error(capsys):
@@ -680,10 +689,15 @@ def test_input_line_ends_and_encoding(capsys, tmp_path):
     perm.write_bytes(text.replace(b"\n", b"\r"))
     code, out, _ = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
     assert (code, out) == (0, "verify n=2 p=3 m=1 modulus=0,1\nautomorphism verified\n")
-    perm.write_bytes(text[:60] + b"\xff" + text[60:])
-    code, out, err = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
-    assert (code, out) == (2, "")
-    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 60: invalid start byte\n"
+    for data, reason in [
+        (text[:60] + b"\xff" + text[60:], "byte 0xff in position 60: invalid start byte"),
+        (text + b"\xe2\x82", "bytes in position 506-507: unexpected end of data"),
+        (text[:60] + b"\xe2\x82" + text[60:], "bytes in position 60-61: invalid continuation byte"),
+    ]:
+        perm.write_bytes(data)
+        code, out, err = run(capsys, "aut", "verify", *ring, "--perm", str(perm))
+        assert (code, out) == (2, "")
+        assert err == f"error: 'utf-8' codec can't decode {reason}\n"
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
@@ -823,12 +837,21 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
          "malformed sigma line"),
         (lambda text: text.replace("class rank=1 basis=0,0,1 ", "klass rank=1 basis=0,0,1 "),
          "malformed sigma line"),
+        (lambda text: "\n", "empty decomposition file"),
+        (lambda text: "".join(text.splitlines(True)[:4]), "truncated P block"),
+        (lambda text: re.sub(r"P\n3\n.*\n", "P\n3\n1 0\n", text), "matrix row has wrong length"),
+        (lambda text: "".join(text.splitlines(True)[:6]), "truncated decomposition file"),
+        (lambda text: text.replace("\nt 0\n", "\nu 1\n"), "missing t line"),
+        (lambda text: text.replace(" basis=0,1,0;0,0,1 ", " basis=1,1,1;1,1,1 "),
+         "unknown ideal class in sigma block: "
+         "LeftIdeal(n=3, rank=2, basis=((1, 1, 1), (1, 1, 1)))"),
     ],
     ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex",
          "cycle-vertex-past-N", "cycle-vertex-beyond-int64", "sigma-line-without-basis",
          "blank-header", "doubled-opening-parenthesis", "doubled-closing-parenthesis",
          "rank-not-the-basis-rank", "empty-basis-row", "class-line-without-rank",
-         "line-not-a-class"],
+         "line-not-a-class", "newline-only", "P-cut-after-first-row", "short-P-row",
+         "ends-after-P", "no-t-line", "unknown-class"],
 )
 def test_recompose_refuses_malformed_report(capsys, tmp_path, edit, message):
     ring = ["--n", "3", "--p", "2"]

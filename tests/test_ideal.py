@@ -2,12 +2,10 @@
 
 import random
 
-import pytest
-
 from conftest import brute_ideal_set, brute_ideal_sets
 from lirg.field import make_field
 from lirg.graph import subspaces
-from lirg.ideal import LeftIdeal, ideal_of, line_vector, proper_subset
+from lirg.ideal import LeftIdeal, ideal_of, proper_subset
 from lirg.matrix import (
     enumerate_matrices,
     identity_matrix,
@@ -17,7 +15,6 @@ from lirg.matrix import (
     is_invertible,
     row_reduce,
     stacked_matrix,
-    unit_vector,
     vertex_decode,
     vertex_encode,
 )
@@ -51,7 +48,7 @@ def normal_form(F, I: LeftIdeal):
     for i in range(n):
         if len(rows) == n:
             break
-        cand = unit_vector(n, i)
+        cand = identity_matrix(n)[i]
         _, rk = row_reduce(F, rows + [cand])
         if rk == len(rows) + 1:
             rows.append(cand)
@@ -167,12 +164,11 @@ def test_normal_form_reconstructs_every_subspace():
 
 
 def test_line_vector():
-    assert line_vector(ideal_of(F2, ((0, 1), (0, 0)))) == (0, 1)
+    # A rank-1 ideal's basis row is its spanning vector with leading 1.
+    assert ideal_of(F2, ((0, 1), (0, 0))).basis[0] == (0, 1)
     # over GF(3): span{(2, 1)} normalizes by 2^{-1} = 2 to (1, 2)
-    assert line_vector(ideal_of(F3, ((2, 1), (0, 0)))) == (1, 2)
-    assert line_vector(ideal_of(F2, ((1, 1, 0), (0, 0, 0), (0, 0, 0)))) == (1, 1, 0)
-    with pytest.raises(ValueError):
-        line_vector(ideal_of(F2, identity_matrix(2)))
+    assert ideal_of(F3, ((2, 1), (0, 0))).basis[0] == (1, 2)
+    assert ideal_of(F2, ((1, 1, 0), (0, 0, 0), (0, 0, 0))).basis[0] == (1, 1, 0)
 
 
 def test_ideal_ordering_is_structural():

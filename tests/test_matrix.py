@@ -9,8 +9,6 @@ from lirg.field import make_field
 from lirg.ideal import ideal_of
 from lirg.matrix import (
     VertexCapExceeded,
-    column_scale_matrix,
-    column_swap_matrix,
     enumerate_matrices,
     first_row_matrix,
     identity_matrix,
@@ -22,7 +20,6 @@ from lirg.matrix import (
     random_invertible,
     rref_and_rank,
     stacked_matrix,
-    unit_vector,
     vertex_decode,
     vertex_encode,
 )
@@ -83,21 +80,6 @@ def test_rank_marker():
         rank_marker(2, 3)
 
 
-def test_column_swap():
-    assert column_swap_matrix(2, 0, 1) == ((0, 1), (1, 0))
-    assert is_invertible(F2, column_swap_matrix(3, 0, 2))
-    with pytest.raises(ValueError):
-        column_swap_matrix(2, 0, 2)
-
-
-def test_column_scale():
-    M = column_scale_matrix(F3, 2, 1, 2)
-    assert M == ((1, 0), (0, 2))
-    assert is_invertible(F3, M)
-    with pytest.raises(ValueError):
-        column_scale_matrix(F3, 2, 0, 0)
-
-
 def test_first_row_matrix():
     assert first_row_matrix(2, (1, 1)) == ((1, 1), (0, 0))
     assert rank(F2, first_row_matrix(2, (1, 1))) == 1
@@ -110,12 +92,6 @@ def test_stacked_matrix():
     assert M == ((1, 0, 0), (0, 1, 1), (0, 0, 0))
     with pytest.raises(ValueError, match="dependent"):
         stacked_matrix(F2, 2, [(1, 1), (1, 1)])
-
-
-def test_unit_vector():
-    assert unit_vector(3, 1) == (0, 1, 0)
-    with pytest.raises(ValueError):
-        unit_vector(3, 3)
 
 
 def test_is_invertible():
