@@ -6,7 +6,10 @@ left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
 holds.  Since adjacency depends only on row spaces, a graph is the class
 containment matrix ``lt``, the only form of the class relation, and the
-class sizes, closed forms that degrees and invariants weight ``lt`` by.
+class sizes, closed forms that degrees and invariants weight ``lt`` by
+through one exact array, ``fiber_array``.  Both the full graph and the
+quotient are refused above ``CLASS_BOUND`` subspaces, where ``lt`` would
+pass 1 GiB, before any subspace is made.
 The one array per vertex, a narrow vertex -> class index, is made on
 first read.  No member list of a class is kept: a reader compares the
 index with a class, or indexes a bool row of ``lt`` with it.  The one way
@@ -36,16 +39,11 @@ from lirg.matrix import (
     _span_codes,
 )
 
-# The most ideal classes a full graph is built with.  Invariants multiply
-# C x C float32 matrices: the largest ring accepted, M_2(F_4493) with
-# C = 4,496, takes ~4.4 s and ~483 MB for `invariants` (process wall time
-# and peak RSS, median of 3 runs on a 2-vCPU VM).
-CLASS_BOUND = 4_500
-
-# The most subspaces a quotient graph is built with, whatever its cap: its
-# C x C bool ``lt`` then fits in 1 GiB.  `build-graph --quotient --n 2 --p
-# 32749` (C = 32,751) takes 2-3 s at ~1.1 GB peak RSS on the same VM.
-QUOTIENT_BOUND = 1 << 15
+# The most subspaces a full or quotient graph is built with, whatever its
+# cap: its C x C bool ``lt`` then fits in 1 GiB.  `build-graph --quotient
+# --n 2 --p 32749` (C = 32,751) takes 2-3 s at ~1.1 GB peak RSS on a
+# 2-vCPU VM.
+CLASS_BOUND = 1 << 15
 
 
 def _subspace_count(q: int, n: int, bound: int | None, limit: str) -> int:
@@ -174,13 +172,20 @@ class RelationGraph:
             return np.arange(self.class_count, dtype=np.int64)
         return _assign_classes(self.field, self.n, self.class_ideals)
 
+    @cached_property
+    def fiber_array(self) -> np.ndarray:
+        """``fiber_sizes`` as an int64 array, or as an object array of exact
+        ints once the vertex count passes int64, which numpy would
+        otherwise turn into rounded floats."""
+        return np.array(self.fiber_sizes, dtype=np.int64 if self.vertex_count < 2**63 else object)
+
     def edge_count(self) -> int:
         """Directed edge count; the undirected graph has the same number of
         (unordered) edges because containment between distinct classes is
         one-directional."""
         # Out-weights summed under the mask of lt: no C x C copy is made.
-        fib = np.broadcast_to(np.array(self.fiber_sizes), self.lt.shape)
-        out = fib.sum(axis=1, where=self.lt).tolist()
+        fib = np.broadcast_to(self.fiber_array, self.lt.shape)
+        out = fib.sum(axis=1, where=self.lt, initial=0).tolist()
         return sum(f * w for f, w in zip(self.fiber_sizes, out))
 
 
@@ -188,7 +193,7 @@ def build_full_graph(
     F: Field, n: int, directed: bool = True, cap: int | None = DEFAULT_VERTEX_CAP
 ) -> RelationGraph:
     """Relation graph on all matrices, bucketed by canonical ideal; refused
-    above ``cap`` vertices or CLASS_BOUND classes."""
+    above ``cap`` vertices or CLASS_BOUND classes (see ``_subspace_count``)."""
     _check_vertex_cap(F.p, F.m, n, cap)
     _subspace_count(F.q, n, CLASS_BOUND, "the class bound")
     ideals = tuple(subspaces(F, n))
@@ -207,11 +212,11 @@ def build_quotient_graph(
     F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP, directed: bool = True
 ) -> RelationGraph:
     """Graph on ideal classes themselves: the subspace lattice of F_q^n,
-    refused above ``cap`` or QUOTIENT_BOUND subspaces (see
+    refused above ``cap`` or CLASS_BOUND subspaces (see
     ``_subspace_count``)."""
     if cap is not None:
         _subspace_count(F.q, n, cap, "the vertex cap")
-    count = _subspace_count(F.q, n, QUOTIENT_BOUND, "the quotient bound")
+    count = _subspace_count(F.q, n, CLASS_BOUND, "the class bound")
     ideals = tuple(subspaces(F, n))
     assert len(ideals) == count
     return RelationGraph(

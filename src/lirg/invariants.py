@@ -2,14 +2,15 @@
 
 Adjacency is comparability of ideals, so every invariant reduces to the
 class containment matrix ``G.lt`` and the fiber sizes, and the cost
-follows the class count, not the vertex count.  ``compute_report``
-derives every invariant in one pass: it forms the class adjacency
-``lt | lt.T`` and the fiber-size array once, and runs ``_class_bfs``
-once, one breadth-first search from every class at once, for the
-distances between all classes and the shortest cycle.
-``_longest_chain`` gives the clique number and the reduced clique number
-behind the strong metric dimension, since cliques are chains of nested
-row spaces; there is no generic clique search.
+follows the class count, not the vertex count.  The zero class lies
+below every other class, so every distance is 1 or 2, and
+``compute_report`` reads each invariant straight off ``lt``: its
+fiber-weighted row and column sums (the degrees), whether two nonzero
+classes are comparable (the girth), and ``_longest_chain``, which gives
+the clique number and the reduced clique number behind the strong metric
+dimension, since cliques are chains of nested row spaces.  No class
+adjacency ``lt | lt.T``, distance matrix or generic clique search is
+made.
 
 Functions in this module treat their input graph as undirected regardless
 of the flag it was built with.
@@ -19,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lirg.counting import matrix_space_size
+from lirg.counting import matrix_space_size, predicted_degree
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import ideal_of, proper_subset
 from lirg.matrix import first_row_matrix, identity_matrix, rank_marker, stacked_matrix, vertex_encode
 
 ACYCLIC = "acyclic"
+
+# Rows of ``lt`` read at once by ``_longest_chain``: 64 MB at the class bound.
+_ROW_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -51,54 +55,28 @@ def _require_full(G: RelationGraph):
         raise ValueError("invariants are defined on the full matrix graph")
 
 
-def _longest_chain(lt) -> int:
-    """Number of nodes in a longest chain of the strict order ``lt``.
+def _longest_chain(lt, keep=None) -> int:
+    """Number of nodes in a longest chain of the strict order ``lt`` among
+    the nodes of the bool mask ``keep`` (every node by default).
 
-    ``lt`` must be strictly upper triangular (``lt[a, b]`` only for a < b),
-    as a containment matrix over rank-sorted classes is, so the longest
-    chain ending at b extends one ending at a smaller index.
+    The walk goes one chain length at a time: ``ends`` marks the nodes
+    that end a chain of ``length`` nodes, and a node ends a longer one
+    when some end lies below it.  Rows of ``lt`` are read in blocks of
+    ``_ROW_BLOCK``, and only a block with some rows left out is copied.
     """
-    depth = np.zeros(len(lt), dtype=np.int64)
-    for b in range(len(lt)):
-        depth[b] = 1 + depth[:b][lt[:b, b]].max(initial=0)
-    return int(depth.max(initial=0))
-
-
-def _class_bfs(A):
-    """(distance matrix, shortest cycle) of the symmetric adjacency ``A``.
-
-    One breadth-first search from every node at once (Itai and Rodeh,
-    Finding a minimum circuit in a graph, 1978): ``front[s]`` is level k of
-    source s, and ``nbrs[s, v]`` counts v's neighbours in it.  An edge
-    inside level k closes a cycle of at most 2k + 1, and a level-(k+1)
-    node with two neighbours in level k one of at most 2k + 2.  No level
-    below (g - 1) // 2 shows either for a girth g, and that level shows
-    one from every node of a shortest cycle, so the first cycle found is
-    the girth.  Distances are -1 for unreachable pairs, in the narrowest
-    signed type that holds ``len(A)``; the cycle is None for a forest.
-    Counts stay below 2^24, so the float32 product is exact.
-    """
-    adj = A.astype(np.float32)
-    front = np.eye(len(A), dtype=bool)
-    seen = front.copy()
-    dist = np.full(A.shape, -1, dtype=np.min_scalar_type(-len(A) - 1))
-    np.fill_diagonal(dist, 0)
-    cycle = None
-    k = 0
-    # Once the cycle is known and every pair is seen, no level can change
-    # either, so the search stops without forming the empty level.
-    while front.any() and not (cycle is not None and seen.all()):
-        nbrs = front.astype(np.float32) @ adj
-        nxt = (nbrs > 0) & ~seen
-        if cycle is None and (front & (nbrs > 0)).any():
-            cycle = 2 * k + 1
-        elif cycle is None and (nxt & (nbrs > 1)).any():
-            cycle = 2 * k + 2
-        k += 1
-        dist[nxt] = k
-        seen |= nxt
-        front = nxt
-    return dist, cycle
+    ends = np.ones(len(lt), dtype=bool) if keep is None else keep
+    length = 0
+    while ends.any():
+        length += 1
+        above = np.zeros(len(lt), dtype=bool)
+        for r in range(0, len(lt), _ROW_BLOCK):
+            rows, block = ends[r : r + _ROW_BLOCK], lt[r : r + _ROW_BLOCK]
+            if rows.all():
+                above |= block.any(axis=0)
+            elif rows.any():
+                above |= block[rows].any(axis=0)
+        ends = above if keep is None else above & keep
+    return length
 
 
 def triangle_witness(F: Field, n: int):
@@ -108,25 +86,26 @@ def triangle_witness(F: Field, n: int):
     return tuple(vertex_encode(F, rank_marker(n, r)) for r in (0, 1, n))
 
 
-def _reduced_clique_number(G: RelationGraph, A) -> int:
+def _reduced_clique_number(G: RelationGraph) -> int:
     """Clique number of the reduced graph, which merges vertices with equal
     closed neighborhoods.
 
     A vertex's closed neighborhood holds none of its class-mates, so only
     vertices of single-member classes merge, and they merge exactly when
-    their classes have equal closed neighborhoods, rows of ``A | I`` for the
-    class adjacency ``A = lt | lt.T``.  The reduced graph is then the
-    subgraph induced on one representative class per group: the members of
-    a larger class are pairwise non-adjacent, so a clique uses at most one
-    of them.
+    their classes have equal closed neighborhoods: the class and the
+    classes comparable to it, its row and column of ``lt``.  The reduced
+    graph is then the subgraph induced on one representative class per
+    group: the members of a larger class are pairwise non-adjacent, so a
+    clique uses at most one of them.
     """
-    closed = A | np.eye(G.class_count, dtype=bool)
-    groups = {}
-    for c, size in enumerate(G.fiber_sizes):
-        key = closed[c].tobytes() if size == 1 else c
-        groups.setdefault(key, c)
-    reps = list(groups.values())
-    return _longest_chain(G.lt[np.ix_(reps, reps)])
+    keep = np.ones(G.class_count, dtype=bool)
+    seen = set()
+    for c in np.flatnonzero(G.fiber_array == 1).tolist():
+        closed = G.lt[c] | G.lt[:, c]
+        closed[c] = True
+        keep[c] = closed.tobytes() not in seen
+        seen.add(closed.tobytes())
+    return _longest_chain(G.lt, keep)
 
 
 def k33_witness(F: Field, n: int):
@@ -161,65 +140,70 @@ def k33_witness(F: Field, n: int):
 
 
 def compute_report(G: RelationGraph) -> InvariantReport:
-    """Every invariant, from one class adjacency and one breadth-first search.
+    """Every invariant, read off the containment matrix ``lt``.
+
+    The zero class, class 0, lies below every other class (checked), so
+    the zero matrix is adjacent to every other vertex: the domination
+    number is 1 and no two vertices are more than 2 apart.
 
     Clique and chromatic number: the longest chain of nested classes.  The
     rank coloring (one color per rank) is proper because equal-rank
     vertices are never adjacent, so with the chain lower bound it pins the
     chromatic number without search.
 
-    Girth: a cycle either passes through three or more classes (the
-    shortest one on the class graph) or bounces between two members of one
-    class and two comparable outside vertices, a 4-cycle.
+    Degrees: a vertex's in- and out-degree are the sizes of the classes
+    below and above its own, checked against
+    ``counting.predicted_degree``.
 
-    Distances factor through classes: vertices in distinct classes are as
-    far apart as their classes, and two members of one class are at
-    distance 2 through any comparable vertex.  A disconnected graph, which
-    would signal a construction bug, raises.
+    Girth: a cycle either passes through three or more classes or bounces
+    between two members of one class and two comparable outside vertices,
+    a 4-cycle.  Two comparable nonzero classes close a triangle with the
+    zero class; with none, the class graph is a star around it, with no
+    cycle.
 
-    Domination number: always 1, since the zero class, class 0, sits below
-    every other class.  Strong metric dimension: |V| minus the reduced
-    clique number, defined only at diameter 2.
+    Eccentricity: 1 for a vertex of degree |V| - 1, adjacent to every
+    other one; 2 for every other vertex.
+    Strong metric dimension: |V| minus the reduced clique number, defined
+    only at diameter 2.
 
-    Euler parity: a vertex's degree is the size of the classes comparable
-    to its own.  For even q the zero matrix has odd degree q^(n^2) - 1; for
-    odd q each full-rank vertex has odd degree q^(n^2) - |GL(n, q)|, and the
-    first is the anti-diagonal, since a vertex code's last row holds its
-    top digits.
+    Euler parity: for even q the zero matrix has odd degree q^(n^2) - 1;
+    for odd q each full-rank vertex has odd degree q^(n^2) - |GL(n, q)|,
+    and the first is the anti-diagonal, since a vertex code's last row
+    holds its top digits.
     """
     _require_full(G)
-    F, n = G.field, G.n
-    A = G.lt | G.lt.T
-    fib = np.array(G.fiber_sizes)
-    dist, cycle = _class_bfs(A)
+    F, n, lt = G.field, G.n, G.lt
+    if G.class_rank[0] != 0:
+        raise AssertionError("class 0 is not the zero class")
+    if not lt[0, 1:].all():
+        raise AssertionError("zero matrix fails to dominate")
 
-    omega = _longest_chain(G.lt)
+    omega = _longest_chain(lt)
     if omega > len(set(G.class_rank)):
         raise AssertionError("chain longer than the number of rank colors")
 
+    # Fiber-weighted sums under the mask of lt: no C x C copy is made.
+    fib = G.fiber_array
+    below = np.broadcast_to(fib[:, None], lt.shape).sum(axis=0, where=lt, initial=0)
+    above = np.broadcast_to(fib, lt.shape).sum(axis=1, where=lt, initial=0)
+    predicted = [predicted_degree(n, r, F.q)[:2] for r in range(n + 1)]
+    if list(zip(below.tolist(), above.tolist())) != [predicted[r] for r in G.class_rank]:
+        raise AssertionError("class degrees differ from counting.predicted_degree")
+    degree = below + above
+
     shared = fib >= 2
-    candidates = [] if cycle is None else [cycle]
-    if (shared & (A @ fib >= 2)).any():
+    candidates = [3] if lt[1:, 1:].any() else []
+    if (shared & (degree >= 2)).any():
         candidates.append(4)
     g = min(candidates, default=ACYCLIC)
 
-    if (dist < 0).any() or (shared & ~A.any(axis=1)).any():
-        raise ValueError("relation graph is disconnected")
-    ecc = dist.max(axis=1)
-    # two members of one class are at distance 2, through any neighbor
-    ecc[shared] = np.maximum(ecc[shared], 2)
-    ecc = ecc.tolist()
+    ecc = np.where(degree == G.vertex_count - 1, 1, 2).tolist()
     by_rank = {}
     for c, r in enumerate(G.class_rank):
         by_rank[r] = max(by_rank.get(r, 0), ecc[c])
     diameter = max(ecc)
 
-    if G.class_rank[0] != 0:
-        raise AssertionError("class 0 is not the zero class")
-    if not G.lt[0, 1:].all():
-        raise AssertionError("zero matrix fails to dominate")
-
-    odd = A @ (fib % 2) % 2
+    odd = degree % 2 == 1
     witness = None
     if odd.any():
         even = F.q % 2 == 0
@@ -247,7 +231,7 @@ def compute_report(G: RelationGraph) -> InvariantReport:
         eccentricity_by_rank=tuple(sorted(by_rank.items())),
         domination_number=1,
         strong_metric_dimension=(
-            G.vertex_count - _reduced_clique_number(G, A) if diameter == 2 else None
+            G.vertex_count - _reduced_clique_number(G) if diameter == 2 else None
         ),
         eulerian=witness is None,
         odd_degree_witness=witness,

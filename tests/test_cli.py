@@ -76,11 +76,11 @@ def test_ring_info_large_prime_is_prompt(capsys):
         ("aut count-quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
         ("build-graph --quotient --n 400 --p 2", 2, "F_2^400 exceeds the vertex cap 100000"),
         ("build-graph --quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
-        # C^2 bytes of lt would not fit in memory: refused at the quotient bound.
-        ("build-graph --quotient --n 3 --p 211", 2, "F_211^3 exceeds the quotient bound 32768"),
-        ("build-graph --quotient --n 2 --p 99989", 2, "F_99989^2 exceeds the quotient bound 32768"),
+        # C^2 bytes of lt would not fit in memory: refused at the class bound.
+        ("build-graph --quotient --n 3 --p 211", 2, "F_211^3 exceeds the class bound 32768"),
+        ("build-graph --quotient --n 2 --p 99989", 2, "F_99989^2 exceeds the class bound 32768"),
         (f"build-graph --quotient --n 20 --p 2 --cap 1{'0' * 100}", 2,
-         "subspace count of F_2^20 exceeds the quotient bound 32768"),
+         "subspace count of F_2^20 exceeds the class bound 32768"),
     ],
 )
 def test_large_field_or_dimension_answers_promptly(capsys, argv, code, message):
@@ -128,7 +128,7 @@ def test_class_bound_refused_before_enumeration(capsys, argv, n):
     code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == f"error: subspace count of F_2^{n} exceeds the class bound {graph.CLASS_BOUND}\n"
+    assert err == f"error: subspace count of F_2^{n} exceeds the class bound 32768\n"
 
 
 @pytest.mark.parametrize(
@@ -416,6 +416,14 @@ def test_invariants_over_gf2_11(capsys):
     assert (doc["q"], doc["match"]) == (2048, True)
 
 
+def test_invariants_exact_past_int64(capsys):
+    # q = 2^64: as floats, the class sizes 1 and 2^64 - 1 would round the
+    # zero matrix's odd degree 2^64 - 1 to an even 2^64.
+    code, out, _ = run(capsys, "invariants", "--n", "1", "--p", "2", "--m", "64", "--cap", "1" + "0" * 30)
+    assert code == 0 and "MISMATCH" not in out
+    assert "odd degree witness vertex: 0\n" in out
+
+
 @pytest.mark.parametrize(
     "ring, fmt, digest",
     [
@@ -493,11 +501,12 @@ def test_invariants_make_no_vertex_index(capsys, monkeypatch):
         "--n 4 --p 5 --cap 1000000000000",
         "--n 2 --p 1009 --cap 10000000000000",
         "--n 6 --p 2 --cap 100000000000",
+        "--n 2 --p 10007 --cap 100000000000000000",
     ],
 )
 def test_invariants_beyond_any_vertex_index(capsys, ring):
-    # 5^16, 1009^4 and 2^36 vertices, about 1.5e11, 1.0e12 and 6.9e10: no
-    # index fits.
+    # 5^16, 1009^4, 2^36 and 10007^4 vertices, about 1.5e11, 1.0e12, 6.9e10
+    # and 1.0e16: no index fits.  M_2(F_10007) has C = 10,010 classes.
     code, out, _ = run(capsys, "invariants", *ring.split())
     assert code == 0
     assert [line.split()[-1] for line in out.splitlines()[2:10]] == ["match"] * 8

@@ -134,6 +134,16 @@ def test_fiber_size_law():
             assert G.fiber_sizes[c] == fiber_size(n, G.class_rank[c], F.q)
 
 
+@pytest.mark.parametrize("p, m", [(2, 64), (3, 40)])
+def test_edge_count_exact_past_int64(p, m):
+    # n = 1: the q - 1 nonzero matrices each lie above the zero matrix.  Past
+    # 2^63 the class sizes are exact ints, not rounded floats.
+    G = build_full_graph(make_field(p, m), 1, cap=None)
+    assert G.fiber_array.dtype == object
+    assert G.edge_count() == p**m - 1
+    assert build_full_graph(make_field(p, m // 2), 1, cap=None).fiber_array.dtype == np.int64
+
+
 def test_degrees_against_examples():
     G = build_full_graph(F2, 2)
     degrees, ranks = exported_degrees(G), np.array(G.class_rank)[G.vertex_class]

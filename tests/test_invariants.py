@@ -4,6 +4,7 @@ import math
 import random
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -12,7 +13,6 @@ import pytest
 from conftest import brute_ideal_sets, exported_edges, vertex_degrees
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
-from lirg import invariants
 from lirg.counting import predicted_degree
 from lirg.invariants import (
     ACYCLIC,
@@ -100,6 +100,45 @@ def oracle_reduced_sdim(adj):
     return N - omega_hat
 
 
+def class_bfs(A):
+    """(distance matrix, shortest cycle) of the symmetric adjacency ``A``.
+
+    One breadth-first search from every node at once (Itai and Rodeh,
+    Finding a minimum circuit in a graph, 1978): ``front[s]`` is level k of
+    source s, and ``nbrs[s, v]`` counts v's neighbours in it.  An edge
+    inside level k closes a cycle of at most 2k + 1, and a level-(k+1)
+    node with two neighbours in level k one of at most 2k + 2.  No level
+    below (g - 1) // 2 shows either for a girth g, and that level shows
+    one from every node of a shortest cycle, so the first cycle found is
+    the girth.  Distances are -1 for unreachable pairs, in the narrowest
+    signed type that holds ``len(A)``; the cycle is None for a forest.
+    Counts stay below 2^24, so the float32 product is exact.  It assumes
+    nothing of the graph, so it is the oracle for the report's distances
+    and girth, which are read off the zero class.
+    """
+    adj = A.astype(np.float32)
+    front = np.eye(len(A), dtype=bool)
+    seen = front.copy()
+    dist = np.full(A.shape, -1, dtype=np.min_scalar_type(-len(A) - 1))
+    np.fill_diagonal(dist, 0)
+    cycle = None
+    k = 0
+    # Once the cycle is known and every pair is seen, no level can change
+    # either, so the search stops without forming the empty level.
+    while front.any() and not (cycle is not None and seen.all()):
+        nbrs = front.astype(np.float32) @ adj
+        nxt = (nbrs > 0) & ~seen
+        if cycle is None and (front & (nbrs > 0)).any():
+            cycle = 2 * k + 1
+        elif cycle is None and (nxt & (nbrs > 1)).any():
+            cycle = 2 * k + 2
+        k += 1
+        dist[nxt] = k
+        seen |= nxt
+        front = nxt
+    return dist, cycle
+
+
 def report(F, n):
     return compute_report(build_full_graph(F, n))
 
@@ -134,12 +173,12 @@ def test_girth_matches_vertex_level_oracle(F, n):
 
 
 def assert_class_bfs_matches_networkx(H):
-    """``_class_bfs`` on H's adjacency against networkx: distances from
+    """``class_bfs`` on H's adjacency against networkx: distances from
     ``all_pairs_shortest_path_length`` (-1 where unreachable), and the cycle
-    from ``girth`` (inf for a forest, where ``_class_bfs`` gives None)."""
+    from ``girth`` (inf for a forest, where ``class_bfs`` gives None)."""
     N = H.number_of_nodes()
     A = nx.to_numpy_array(H, nodelist=range(N), dtype=bool)
-    dist, cycle = invariants._class_bfs(A)
+    dist, cycle = class_bfs(A)
     expected = np.full((N, N), -1)
     for s, lengths in nx.all_pairs_shortest_path_length(H):
         for t, d in lengths.items():
@@ -188,8 +227,42 @@ def test_class_bfs_stops_after_its_last_useful_level():
             return np.asarray(other) @ np.asarray(self)
 
     lt = build_quotient_graph(F3, 3).lt
-    dist, cycle = invariants._class_bfs((lt | lt.T).view(Counted))
+    dist, cycle = class_bfs((lt | lt.T).view(Counted))
     assert (Counted.products, cycle, dist.max()) == (2, 3, 2)
+
+
+def folded_from_class_bfs(G):
+    """(eccentricity by rank, girth) as the report folded them from
+    ``class_bfs(lt | lt.T)`` before it read them off the zero class."""
+    A = G.lt | G.lt.T
+    fib = np.array(G.fiber_sizes)
+    dist, cycle = class_bfs(A)
+    shared = fib >= 2
+    candidates = [] if cycle is None else [cycle]
+    if (shared & (A @ fib >= 2)).any():
+        candidates.append(4)
+    assert (dist >= 0).all()
+    ecc = dist.max(axis=1)
+    ecc[shared] = np.maximum(ecc[shared], 2)
+    by_rank = {}
+    for c, r in enumerate(G.class_rank):
+        by_rank[r] = max(by_rank.get(r, 0), int(ecc[c]))
+    return tuple(sorted(by_rank.items())), min(candidates, default=ACYCLIC)
+
+
+@pytest.mark.parametrize(
+    "p, m, n",
+    [(2, 1, 1), (3, 1, 1), (2, 2, 1), (5, 1, 1), (2, 1, 2), (3, 1, 2), (2, 2, 2),
+     (5, 1, 2), (7, 1, 2), (2, 1, 3), (3, 1, 3), (2, 2, 3), (5, 1, 3), (2, 1, 4),
+     (3, 1, 4), (2, 1, 5), (3, 1, 5), (2, 1, 6)],
+)
+def test_report_matches_class_bfs(p, m, n):
+    G = build_full_graph(make_field(p, m), n, directed=False, cap=None)
+    rep = compute_report(G)
+    by_rank, girth = folded_from_class_bfs(G)
+    assert (rep.eccentricity_by_rank, rep.girth) == (by_rank, girth)
+    ecc = [e for _, e in by_rank]
+    assert (rep.diameter, rep.radius) == (max(ecc), min(ecc))
 
 
 def test_triangle_witness_is_a_triangle():
@@ -251,11 +324,11 @@ def test_twin_merge_on_gf2_n1():
     """The only ring whose reduced graph merges vertices: over GF(2), n = 1,
     the zero and identity classes share the closed neighborhood {0, 1}."""
     G = build_full_graph(F2, 1)
-    assert _reduced_clique_number(G, G.lt | G.lt.T) == 1
+    assert _reduced_clique_number(G) == 1
     assert G.vertex_count - 1 == oracle_reduced_sdim(oracle_adjacency(F2, 1))
     for F, n in [(F2, 2), (F3, 1), (F3, 2)]:
         H = build_full_graph(F, n)
-        assert _reduced_clique_number(H, H.lt | H.lt.T) == compute_report(H).clique_number
+        assert _reduced_clique_number(H) == compute_report(H).clique_number
 
 
 def test_sdim_star_without_closed_form():
@@ -332,20 +405,27 @@ def test_k33_witness():
             assert (min(u, v), max(u, v)) in edges
 
 
-def test_compute_report_runs_class_bfs_once(monkeypatch):
-    calls = []
-    real = invariants._class_bfs
+def test_compute_report_memory_below_lt():
+    # M_2(F_4493), C = 4,496: the report reads lt in place and copies at most
+    # a block of its rows, where a C x C adjacency and search took ~386 MB.
+    G = build_full_graph(make_field(4493, 1), 2, directed=False, cap=None)
+    tracemalloc.start()
+    try:
+        rep = compute_report(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.strong_metric_dimension == predicted_invariants(2, 4493)["strong_metric_dimension"]
+    assert peak < G.lt.nbytes
 
-    def counted(A):
-        calls.append(A)
-        return real(A)
 
-    monkeypatch.setattr(invariants, "_class_bfs", counted)
-    for F, n in [(F2, 2), (F2, 1)]:
-        calls.clear()
-        rep = compute_report(build_full_graph(F, n, directed=False))
-        assert len(calls) == 1
-        assert rep.strong_metric_dimension == (13 if n == 2 else None)
+def test_report_refuses_degrees_off_the_closed_form():
+    G = build_full_graph(F2, 3, directed=False)
+    lt = G.lt.copy()
+    a, b = np.argwhere(lt[1:-1, 1:-1])[0] + 1  # two comparable middle classes
+    lt[a, b] = False
+    with pytest.raises(AssertionError, match="predicted_degree"):
+        compute_report(replace(G, lt=lt))
 
 
 def test_compute_report_builds_no_member_lists():

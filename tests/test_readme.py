@@ -85,9 +85,7 @@ def test_readme_reaches_all_but_these_functions(capsys, monkeypatch, tmp_path):
         "aut.FactoredGroupOrder.__str__",
         "aut.right_mul_automorphism",
         "aut.frobenius_automorphism",
-        "counting.predicted_degree",
         "counting.rank_class_size",
-        "counting.superspace_count",
         "matrix.enumerate_matrices",
         "serialize.Blocks.__len__",
     }
