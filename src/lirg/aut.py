@@ -487,7 +487,10 @@ def full_aut_order(F: Field, n: int, cap: int = 40) -> FactoredGroupOrder:
     every automorphism permutes blocks compatibly with the merged
     containment relation and acts freely inside each block.  The order is therefore (automorphisms of
     the merged structure, respecting block sizes) times the product of
-    (block size)!.
+    (block size)!.  Classes with equal rows and columns have equal rank,
+    the longest chain below them, so equal fiber size: no two blocks are
+    twins, and the merged structure goes to ``_search`` without a second
+    merge.
 
     For n >= 3 no two classes are twins and this is the quotient-graph
     automorphism count times the product of fiber-size factorials; for
@@ -500,6 +503,6 @@ def full_aut_order(F: Field, n: int, cap: int = 40) -> FactoredGroupOrder:
     reps = [members[0] for members in blocks]
     sizes = [fib[c] * len(members) for c, members in zip(reps, blocks)]
     return FactoredGroupOrder(
-        quotient_order=digraph_aut_order(Q.lt[np.ix_(reps, reps)], sizes),
+        quotient_order=_search(Q.lt[np.ix_(reps, reps)], sizes),
         factorial_terms=tuple(sorted(Counter(sizes).items())),
     )

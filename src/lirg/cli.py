@@ -17,40 +17,22 @@ import sys
 import tempfile
 
 from lirg import aut, counting, invariants, serialize
-from lirg.field import check_order, make_field
+from lirg.field import make_field
 from lirg.graph import build_full_graph, build_quotient_graph
-from lirg.matrix import DEFAULT_VERTEX_CAP, _check_vertex_cap
+from lirg.matrix import DEFAULT_VERTEX_CAP
 
 
 class UsageError(Exception):
     pass
 
 
-def _parse_modulus(text):
+def _field(args):
+    """The field of --p, --m and --modulus; ``make_field`` checks each."""
     try:
-        return tuple(int(c) for c in text.split(","))
+        modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
     except ValueError as exc:
-        raise UsageError(f"bad modulus {text!r}: {exc}") from exc
-
-
-def _field(args, size_check=None):
-    """The field of --p, --m and --modulus.
-
-    ``size_check(args)`` runs after p and m are validated and before the
-    modulus is searched for or tested, which takes long for a huge m.
-    """
-    modulus = _parse_modulus(args.modulus) if args.modulus else None
-    try:
-        check_order(args.p, args.m)
-        if size_check is not None:
-            size_check(args)
-        return make_field(args.p, args.m, modulus)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _vertex_cap(args):
-    _check_vertex_cap(args.p, args.m, args.n, args.cap)
+        raise UsageError(f"bad modulus {args.modulus!r}: {exc}") from exc
+    return make_field(args.p, args.m, modulus)
 
 
 def _printable_table(args):
@@ -195,7 +177,8 @@ def _add_common(sub):
 
 
 def cmd_ring_info(args) -> int:
-    F = _field(args, _printable_table)
+    F = _field(args)
+    _printable_table(args)
     rep = counting.count_report(args.n, F.q)
     lines = [f"ring-info {serialize.field_tokens(args.n, F)}"]
     lines.append(
@@ -217,7 +200,7 @@ def cmd_ring_info(args) -> int:
 
 
 def cmd_build_graph(args) -> int:
-    F = _field(args, None if args.quotient else _vertex_cap)
+    F = _field(args)
     builder = build_quotient_graph if args.quotient else build_full_graph
     G = builder(F, args.n, directed=args.directed, cap=args.cap)
     _write_output(serialize.graph_chunks(G, args.format), args.out)
@@ -225,7 +208,7 @@ def cmd_build_graph(args) -> int:
 
 
 def cmd_invariants(args) -> int:
-    F = _field(args, _vertex_cap)
+    F = _field(args)
     G = build_full_graph(F, args.n, directed=False, cap=args.cap)
     report = invariants.compute_report(G)
     preds = invariants.predicted_invariants(args.n, F.q)
@@ -288,7 +271,7 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    F = _field(args, None if args.sub == "count-quotient" else _vertex_cap)
+    F = _field(args)
     config = serialize.field_tokens(args.n, F)
     if args.sub == "count-quotient":
         order = aut.quotient_aut_order(F, args.n)
@@ -330,7 +313,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_aut_recompose(args) -> int:
-    F = _field(args, _vertex_cap)
+    F = _field(args)
     G = build_full_graph(F, args.n, directed=True, cap=args.cap)
     parse = lambda data: serialize.parse_decomposition(G, data)
     dec = _parse_input(parse, args.report, G.vertex_count)

@@ -59,15 +59,6 @@ def is_prime(k: int) -> bool:
     return True
 
 
-def check_order(p: int, m: int):
-    """Refuse a p that is not prime or an m below 1, before any modulus
-    search; raises ValueError."""
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if m < 1:
-        raise ValueError(f"m = {m} must be >= 1")
-
-
 def _poly_mod(a, mod, p):
     """Remainder of a modulo a monic polynomial, coefficients mod p, as
     deg(mod) coefficients when a has at least that many."""
@@ -156,8 +147,10 @@ class Field:
     """
 
     def __init__(self, p: int, m: int, modulus=None):
-        check_order(p, m)
-        # Here, not in check_order, so that a vertex cap is named first;
+        if not is_prime(p):
+            raise ValueError(f"p = {p} is not prime")
+        if m < 1:
+            raise ValueError(f"m = {m} must be >= 1")
         # p >= 2, so m >= ORDER_BITS is refused without forming the power.
         if m >= ORDER_BITS or p**m >> ORDER_BITS:
             raise ValueError(f"q = {p}^{m} is at least 2^{ORDER_BITS}, the field order limit")

@@ -9,12 +9,14 @@ containment matrix ``lt``, the only form of the class relation, and the
 class sizes, closed forms that degrees and invariants weight ``lt`` by
 through one exact array, ``fiber_array``.  Both the full graph and the
 quotient are refused above ``CLASS_BOUND`` subspaces, where ``lt`` would
-pass 1 GiB, before any subspace is made.
-The one array per vertex, a narrow vertex -> class index, is made on
-first read.  No member list of a class is kept: a reader compares the
-index with a class, or indexes a bool row of ``lt`` with it.  The one way
-edges leave a graph is ``serialize``, which streams them one source
-vertex at a time.  No query materializes the (possibly huge) edge set.
+pass 1 GiB, before any subspace is made.  ``lt`` is made on first read,
+so a command that never reads it, such as sampling an automorphism, never
+makes it.  The one array per vertex, a narrow vertex -> class index, is
+made on first read too.  No member list of a class is kept: a reader
+compares the index with a class, or indexes a bool row of ``lt`` with it.
+The one way edges leave a graph is ``serialize``, which streams them one
+source vertex at a time.  No query materializes the (possibly huge) edge
+set.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
@@ -150,7 +152,6 @@ class RelationGraph:
     field: Field
     class_ideals: tuple
     fiber_sizes: tuple  # vertices per class, exact ints
-    lt: np.ndarray  # lt[c, d]: class c properly contained in class d
 
     @property
     def vertex_count(self) -> int:
@@ -163,6 +164,11 @@ class RelationGraph:
     @cached_property
     def class_rank(self):
         return tuple(ideal.rank for ideal in self.class_ideals)
+
+    @cached_property
+    def lt(self) -> np.ndarray:
+        """lt[c, d]: class c properly contained in class d."""
+        return _containment_matrix(self.field, self.n, self.class_ideals)
 
     @cached_property
     def vertex_class(self) -> np.ndarray:
@@ -204,7 +210,6 @@ def build_full_graph(
         field=F,
         class_ideals=ideals,
         fiber_sizes=tuple(fiber_size(n, ideal.rank, F.q) for ideal in ideals),
-        lt=_containment_matrix(F, n, ideals),
     )
 
 
@@ -226,5 +231,4 @@ def build_quotient_graph(
         field=F,
         class_ideals=ideals,
         fiber_sizes=(1,) * count,
-        lt=_containment_matrix(F, n, ideals),
     )

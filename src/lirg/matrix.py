@@ -27,10 +27,9 @@ def _check_vertex_cap(p: int, m: int, n: int, cap: int | None):
     """Refuse the q^(n^2) matrices of M_n(F_q), q = p^m, when they number
     above cap.
 
-    It needs no field, so a caller can refuse before searching for a
-    modulus.  q^(n^2) >= 2^(m*n^2) > cap once m*n^2 reaches the bit length
-    of cap, so a huge m or n is refused without forming the power, and the
-    message names the count as a power of p rather than printing its digits.
+    q^(n^2) >= 2^(m*n^2) > cap once m*n^2 reaches the bit length of cap, so
+    a huge m or n is refused without forming the power, and the message
+    names the count as a power of p rather than printing its digits.
     """
     e = m * n * n
     if cap is not None and (e >= cap.bit_length() or p**e > cap):

@@ -71,6 +71,9 @@ def test_ring_info_large_prime_is_prompt(capsys):
         ("ring-info --n 1 --p 2 --m 24", 0, ""),
         ("ring-info --n 1 --p 2 --m 40", 0, ""),
         ("invariants --n 1 --p 2 --m 40", 2, "q^(n^2) = 2^40 exceeds the vertex cap 100000"),
+        # The slowest modulus searches below the field order limit, then the cap.
+        ("invariants --n 1 --p 19 --m 18", 2, "q^(n^2) = 19^18 exceeds the vertex cap 100000"),
+        ("invariants --n 1 --p 2 --m 80", 2, "q^(n^2) = 2^80 exceeds the vertex cap 100000"),
         ("invariants --n 3000 --p 2", 2, "q^(n^2) = 2^9000000 exceeds the vertex cap 100000"),
         ("aut count-quotient --n 400 --p 2", 2, "subspace count of F_2^400 exceeds the vertex cap 40"),
         ("aut count-quotient --n 800 --p 2", 2, "subspace count of F_2^800 exceeds"),
@@ -96,15 +99,15 @@ def test_large_field_or_dimension_answers_promptly(capsys, argv, code, message):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        ("build-graph --n 1 --p 2 --m 600", "q^(n^2) = 2^600 exceeds the vertex cap 100000"),
-        ("aut sample --n 1 --p 2 --m 400", "q^(n^2) = 2^400 exceeds the vertex cap 100000"),
-        ("invariants --n 1 --p 2 --m 300", "q^(n^2) = 2^300 exceeds the vertex cap 100000"),
+        ("build-graph --n 1 --p 2 --m 600", "q = 2^600 is at least 2^82, the field order limit"),
+        ("aut sample --n 1 --p 2 --m 400", "q = 2^400 is at least 2^82, the field order limit"),
+        ("invariants --n 1 --p 2 --m 300", "q = 2^300 is at least 2^82, the field order limit"),
         ("ring-info --n 400 --p 2", "q^(n^2) = 2^160000 has more than"),
     ],
 )
 def test_oversized_ring_refused_before_modulus_search(capsys, argv, message):
-    """The size is decided from p, m and n; Ben-Or's test on a modulus of
-    degree 300 to 600 would take seconds."""
+    """The field order and the table's digits are decided from p, m and n;
+    Ben-Or's test on a modulus of degree 300 to 600 would take seconds."""
     start = time.perf_counter()
     code, out, err = run(capsys, *argv.split())
     assert time.perf_counter() - start < 1.0
@@ -129,6 +132,19 @@ def test_class_bound_refused_before_enumeration(capsys, argv, n):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err == f"error: subspace count of F_2^{n} exceeds the class bound 32768\n"
+
+
+@pytest.mark.parametrize("command", ["aut sample", "build-graph"])
+def test_unallocatable_vertex_arrays_refused_before_containment(capsys, command):
+    """(2,1,7) has 29,212 classes, under the class bound, but 2^49 vertices:
+    its vertex arrays (4 PiB and 1 PiB) pass any address space, so the
+    command fails at them, before the 29,212^2 containment matrix (~850 MB,
+    ~17 s) is made."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, *command.split(), "--n", "7", "--p", "2", "--cap", "1" + "0" * 15)
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
 
 
 @pytest.mark.parametrize(

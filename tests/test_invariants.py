@@ -4,7 +4,6 @@ import math
 import random
 import tracemalloc
 from collections import deque
-from dataclasses import replace
 
 import networkx as nx
 import numpy as np
@@ -409,6 +408,7 @@ def test_compute_report_memory_below_lt():
     # M_2(F_4493), C = 4,496: the report reads lt in place and copies at most
     # a block of its rows, where a C x C adjacency and search took ~386 MB.
     G = build_full_graph(make_field(4493, 1), 2, directed=False, cap=None)
+    G.lt  # made on first read: the span measured is the report's alone
     tracemalloc.start()
     try:
         rep = compute_report(G)
@@ -424,8 +424,9 @@ def test_report_refuses_degrees_off_the_closed_form():
     lt = G.lt.copy()
     a, b = np.argwhere(lt[1:-1, 1:-1])[0] + 1  # two comparable middle classes
     lt[a, b] = False
+    G.lt = lt
     with pytest.raises(AssertionError, match="predicted_degree"):
-        compute_report(replace(G, lt=lt))
+        compute_report(G)
 
 
 def test_compute_report_builds_no_member_lists():

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import lirg
+from lirg import aut, cli, field, graph, matrix
 from lirg.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -89,3 +90,39 @@ def test_readme_reaches_all_but_these_functions(capsys, monkeypatch, tmp_path):
         "matrix.enumerate_matrices",
         "serialize.Blocks.__len__",
     }
+
+
+def bound_table():
+    """{bound: (value cell, checked-in cell)} of the README's bound table,
+    in row order."""
+    section = README.read_text().split("Exit codes:", 1)[1]
+    lines = re.search(r"^\|.*?(?=\n\n)", section, re.S | re.M)[0].splitlines()
+    cells = [[c.strip() for c in line.strip("|").split("|")] for line in lines]
+    assert cells[0] == ["bound", "compares", "commands", "value", "checked in"]
+    return {c[0]: (c[3], c[4]) for c in cells[2:]}
+
+
+def test_readme_bound_table_matches_the_code():
+    table = bound_table()
+    assert list(table) == [
+        "primality", "field order", "vertex cap", "subspace cap", "class bound", "digits", "input bytes"
+    ]
+    # Every backticked number in a value cell, in order: 1,000 or 2^82.
+    numbers = {
+        bound: [int(b) ** int(e or 1) for b, e in re.findall(r"`(\d+)(?:\^(\d+))?`", value.replace(",", ""))]
+        for bound, (value, _) in table.items()
+    }
+    quotient_cap = inspect.signature(aut.quotient_aut_order).parameters["cap"].default
+    assert numbers == {
+        "primality": [field.PRIME_LIMIT],
+        "field order": [2**field.ORDER_BITS],
+        "vertex cap": [matrix.DEFAULT_VERTEX_CAP],
+        "subspace cap": [matrix.DEFAULT_VERTEX_CAP, quotient_cap],
+        "class bound": [graph.CLASS_BOUND],
+        "digits": [sys.int_info.default_max_str_digits],
+        "input bytes": [cli.INPUT_SLACK],
+    }
+    # Each place a bound is checked names a function or class of lirg.
+    for _, checked in table.values():
+        for name in re.findall(r"`(\w+)\.(\w+)`", checked):
+            assert callable(getattr(importlib.import_module(f"lirg.{name[0]}"), name[1])), name

@@ -318,7 +318,7 @@ def test_class_cycles_match_oracle(monkeypatch, classes):
         members = np.flatnonzero(vertex_class == c)
         perm[members] = rng.permutation(members) if c % 3 else members[::-1]
     fiber_sizes = tuple(np.bincount(vertex_class, minlength=classes).tolist())
-    G = RelationGraph("full", True, 1, F2, tuple(range(classes)), fiber_sizes, None)
+    G = RelationGraph("full", True, 1, F2, tuple(range(classes)), fiber_sizes)
     G.vertex_class = vertex_class
     got = []
     for c, chunks in serialize._class_cycles(G, perm):
