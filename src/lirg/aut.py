@@ -8,8 +8,9 @@ followed by an entrywise Frobenius map followed by right multiplication.
 For n = 2 adjacency depends only on rank, so the automorphisms are the
 permutations inside rank classes; ``full_aut_order`` counts them.
 
-Permutations are dense int64 arrays indexed by vertex; f[g] applies g,
-then f.  Right multiplication and the entrywise Frobenius power act on
+Permutations are dense arrays of vertex images indexed by vertex, int32
+below 2^31 vertices and int64 above (see ``_vertex_dtype``); f[g] applies
+g, then f.  Right multiplication and the entrywise Frobenius power act on
 each row of a matrix alone, so together they are one table on the q^n
 row codes (see ``_row_table``).  Sampling, decomposition and
 recomposition apply that table to the images of sigma, or its inverse to
@@ -65,6 +66,14 @@ def _check_context(G: RelationGraph):
 _BLOCK = 1 << 14
 
 
+def _vertex_dtype(N: int) -> np.dtype:
+    """The dtype of every permutation of N vertices, made or read: int32
+    while the vertex numbers 0 .. N - 1 fit it, int64 past that.  Never
+    narrower, since arithmetic on a narrower block would overflow (numpy
+    refuses ``np.divmod`` of an int8 array by 10000)."""
+    return np.dtype(np.int32 if N <= 2**31 else np.int64)
+
+
 def _row_table(G: RelationGraph, P, t: int):
     """The map u -> (u^(p^t)) P on the q^n row codes: the entrywise
     Frobenius power t, then right multiplication by P.
@@ -91,11 +100,12 @@ def _row_table(G: RelationGraph, P, t: int):
 def _map_rows(G: RelationGraph, perm, table):
     """Send every image perm[v] through ``table`` row by row, in place, a
     block of _BLOCK vertices at a time; yields (first vertex, block) as
-    each block is done."""
-    Q = len(table)
+    each block is done.  The row arithmetic is int64 whatever perm's
+    dtype."""
+    Q, table = len(table), table.astype(np.int64, copy=False)
     for lo in range(0, len(perm), _BLOCK):
         block = perm[lo : lo + _BLOCK]
-        rest, image = block, np.zeros_like(block)
+        rest, image = block.astype(np.int64), np.zeros(len(block), dtype=np.int64)
         for i in range(G.n):
             rest, row = np.divmod(rest, Q)
             image += table[row] * Q**i
@@ -106,17 +116,20 @@ def _map_rows(G: RelationGraph, perm, table):
 def right_mul_automorphism(G: RelationGraph, P) -> np.ndarray:
     """X -> X P for invertible P; an automorphism by construction, built
     from its row table."""
-    return _digit_sum(_row_table(G, P, 0), G.field.q**G.n, G.n)
+    # In the vertex dtype: the digit sum's partial sums are vertex numbers.
+    table = _row_table(G, P, 0).astype(_vertex_dtype(G.vertex_count))
+    return _digit_sum(table, G.field.q**G.n, G.n)
 
 
 def frobenius_automorphism(G: RelationGraph, t: int) -> np.ndarray:
     """Entrywise a -> a^(p^t) on every matrix, built from its row table."""
-    return _digit_sum(_row_table(G, identity_matrix(G.n), t), G.field.q**G.n, G.n)
+    table = _row_table(G, identity_matrix(G.n), t).astype(_vertex_dtype(G.vertex_count))
+    return _digit_sum(table, G.field.q**G.n, G.n)
 
 
 def inverse(f: np.ndarray) -> np.ndarray:
-    inv = np.empty_like(f)
-    inv[f] = np.arange(len(f), dtype=np.int64)
+    inv = np.empty(len(f), dtype=_vertex_dtype(len(f)))
+    inv[f] = np.arange(len(f), dtype=inv.dtype)
     return inv
 
 
@@ -302,13 +315,13 @@ def _shuffle_within(G: RelationGraph, masks, rng) -> np.ndarray:
     Each group's member array is shuffled in place, through a memoryview,
     by the swaps and ``getrandbits`` calls of ``random.Random.shuffle``: the
     result, and the state rng is left in, are those of shuffling a list of
-    the group's vertices, but no Python int is held per vertex.  The array
-    has the narrowest signed type that holds N - 1 and is filled _BLOCK
-    vertices at a time, so no int64 array of a group's members is made.
+    the group's vertices, but no Python int is held per vertex.  The
+    result and each member array have the dtype of ``_vertex_dtype``, and
+    a member array is filled _BLOCK vertices at a time.
     """
     N = G.vertex_count
-    perm = np.arange(N, dtype=np.int64)
-    dtype = np.min_scalar_type(-N)
+    dtype = _vertex_dtype(N)
+    perm = np.arange(N, dtype=dtype)
     getrandbits = rng.getrandbits
     for mask in masks:
         members, filled = np.empty(np.count_nonzero(mask), dtype=dtype), 0

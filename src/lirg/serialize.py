@@ -15,10 +15,11 @@ block, and its ``len()`` is the byte count of the whole text.  A parser
 takes bytes or an iterable of byte blocks (a file as it is read) and finds
 lines as it needs them: it hands loadtxt blocks of about _PARSE_BYTES
 (whole mapping lines, or a piece of a line of cycles cut after a
-separator) and writes each block's numbers into the one int64 result, so
-no per-vertex Python object and no copy of the text is made.  The block
-sizes change nothing but memory: every result and every refusal message is
-the one a single block would give.
+separator) and writes each block's numbers into the one result, a
+permutation of ``aut._vertex_dtype``, so no per-vertex Python object and no
+copy of the text is made.  The block sizes change nothing but memory:
+every result and every refusal message is the one a single block would
+give.
 """
 
 import codecs
@@ -30,7 +31,7 @@ from array import array
 
 import numpy as np
 
-from lirg.aut import Decomposition
+from lirg.aut import Decomposition, _vertex_dtype
 from lirg.field import Field
 from lirg.graph import RelationGraph
 from lirg.ideal import LeftIdeal
@@ -452,7 +453,9 @@ def parse_permutation(data, ring):
     lines, so the header never sizes an array much beyond the file read.
     Refusals come in this order, whatever the blocks: a wrong line count,
     the first line that is not two integers, then the first line out of
-    order.
+    order.  The result has the dtype of ``_vertex_dtype``; an image outside
+    [0, N) is read as -1 before it is narrowed to that, so it never wraps
+    onto a vertex, and ``aut.verify`` refuses it.
     """
     reader = _Reader(data)
     header = reader.lines()
@@ -489,15 +492,18 @@ def parse_permutation(data, ring):
         wrong = np.flatnonzero(pairs[:, 0] != np.arange(row, row + rows))
         if wrong.size and disorder is None:
             disorder = pairs[wrong[0], 0]
+        images = pairs[:, 1]
+        if N is not None:
+            images[(images < 0) | (images >= N)] = -1
         if perm is None:
-            held.append(pairs[:, 1])
+            held.append(images)
             if N is not None and (row + rows) * 64 >= N:
-                perm = np.empty(N, dtype=np.int64)
+                perm = np.empty(N, dtype=_vertex_dtype(N))
                 images = np.concatenate(held)[:N]
                 perm[: len(images)] = images
                 held = None
         elif row + rows <= N:
-            perm[row : row + rows] = pairs[:, 1]
+            perm[row : row + rows] = images
         row += rows
     if N != row:
         raise ValueError(f"expected {F.q}^{n * n} mapping lines, got {row}")
@@ -720,7 +726,7 @@ def parse_decomposition(G: RelationGraph, data) -> Decomposition:
     if reader.lines() != b"sigma":
         raise ValueError("missing sigma block")
     N = G.vertex_count
-    perm = np.arange(N, dtype=np.int64)
+    perm = np.arange(N, dtype=_vertex_dtype(N))
     # Whether each vertex is listed; counts from the first vertex listed twice.
     listed = np.zeros(N, dtype=bool)
     ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}

@@ -17,7 +17,7 @@ from conftest import (
     random_right_mul,
     random_triple,
 )
-from lirg import aut
+from lirg import aut, serialize
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
 from lirg.graph import build_full_graph
@@ -195,6 +195,37 @@ def test_compose_inverse_identity(graphs):
     identity = np.arange(G.vertex_count)
     assert np.array_equal(f[aut.inverse(f)], identity)
     assert np.array_equal(identity[f], f)
+
+
+def test_vertex_dtype_rule():
+    # The int64 branch is read off the rule alone: a permutation of
+    # 2^31 + 1 vertices would take 16 GB.
+    assert aut._vertex_dtype(16) == np.int32
+    assert aut._vertex_dtype(2**31) == np.int32  # its largest vertex is int32's
+    assert aut._vertex_dtype(2**31 + 1) == np.int64
+
+
+@pytest.mark.parametrize("p, m, n", [(2, 1, 2), (2, 2, 3)], ids=["N=16", "N=262144"])
+def test_every_permutation_an_aut_step_makes_or_reads_is_int32(graphs, p, m, n):
+    G = graphs(p, m, n)
+    F = G.field
+    dec = aut.random_decomposition(G, 7)
+    made = {"sample sigma": dec.sigma.copy()}
+    made["recompose"] = f = aut.recompose(G, dec)
+    text = b"".join(serialize.render_permutation(n, F, f))
+    made["parse_permutation"] = serialize.parse_permutation(text, (n, F))
+    assert aut.verify(G, made["parse_permutation"]) == (True, None)
+    if n >= 3:
+        made["decompose"] = aut.decompose(G, f.copy()).sigma
+    sampled = aut.Decomposition(P=dec.P, t=dec.t, sigma=made["sample sigma"])
+    report = b"".join(serialize.render_decomposition(G, sampled))
+    made["parse_decomposition"] = serialize.parse_decomposition(G, report).sigma
+    made["inverse"] = aut.inverse(f)
+    made["right_mul"] = aut.right_mul_automorphism(G, dec.P)
+    made["frobenius"] = aut.frobenius_automorphism(G, F.m - 1)
+    assert {step: perm.dtype for step, perm in made.items()} == dict.fromkeys(made, np.dtype(np.int32))
+    assert np.array_equal(made["parse_permutation"], f)
+    assert np.array_equal(made["parse_decomposition"], made["sample sigma"])
 
 
 def test_right_mul_homomorphism_exhaustive(graphs):

@@ -642,11 +642,12 @@ def gf4_dec(tmp_path_factory, gf4_perm):
     return path
 
 
-# Traced peaks of cli.main at GF(4), n = 3, measured: sample 4.0 MB, verify
-# 2.9, decompose 3.7, recompose 3.9; with up to three permutations and whole
-# texts held they were 8.3, 8.4, 9.5 and 8.4 MB.
+# Traced peaks of cli.main at GF(4), n = 3, measured: sample 2.5 MB, verify
+# 1.9, decompose 2.7, recompose 2.9; with int64 permutations they were 3.5,
+# 2.9, 3.7 and 3.9 MB, and with up to three permutations and whole texts
+# held 8.3, 8.4, 9.5 and 8.4 MB.
 @pytest.mark.parametrize(
-    "step, bound", [("sample", 5.0), ("verify", 3.6), ("decompose", 4.6), ("recompose", 4.8)]
+    "step, bound", [("sample", 4.0), ("verify", 2.6), ("decompose", 3.6), ("recompose", 3.8)]
 )
 def test_aut_step_traced_peak(tmp_path, gf4_perm, gf4_dec, step, bound):
     source = {"sample": ["--seed", "7"], "recompose": ["--report", str(gf4_dec)]}
@@ -676,6 +677,22 @@ def test_aut_verify_failure_witness_pinned(capsys, tmp_path, gf4_perm, u, v, wit
         "verify n=3 p=2 m=2 modulus=1,1,1\n"
         f"verification failed: edge relation broken at pair {witness}\n",
         "",
+    )
+
+
+@pytest.mark.parametrize("step", ["verify", "decompose"])
+@pytest.mark.parametrize("image", [lambda x: x + 2**32, lambda x: -1], ids=["past-int32", "negative"])
+def test_out_of_range_image_never_narrows_onto_a_vertex(capsys, tmp_path, step, image):
+    # x + 2^32 would wrap to x in int32, leaving the sampled automorphism.
+    ring = ["--n", "3", "--p", "2"]
+    perm = tmp_path / "f.perm"
+    assert run(capsys, "aut", "sample", *ring, "--seed", "3", "--out", str(perm))[0] == 0
+    lines = perm.read_text().splitlines()
+    x = int(lines[6].split()[1])
+    lines[6] = f"5 {image(x)}"
+    perm.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "aut", step, *ring, "--perm", str(perm)) == (
+        2, "", "error: not a bijection on the vertex set\n"
     )
 
 
@@ -850,6 +867,7 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
         ),
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(-1 36 32)"), "leaves its ideal class"),
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 512)"), "leaves its ideal class"),
+        (lambda text: text.replace("cycles=(4 36 32)", f"cycles=(4 36 {32 + 2**32})"), "leaves its ideal class"),
         (lambda text: text.replace("cycles=(4 36 32)", "cycles=(4 36 99999999999999999999)"), "int64"),
         (lambda text: text.replace(" basis=", " basis:", 1), "malformed sigma line"),
         (lambda text: "   \n" + text, "not a decomposition file"),
@@ -872,7 +890,7 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
          "LeftIdeal(n=3, rank=2, basis=((1, 1, 1), (1, 1, 1)))"),
     ],
     ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex",
-         "cycle-vertex-past-N", "cycle-vertex-beyond-int64", "sigma-line-without-basis",
+         "cycle-vertex-past-N", "cycle-vertex-past-int32", "cycle-vertex-beyond-int64", "sigma-line-without-basis",
          "blank-header", "doubled-opening-parenthesis", "doubled-closing-parenthesis",
          "rank-not-the-basis-rank", "empty-basis-row", "class-line-without-rank",
          "line-not-a-class", "newline-only", "P-cut-after-first-row", "short-P-row",
