@@ -58,8 +58,8 @@ class DecompositionError(RuntimeError):
 
 
 def _check_context(G: RelationGraph):
-    if G.kind != "full" or not G.directed:
-        raise ValueError("automorphisms are defined on the directed full graph")
+    if G.kind != "full":
+        raise ValueError("automorphisms are defined on the full graph, not its quotient")
 
 
 # Vertices per block when a permutation is checked or rewritten in place.

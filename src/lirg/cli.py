@@ -70,12 +70,10 @@ def _read_input(path, vertex_count):
     """The bytes of an input file for a ring of ``vertex_count`` vertices,
     in blocks as they are read.  A file longer than such a file can be is
     refused as soon as it is, before the rest is read; one that is not
-    UTF-8 once it has been read to its end, so the length is checked first.
-    Line ends are read as a text file reads them: CR LF and a lone CR
-    become LF."""
+    UTF-8 once it has been read to its end, so the length is checked first."""
     limit = vertex_count * 4 * (len(str(vertex_count - 1)) + 2) + INPUT_SLACK
     decoder = codecs.getincrementaldecoder("utf-8")()
-    size, error, cr = 0, None, b""
+    size, error = 0, None
     with open(path, "rb") as fh:
         while block := fh.read(_READ_BYTES):
             size += len(block)
@@ -89,13 +87,7 @@ def _read_input(path, vertex_count):
                     decoder.decode(block)
                 except UnicodeDecodeError as exc:
                     error = _utf8_error(exc, size - len(block) - pending)
-            # A CR that ends a block may start a CR LF.
-            block, cr = cr + block, b""
-            if block.endswith(b"\r"):
-                block, cr = block[:-1], b"\r"
-            yield block.replace(b"\r\n", b"\n").replace(b"\r", b"\n") if b"\r" in block else block
-    if cr:
-        yield b"\n"
+            yield block
     if error is None:
         try:
             decoder.decode(b"", True)
@@ -173,7 +165,7 @@ def _add_ring(sub):
 
 def _add_common(sub):
     _add_ring(sub)
-    sub.add_argument("--cap", type=int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
+    sub.add_argument("--cap", type=positive_int, default=DEFAULT_VERTEX_CAP, help="vertex cap")
 
 
 def cmd_ring_info(args) -> int:
@@ -202,14 +194,14 @@ def cmd_ring_info(args) -> int:
 def cmd_build_graph(args) -> int:
     F = _field(args)
     builder = build_quotient_graph if args.quotient else build_full_graph
-    G = builder(F, args.n, directed=args.directed, cap=args.cap)
-    _write_output(serialize.graph_chunks(G, args.format), args.out)
+    G = builder(F, args.n, cap=args.cap)
+    _write_output(serialize.graph_chunks(G, args.format, args.directed), args.out)
     return 0
 
 
 def cmd_invariants(args) -> int:
     F = _field(args)
-    G = build_full_graph(F, args.n, directed=False, cap=args.cap)
+    G = build_full_graph(F, args.n, cap=args.cap)
     report = invariants.compute_report(G)
     preds = invariants.predicted_invariants(args.n, F.q)
     rows = []
@@ -282,13 +274,13 @@ def cmd_aut(args) -> int:
     if args.sub == "sample":
         # Only the composed map outlives the sampling: the graph is freed
         # before the text is rendered.
-        G = build_full_graph(F, args.n, directed=True, cap=args.cap)
+        G = build_full_graph(F, args.n, cap=args.cap)
         f = aut.recompose(G, aut.random_decomposition(G, args.seed))
         del G
         _write_output(serialize.render_permutation(args.n, F, f), args.out)
         return 0
 
-    G = build_full_graph(F, args.n, directed=True, cap=args.cap)
+    G = build_full_graph(F, args.n, cap=args.cap)
 
     ring = (args.n, F)
     f = _parse_input(lambda data: serialize.parse_permutation(data, ring), args.perm, G.vertex_count)
@@ -314,7 +306,7 @@ def cmd_aut(args) -> int:
 
 def cmd_aut_recompose(args) -> int:
     F = _field(args)
-    G = build_full_graph(F, args.n, directed=True, cap=args.cap)
+    G = build_full_graph(F, args.n, cap=args.cap)
     parse = lambda data: serialize.parse_decomposition(G, data)
     dec = _parse_input(parse, args.report, G.vertex_count)
     f = aut.recompose(G, dec)  # sigma's array becomes f's

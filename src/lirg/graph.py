@@ -4,9 +4,10 @@ Vertices of the full graph are all q^(n^2) matrices; there is a directed
 edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
 space of Y.  The undirected variant joins X and Y when either containment
-holds.  Since adjacency depends only on row spaces, a graph is the class
-containment matrix ``lt``, the only form of the class relation, and the
-class sizes, closed forms that degrees and invariants weight ``lt`` by
+holds; a graph holds the relation once, and its reader picks the
+orientation.  Since adjacency depends only on row spaces, a graph is the
+class containment matrix ``lt``, the only form of the class relation, and
+the class sizes, closed forms that degrees and invariants weight ``lt`` by
 through one exact array, ``fiber_array``.  Both the full graph and the
 quotient are refused above ``CLASS_BOUND`` subspaces, where ``lt`` would
 pass 1 GiB, before any subspace is made.  ``lt`` is made on first read,
@@ -15,8 +16,8 @@ makes it.  The one array per vertex, a narrow vertex -> class index, is
 made on first read too.  No member list of a class is kept: a reader
 compares the index with a class, or indexes a bool row of ``lt`` with it.
 The one way edges leave a graph is ``serialize``, which streams them one
-source vertex at a time.  No query materializes the (possibly huge) edge
-set.
+source vertex at a time in the orientation it is given.  No query
+materializes the (possibly huge) edge set.
 
 Class assignment generates each class's members as the matrices W·B
 rather than classifying vertices one by one (see ``_assign_classes``),
@@ -147,7 +148,6 @@ class RelationGraph:
     """Built relation graph; immutable after construction, queries read-only."""
 
     kind: str  # 'full' | 'quotient'
-    directed: bool
     n: int
     field: Field
     class_ideals: tuple
@@ -195,9 +195,7 @@ class RelationGraph:
         return sum(f * w for f, w in zip(self.fiber_sizes, out))
 
 
-def build_full_graph(
-    F: Field, n: int, directed: bool = True, cap: int | None = DEFAULT_VERTEX_CAP
-) -> RelationGraph:
+def build_full_graph(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP) -> RelationGraph:
     """Relation graph on all matrices, bucketed by canonical ideal; refused
     above ``cap`` vertices or CLASS_BOUND classes (see ``_subspace_count``)."""
     _check_vertex_cap(F.p, F.m, n, cap)
@@ -205,7 +203,6 @@ def build_full_graph(
     ideals = tuple(subspaces(F, n))
     return RelationGraph(
         kind="full",
-        directed=directed,
         n=n,
         field=F,
         class_ideals=ideals,
@@ -213,9 +210,7 @@ def build_full_graph(
     )
 
 
-def build_quotient_graph(
-    F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP, directed: bool = True
-) -> RelationGraph:
+def build_quotient_graph(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP) -> RelationGraph:
     """Graph on ideal classes themselves: the subspace lattice of F_q^n,
     refused above ``cap`` or CLASS_BOUND subspaces (see
     ``_subspace_count``)."""
@@ -226,7 +221,6 @@ def build_quotient_graph(
     assert len(ideals) == count
     return RelationGraph(
         kind="quotient",
-        directed=directed,
         n=n,
         field=F,
         class_ideals=ideals,

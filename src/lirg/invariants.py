@@ -11,9 +11,6 @@ the clique number and the reduced clique number behind the strong metric
 dimension, since cliques are chains of nested row spaces.  No class
 adjacency ``lt | lt.T``, distance matrix or generic clique search is
 made.
-
-Functions in this module treat their input graph as undirected regardless
-of the flag it was built with.
 """
 
 from dataclasses import dataclass

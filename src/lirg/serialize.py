@@ -73,7 +73,7 @@ def parse_field_tokens(parts, ring):
 # -- graphs -----------------------------------------------------------------
 
 
-def _edge_chunks(G: RelationGraph, prefix: bytes, sep: bytes, end: bytes):
+def _edge_chunks(G: RelationGraph, directed: bool, prefix: bytes, sep: bytes, end: bytes):
     """One bytearray per source vertex u with edges: ``{prefix}{u}{sep}{v}{end}``
     for each target v, ascending.  Undirected edges are written once, from
     their smaller end.
@@ -95,8 +95,8 @@ def _edge_chunks(G: RelationGraph, prefix: bytes, sep: bytes, end: bytes):
     that line.
     """
     N = G.vertex_count
-    cut = None if G.directed else np.empty(N, dtype=np.min_scalar_type(N - 1))
-    related = (lambda c: G.lt[c]) if G.directed else (lambda c: G.lt[c] | G.lt[:, c])
+    cut = None if directed else np.empty(N, dtype=np.min_scalar_type(N - 1))
+    related = (lambda c: G.lt[c]) if directed else (lambda c: G.lt[c] | G.lt[:, c])
     shared, template_of = {}, []  # one template id per distinct related set
     for c in range(G.class_count):
         row = related(c)
@@ -173,22 +173,22 @@ def _edge_chunks(G: RelationGraph, prefix: bytes, sep: bytes, end: bytes):
         yield chunk
 
 
-def edge_list_chunks(G: RelationGraph):
-    """The edge list as byte chunks: the header line, then the edges of one
-    source vertex per chunk."""
+def edge_list_chunks(G: RelationGraph, directed: bool):
+    """The edge list of G, directed or not, as byte chunks: the header line,
+    then the edges of one source vertex per chunk."""
     yield (
         f"graph kind={G.kind} "
-        + field_tokens(G.n, G.field, G.directed)
+        + field_tokens(G.n, G.field, directed)
         + f" vertices={G.vertex_count} edges={G.edge_count()}\n"
     ).encode()
-    yield from _edge_chunks(G, b"", b" ", b"\n")
+    yield from _edge_chunks(G, directed, b"", b" ", b"\n")
 
 
-def dot_chunks(G: RelationGraph):
+def dot_chunks(G: RelationGraph, directed: bool):
     """The DOT text as byte chunks: the vertex labels in blocks of
     _RENDER_ROWS lines, then the edges of one source vertex per chunk."""
-    arrow = b"->" if G.directed else b"--"
-    yield b"digraph lirg {\n" if G.directed else b"graph lirg {\n"
+    arrow = b"->" if directed else b"--"
+    yield b"digraph lirg {\n" if directed else b"graph lirg {\n"
     N, ranks = G.vertex_count, np.array(G.class_rank)
     limbs, rank_limbs = _limbs(N), _limbs(G.n + 1)
     for lo in range(0, N, _RENDER_ROWS):
@@ -196,18 +196,18 @@ def dot_chunks(G: RelationGraph):
         name = _decimal(np.arange(lo, hi), limbs)
         rank = _decimal(ranks[G.vertex_class[lo:hi]], rank_limbs)
         yield _text_rows(hi - lo, [b"  v", name, b' [label="v', name, b":r", rank, b'"];\n'])
-    yield from _edge_chunks(G, b"  v", b" " + arrow + b" v", b";\n")
+    yield from _edge_chunks(G, directed, b"  v", b" " + arrow + b" v", b";\n")
     yield b"}\n"
 
 
-def graph_chunks(G: RelationGraph, fmt: str):
+def graph_chunks(G: RelationGraph, fmt: str, directed: bool):
     """Byte chunks of G in ``fmt`` ('edges' or 'dot'); an unknown format, or
     a vertex index that cannot be made, raises here, before any chunk."""
     G.vertex_class
     if fmt == "edges":
-        return edge_list_chunks(G)
+        return edge_list_chunks(G, directed)
     if fmt == "dot":
-        return dot_chunks(G)
+        return dot_chunks(G, directed)
     raise ValueError(f"unknown graph format {fmt!r}")
 
 
@@ -322,15 +322,20 @@ def _text_rows(count: int, parts):
 
 def _unpadded(data):
     """The bytes of ``data`` (bytes, or an iterable of bytes-like blocks),
-    in blocks, without the newlines before the first other byte and after
-    the last: a run of newlines ending a block is held back until other
-    bytes follow.  Bytes are cut into blocks of _PARSE_BYTES."""
+    in blocks, with CR LF and a lone CR read as LF, and without the newlines
+    before the first other byte and after the last: a run of newlines
+    ending a block is held back until other bytes follow.  Bytes are cut
+    into blocks of _PARSE_BYTES."""
     if isinstance(data, (bytes, bytearray)):
         view = memoryview(data)
         data = (view[lo : lo + _PARSE_BYTES] for lo in range(0, len(view), _PARSE_BYTES))
-    held, started = 0, False  # newlines held back
+    held, started, cr = 0, False, b""  # newlines held back
     for block in data:
-        block = bytes(block)
+        # A CR that ends a block may start a CR LF.
+        block, cr = cr + bytes(block), b""
+        if block.endswith(b"\r"):
+            block, cr = block[:-1], b"\r"
+        block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         body = block.rstrip(b"\n")
         if not body:
             held += len(block)
@@ -423,16 +428,11 @@ def render_permutation(n: int, F: Field, perm) -> Blocks:
     return Blocks(blocks)
 
 
-def _mapping_text(block: bytes) -> bytes:
-    # A lone \r is whitespace inside a line here, but a line break to loadtxt.
-    return block.replace(b"\r", b" ") if b"\r" in block else block
-
-
 def _bad_mapping_line(block: bytes, row: int):
     """The refusal message naming the first line of ``block`` (whose first
     line is mapping line row + 1) that is not two integers within int64, or
     None."""
-    for number, line in enumerate(_mapping_text(block).decode().split("\n"), row + 1):
+    for number, line in enumerate(block.decode().split("\n"), row + 1):
         fields = line.split()
         if len(fields) != 2 or not all(
             re.fullmatch(r"[+-]?[0-9]+", f) and -(2**63) <= int(f) < 2**63 for f in fields
@@ -476,12 +476,11 @@ def parse_permutation(data, ring):
             message = message or _bad_mapping_line(block, row)
             row += rows
             continue
-        text = _mapping_text(block)
         try:
             # loadtxt skips blank lines and refuses a change in field count;
             # the shape check then refuses blank lines and a uniform wrong count.
-            pairs = None if text.decode().isspace() else np.loadtxt(
-                io.BytesIO(text), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
+            pairs = None if block.decode().isspace() else np.loadtxt(
+                io.BytesIO(block), dtype=np.int64, comments=None, ndmin=2, encoding="utf-8"
             )
         except ValueError:
             pairs = None
@@ -630,9 +629,9 @@ def render_decomposition(G: RelationGraph, dec: Decomposition) -> Blocks:
     return Blocks(blocks)
 
 
-# The ASCII characters that str.split() splits on.
+# The ASCII characters that str.split() splits on, but CR, read as a line end.
 _SPACE = np.zeros(256, dtype=bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_SPACE[[9, 10, 11, 12, 28, 29, 30, 31, 32]] = True
 # Any whitespace character, Unicode ones too.
 _WHITESPACE = re.compile(r"\s")
 # Where loadtxt's refusals place the field they could not read.

@@ -26,14 +26,14 @@ from lirg.serialize import edge_list_chunks
 
 @pytest.fixture(scope="session")
 def graphs():
-    """Memoized full-graph builder keyed by (p, m, n, directed)."""
+    """Memoized full-graph builder keyed by (p, m, n)."""
     cache = {}
 
-    def get(p, m, n, directed=True, cap=None):
-        key = (p, m, n, directed)
+    def get(p, m, n, cap=None):
+        key = (p, m, n)
         if key not in cache:
             F = make_field(p, m)
-            cache[key] = build_full_graph(F, n, directed=directed, cap=cap)
+            cache[key] = build_full_graph(F, n, cap=cap)
         return cache[key]
 
     return get
@@ -89,26 +89,27 @@ def vertex_degrees(G, v):
     return int(fib[G.lt[:, c]].sum()), int(fib[G.lt[c]].sum())
 
 
-def exported_edges(G):
-    """The (u, v) lines of G's edge-list stream, in stream order."""
-    lines = b"".join(edge_list_chunks(G)).decode().splitlines()[1:]
+def exported_edges(G, directed=True):
+    """The (u, v) lines of G's edge-list stream, directed or not, in stream
+    order."""
+    lines = b"".join(edge_list_chunks(G, directed)).decode().splitlines()[1:]
     return [tuple(map(int, line.split())) for line in lines]
 
 
-def exported_neighbors(G):
+def exported_neighbors(G, directed=True):
     """Out- and in-neighbour sets of every vertex, read off the edge-list
-    stream of a directed graph."""
+    stream; an undirected edge goes out of its smaller end."""
     outs = [set() for _ in range(G.vertex_count)]
     ins = [set() for _ in range(G.vertex_count)]
-    for u, v in exported_edges(G):
+    for u, v in exported_edges(G, directed):
         outs[u].add(v)
         ins[v].add(u)
     return outs, ins
 
 
-def exported_degrees(G):
+def exported_degrees(G, directed=True):
     """(d_i, d_o) of every vertex, read off the edge-list stream."""
-    outs, ins = exported_neighbors(G)
+    outs, ins = exported_neighbors(G, directed)
     return [(len(i), len(o)) for i, o in zip(ins, outs)]
 
 

@@ -218,7 +218,7 @@ def test_criterion_07_decomposition_roundtrip():
     failures = []
     for p, m in [(2, 1), (2, 2)]:
         F = make_field(p, m)
-        G = build_full_graph(F, 3, directed=True, cap=None)
+        G = build_full_graph(F, 3, cap=None)
         for seed in range(1, 21):
             _, _, _, f = random_triple(G, seed)
             dec = aut.decompose(G, f.copy())

@@ -20,7 +20,7 @@ from conftest import (
 from lirg import aut, serialize
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
-from lirg.graph import build_full_graph
+from lirg.graph import build_full_graph, build_quotient_graph
 from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
@@ -39,6 +39,19 @@ from lirg.matrix import (
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
 F4 = make_field(2, 2)
+
+
+def test_quotient_graph_refused():
+    # Permutations act on the full graph's matrices, not on its classes.
+    Q = build_quotient_graph(F2, 3)
+    identity = np.arange(Q.vertex_count)
+    for call in [
+        lambda: aut.verify(Q, identity),
+        lambda: aut.decompose(Q, identity.copy()),
+        lambda: aut.right_mul_automorphism(Q, identity_matrix(3)),
+    ]:
+        with pytest.raises(ValueError, match="^automorphisms are defined on the full graph, not its quotient$"):
+            call()
 
 
 # -- constructors pass verification -----------------------------------------

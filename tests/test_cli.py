@@ -221,13 +221,17 @@ def test_build_graph_trivial(capsys):
         ["invariants", "--n", "-1", "--p", "2"],
         ["aut", "sample", "--n", "0", "--p", "2"],
         ["aut", "count-quotient", "--n", "0", "--p", "2"],
+        # The vertex cap is read as the dimension is.
+        ["build-graph", "--n", "2", "--p", "2", "--cap", "-5"],
+        ["build-graph", "--n", "2", "--p", "2", "--cap", "0"],
     ],
 )
 def test_dimension_below_one_refused(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert "--n: must be at least 1" in err
+    flag = "--cap" if "--cap" in argv else "--n"
+    assert f"{flag}: must be at least 1" in err
 
 
 def test_build_graph_edge_count(capsys):
@@ -245,26 +249,30 @@ def test_build_graph_cap_refusal(capsys):
     assert "100000" in err
 
 
+# sha256 of `build-graph` stdout by (ring, format, orientation).
+GRAPH_SHA256 = {
+    ("--n 2 --p 2 --m 2", "edges", "--directed"):
+        "4ffb2de9594aa336567ef6f805d97db4bb16de4cf398bef5e5e34b631b49c607",
+    ("--n 2 --p 2 --m 2", "edges", "--undirected"):
+        "4788712d5fdeab824bcc75d0a37d1c676966a89ce0990ea65dac5467e064c8fe",
+    ("--n 2 --p 2 --m 2", "dot", "--directed"):
+        "4bcf362a76ab321ce8c2a8e52d11f4b9528616c2e9c1026c00d62d3b002de554",
+    ("--n 2 --p 2 --m 2", "dot", "--undirected"):
+        "45097402878abfaadfd677940df6e483dc98afe90988ba9ed7828da13abd5cc1",
+    ("--n 3 --p 2", "edges", "--directed"):
+        "a439d2f4b8411ebe30d7ced9d05f30524ab0dfa3e05d5cb5d28f53c2517c00f6",
+    ("--n 3 --p 2", "edges", "--undirected"):
+        "d5df974608e445c5a0312ba30fd9e8d85cfbd3721e2ce75eb30b76b41139807c",
+    ("--n 3 --p 2", "dot", "--directed"):
+        "43ec9f1126155e62b0df57a69533094360ff3aa668132d4e81faf66c46ade858",
+    ("--n 3 --p 2", "dot", "--undirected"):
+        "81b799919f9820d71920207585b8d2c5658e118f91b8502e451d832caa6bdbdb",
+}
+
+
 @pytest.mark.parametrize(
     "ring, fmt, direction, digest",
-    [
-        ("--n 2 --p 2 --m 2", "edges", "--directed",
-         "4ffb2de9594aa336567ef6f805d97db4bb16de4cf398bef5e5e34b631b49c607"),
-        ("--n 2 --p 2 --m 2", "edges", "--undirected",
-         "4788712d5fdeab824bcc75d0a37d1c676966a89ce0990ea65dac5467e064c8fe"),
-        ("--n 2 --p 2 --m 2", "dot", "--directed",
-         "4bcf362a76ab321ce8c2a8e52d11f4b9528616c2e9c1026c00d62d3b002de554"),
-        ("--n 2 --p 2 --m 2", "dot", "--undirected",
-         "45097402878abfaadfd677940df6e483dc98afe90988ba9ed7828da13abd5cc1"),
-        ("--n 3 --p 2", "edges", "--directed",
-         "a439d2f4b8411ebe30d7ced9d05f30524ab0dfa3e05d5cb5d28f53c2517c00f6"),
-        ("--n 3 --p 2", "edges", "--undirected",
-         "d5df974608e445c5a0312ba30fd9e8d85cfbd3721e2ce75eb30b76b41139807c"),
-        ("--n 3 --p 2", "dot", "--directed",
-         "43ec9f1126155e62b0df57a69533094360ff3aa668132d4e81faf66c46ade858"),
-        ("--n 3 --p 2", "dot", "--undirected",
-         "81b799919f9820d71920207585b8d2c5658e118f91b8502e451d832caa6bdbdb"),
-    ],
+    [(*key, digest) for key, digest in GRAPH_SHA256.items()],
     ids=[
         f"{ring}-{fmt}-{d}"
         for ring in ("gf4-n2", "gf2-n3")

@@ -57,9 +57,9 @@ def test_no_edges_within_a_rank_level():
 
 
 def test_undirected_graph_edges():
-    G = build_full_graph(F2, 2, directed=False)
+    G = build_full_graph(F2, 2)
     expected = {(min(u, v), max(u, v)) for u, v in brute_edges(F2, 2)}
-    edges = exported_edges(G)
+    edges = exported_edges(G, directed=False)
     assert edges == sorted(expected)
     assert all(u < v for u, v in edges)
 
@@ -149,8 +149,7 @@ def test_degrees_against_examples():
     degrees, ranks = exported_degrees(G), np.array(G.class_rank)[G.vertex_class]
     assert degrees[0] == (0, 15)
     rank2 = int(np.argmax(ranks == 2))
-    und = build_full_graph(F2, 2, directed=False)
-    assert sum(exported_degrees(und)[rank2]) == 10
+    assert sum(exported_degrees(G, directed=False)[rank2]) == 10
     rank1 = int(np.argmax(ranks == 1))
     assert degrees[rank1] == (1, 6)
 
@@ -203,9 +202,8 @@ def test_quotient_consistency():
 
 def test_neighbor_lists():
     G = build_full_graph(F2, 2)
-    und = build_full_graph(F2, 2, directed=False)
     brute = brute_edges(F2, 2)
-    edges, und_edges = exported_edges(G), exported_edges(und)
+    edges, und_edges = exported_edges(G), exported_edges(G, directed=False)
 
     def out_neighbors(v):
         return [b for a, b in edges if a == v]
@@ -227,8 +225,9 @@ def test_neighbor_lists():
 
 def test_graph_chunks_by_format():
     G = build_full_graph(F2, 1)
-    assert b"".join(graph_chunks(G, "edges")).decode().splitlines()[1] == "0 1"
-    assert b"".join(graph_chunks(G, "dot")).decode().startswith("digraph")
+    assert b"".join(graph_chunks(G, "edges", True)).decode().splitlines()[1] == "0 1"
+    assert b"".join(graph_chunks(G, "dot", True)).decode().startswith("digraph")
+    assert b"".join(graph_chunks(G, "dot", False)).decode().startswith("graph")
 
 
 def test_vertex_cap():

@@ -256,7 +256,7 @@ def folded_from_class_bfs(G):
      (3, 1, 4), (2, 1, 5), (3, 1, 5), (2, 1, 6)],
 )
 def test_report_matches_class_bfs(p, m, n):
-    G = build_full_graph(make_field(p, m), n, directed=False, cap=None)
+    G = build_full_graph(make_field(p, m), n, cap=None)
     rep = compute_report(G)
     by_rank, girth = folded_from_class_bfs(G)
     assert (rep.eccentricity_by_rank, rep.girth) == (by_rank, girth)
@@ -266,10 +266,10 @@ def test_report_matches_class_bfs(p, m, n):
 
 def test_triangle_witness_is_a_triangle():
     for F, n in [(F2, 2), (F2, 3), (F3, 2)]:
-        G = build_full_graph(F, n, directed=False)
+        G = build_full_graph(F, n)
         a, b, c = sorted(triangle_witness(F, n))
         assert len({a, b, c}) == 3
-        edges = set(exported_edges(G))
+        edges = set(exported_edges(G, directed=False))
         assert (a, b) in edges and (b, c) in edges and (a, c) in edges
     with pytest.raises(ValueError):
         triangle_witness(F2, 1)
@@ -300,9 +300,9 @@ def test_metric_matches_vertex_level_oracle(F, n):
 def test_domination_number():
     for F, n in [(F2, 2), (F2, 3), (F2, 1)]:
         assert report(F, n).domination_number == 1
-    G = build_full_graph(F2, 2, directed=False)
+    G = build_full_graph(F2, 2)
     # 0 is the smallest vertex, so the stream lists each of its edges as (0, v)
-    assert [v for u, v in exported_edges(G) if 0 in (u, v)] == list(range(1, 16))
+    assert [v for u, v in exported_edges(G, directed=False) if 0 in (u, v)] == list(range(1, 16))
 
 
 def test_sdim_examples():
@@ -337,25 +337,25 @@ def test_sdim_star_without_closed_form():
 
 
 def test_eulerian_check():
-    G = build_full_graph(F2, 2, directed=False)
+    G = build_full_graph(F2, 2)
     rep = compute_report(G)
     assert not rep.eulerian and rep.odd_degree_witness == 0
     assert sum(vertex_degrees(G, 0)) == 15
 
-    G3 = build_full_graph(F3, 2, directed=False)
+    G3 = build_full_graph(F3, 2)
     rep = compute_report(G3)
     assert not rep.eulerian
     assert G3.class_rank[G3.vertex_class[rep.odd_degree_witness]] == 2
     assert sum(vertex_degrees(G3, rep.odd_degree_witness)) == 81 - 48 == 33  # M(2,2,2,3) = (9-1)(9-3)
 
-    G1 = build_full_graph(F2, 1, directed=False)
+    G1 = build_full_graph(F2, 1)
     rep = compute_report(G1)
     assert not rep.eulerian and sum(vertex_degrees(G1, rep.odd_degree_witness)) == 1
 
 
 def test_eulerian_witness_degree_is_odd_everywhere():
     for F, n in [(F2, 2), (F3, 2), (F2, 3), (F2, 1), (F3, 1)]:
-        G = build_full_graph(F, n, directed=False)
+        G = build_full_graph(F, n)
         rep = compute_report(G)
         assert not rep.eulerian
         assert sum(vertex_degrees(G, rep.odd_degree_witness)) % 2 == 1
@@ -365,7 +365,7 @@ def test_eulerian_witness_degree_is_odd_everywhere():
 def test_first_member_matches_argmax(p, m):
     # q = 3, 5, 7 and 9 at n = 2: the odd-degree witness, the anti-diagonal,
     # is the first full-rank vertex that np.argmax finds over the index.
-    G = build_full_graph(make_field(p, m), 2, directed=False)
+    G = build_full_graph(make_field(p, m), 2)
     full_rank = G.class_rank.index(2)
     rep = compute_report(G)
     assert (rep.eulerian, rep.odd_degree_witness) == (
@@ -377,7 +377,7 @@ def test_first_member_matches_argmax(p, m):
 def test_eulerian_check_memory_follows_slices():
     # 1,953,125 vertices: the witness is a closed form, so the report holds
     # no N-byte mask (1.9 MB) and no class index.
-    G = build_full_graph(F5, 3, directed=False, cap=None)
+    G = build_full_graph(F5, 3, cap=None)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -395,8 +395,8 @@ def test_k33_witness():
     with pytest.raises(ValueError):
         k33_witness(F2, 1)
     # cross edges visible in the built graph
-    G = build_full_graph(F2, 2, directed=False)
-    edges = set(exported_edges(G))
+    G = build_full_graph(F2, 2)
+    edges = set(exported_edges(G, directed=False))
     side1, side2 = k33_witness(F2, 2)
     for X in side1:
         for Y in side2:
@@ -407,7 +407,7 @@ def test_k33_witness():
 def test_compute_report_memory_below_lt():
     # M_2(F_4493), C = 4,496: the report reads lt in place and copies at most
     # a block of its rows, where a C x C adjacency and search took ~386 MB.
-    G = build_full_graph(make_field(4493, 1), 2, directed=False, cap=None)
+    G = build_full_graph(make_field(4493, 1), 2, cap=None)
     G.lt  # made on first read: the span measured is the report's alone
     tracemalloc.start()
     try:
@@ -420,7 +420,7 @@ def test_compute_report_memory_below_lt():
 
 
 def test_report_refuses_degrees_off_the_closed_form():
-    G = build_full_graph(F2, 3, directed=False)
+    G = build_full_graph(F2, 3)
     lt = G.lt.copy()
     a, b = np.argwhere(lt[1:-1, 1:-1])[0] + 1  # two comparable middle classes
     lt[a, b] = False
@@ -431,7 +431,7 @@ def test_report_refuses_degrees_off_the_closed_form():
 
 def test_compute_report_builds_no_member_lists():
     # invariants need class sizes and witnesses, never the sorted members
-    G = build_full_graph(F5, 3, directed=False, cap=None)
+    G = build_full_graph(F5, 3, cap=None)
     rep = compute_report(G)
     # the first full-rank vertex: the anti-diagonal has the lowest high digits
     anti_diagonal = ((0, 0, 1), (0, 1, 0), (1, 0, 0))
@@ -440,7 +440,7 @@ def test_compute_report_builds_no_member_lists():
 
 def test_compute_report_coherence():
     for F, n in [(F2, 2), (F3, 2), (F2, 1)]:
-        rep = compute_report(build_full_graph(F, n, directed=False))
+        rep = compute_report(build_full_graph(F, n))
         assert rep.clique_number <= rep.chromatic_number
         assert rep.radius <= rep.diameter
 

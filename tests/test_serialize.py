@@ -1,6 +1,7 @@
 """Round trips and determinism of the text formats."""
 
 import functools
+import hashlib
 import re
 import tracemalloc
 
@@ -11,6 +12,7 @@ from conftest import exported_edges, random_triple
 from lirg import aut, serialize
 from lirg.field import make_field
 from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
+from test_cli import GRAPH_SHA256
 from test_graph import brute_edges, containment_by_row_reduction
 
 F2 = make_field(2, 1)
@@ -20,9 +22,10 @@ F4 = make_field(2, 2)
 brute_edges_gf4_n2 = functools.cache(lambda: brute_edges(F4, 2))
 
 
-def dot_edges(G):
-    """The (u, v) edge lines of G's DOT stream, in stream order."""
-    lines = b"".join(serialize.dot_chunks(G)).decode().splitlines()
+def dot_edges(G, directed):
+    """The (u, v) edge lines of G's DOT stream, directed or not, in stream
+    order."""
+    lines = b"".join(serialize.dot_chunks(G, directed)).decode().splitlines()
     return [tuple(map(int, re.findall(r"v(\d+)", line))) for line in lines if " -" in line]
 
 
@@ -39,7 +42,7 @@ def test_field_tokens_roundtrip():
 
 def test_edge_list_against_brute_force(graphs):
     G = graphs(2, 1, 2)
-    header = b"".join(serialize.edge_list_chunks(G)).decode().split("\n")[0]
+    header = b"".join(serialize.edge_list_chunks(G, True)).decode().split("\n")[0]
     assert header == (
         "graph kind=full n=2 p=2 m=1 modulus=0,1 directed=1 vertices=16 edges=69"
     )
@@ -49,9 +52,9 @@ def test_edge_list_against_brute_force(graphs):
 
 
 def test_edge_list_chunks_one_source_each(graphs):
-    for G in (graphs(2, 1, 2), build_full_graph(F4, 2, directed=False)):
-        chunks = [bytes(chunk).decode() for chunk in serialize.edge_list_chunks(G)]
-        assert "".join(chunks) == b"".join(serialize.graph_chunks(G, "edges")).decode()
+    for G, directed in ((graphs(2, 1, 2), True), (build_full_graph(F4, 2), False)):
+        chunks = [bytes(chunk).decode() for chunk in serialize.edge_list_chunks(G, directed)]
+        assert "".join(chunks) == b"".join(serialize.graph_chunks(G, "edges", directed)).decode()
         assert chunks[0].startswith("graph ") and chunks[0].count("\n") == 1
         sources = []
         for chunk in chunks[1:]:
@@ -60,8 +63,8 @@ def test_edge_list_chunks_one_source_each(graphs):
             assert {u for u, _ in edges} == {edges[0][0]}
             sources.append(edges[0][0])
         assert sources == sorted(set(sources))
-        brute = brute_edges(F2, 2) if G.directed else brute_edges_gf4_n2()
-        assert sources == sorted({e[0] if G.directed else min(e) for e in brute})
+        brute = brute_edges(F2, 2) if directed else brute_edges_gf4_n2()
+        assert sources == sorted({e[0] if directed else min(e) for e in brute})
 
 
 @pytest.mark.parametrize("directed", [True, False])
@@ -70,13 +73,13 @@ def test_edge_stream_memory_follows_vertices_and_pairs(directed):
     # sources need them and dropped after their last source of a name
     # width, so the whole stream is traced.  Measured: 1.8 MB directed, 3.3 MB undirected;
     # a str per (class, target) pair took 23.6 and 24.4 MB.
-    G = build_full_graph(make_field(3, 1), 3, directed=directed)
+    G = build_full_graph(make_field(3, 1), 3)
     related = G.lt if directed else G.lt | G.lt.T
     pairs = int((related @ np.array(G.fiber_sizes)).sum())
     assert pairs == (344_162 if directed else 353_991)
     tracemalloc.start()
     try:
-        for _ in serialize.edge_list_chunks(G):
+        for _ in serialize.edge_list_chunks(G, directed):
             pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -85,31 +88,29 @@ def test_edge_stream_memory_follows_vertices_and_pairs(directed):
 
 
 def test_edge_list_deterministic():
-    a = b"".join(serialize.edge_list_chunks(build_full_graph(F2, 2)))
-    b = b"".join(serialize.edge_list_chunks(build_full_graph(F2, 2)))
+    a = b"".join(serialize.edge_list_chunks(build_full_graph(F2, 2), True))
+    b = b"".join(serialize.edge_list_chunks(build_full_graph(F2, 2), True))
     assert a == b
 
 
 def test_dot_output(graphs):
     G = graphs(2, 1, 2)
-    dot = b"".join(serialize.dot_chunks(G)).decode()
+    dot = b"".join(serialize.dot_chunks(G, True)).decode()
     assert dot.startswith("digraph lirg {")
     assert 'v0 [label="v0:r0"];' in dot
     assert "v0 -> v1;" in dot
-    und = build_full_graph(F2, 2, directed=False)
-    dot_u = b"".join(serialize.dot_chunks(und)).decode()
+    dot_u = b"".join(serialize.dot_chunks(G, False)).decode()
     assert dot_u.startswith("graph lirg {") and "--" in dot_u
 
 
 def test_dot_edges_against_brute_force():
     brute = brute_edges_gf4_n2()
     G = build_full_graph(F4, 2)
-    und = build_full_graph(F4, 2, directed=False)
-    assert dot_edges(G) == sorted(brute)
-    assert dot_edges(und) == sorted({(min(e), max(e)) for e in brute})
+    assert dot_edges(G, True) == sorted(brute)
+    assert dot_edges(G, False) == sorted({(min(e), max(e)) for e in brute})
     Q = build_quotient_graph(F2, 3)
     lt = containment_by_row_reduction(F2, Q.class_ideals)
-    assert dot_edges(Q) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(lt))))
+    assert dot_edges(Q, True) == sorted(zip(*map(np.ndarray.tolist, np.nonzero(lt))))
 
 
 # -- the str-join renderer, kept as a second oracle for the byte templates --
@@ -119,13 +120,13 @@ def str_vertex_names(G):
     return [str(v) for v in range(G.vertex_count)]
 
 
-def str_class_targets(G, names):
+def str_class_targets(G, directed, names):
     """Per class, its sorted target names; for undirected graphs also cut:
     cut[u] counts the targets of u's class that are at most u."""
-    cut = None if G.directed else [0] * G.vertex_count
+    cut = None if directed else [0] * G.vertex_count
     targets = []
     for c in range(G.class_count):
-        related = G.lt[c] if G.directed else G.lt[c] | G.lt[:, c]
+        related = G.lt[c] if directed else G.lt[c] | G.lt[:, c]
         members = np.flatnonzero(related[G.vertex_class])
         targets.append([names[v] for v in members.tolist()])
         if cut is not None:
@@ -135,8 +136,8 @@ def str_class_targets(G, names):
     return targets, cut
 
 
-def str_edge_chunks(G, names, prefix, sep, end):
-    targets, cut = str_class_targets(G, names)
+def str_edge_chunks(G, directed, names, prefix, sep, end):
+    targets, cut = str_class_targets(G, directed, names)
     for u, c in enumerate(G.vertex_class.tolist()):
         row = targets[c] if cut is None else targets[c][cut[u] :]
         if row:
@@ -144,22 +145,22 @@ def str_edge_chunks(G, names, prefix, sep, end):
             yield head + (end + head).join(row) + end
 
 
-def str_edge_list_chunks(G):
+def str_edge_list_chunks(G, directed):
     yield (
         f"graph kind={G.kind} "
-        + serialize.field_tokens(G.n, G.field, G.directed)
+        + serialize.field_tokens(G.n, G.field, directed)
         + f" vertices={G.vertex_count} edges={G.edge_count()}\n"
     )
-    yield from str_edge_chunks(G, str_vertex_names(G), "", " ", "\n")
+    yield from str_edge_chunks(G, directed, str_vertex_names(G), "", " ", "\n")
 
 
-def str_dot_chunks(G):
-    arrow = "->" if G.directed else "--"
-    yield f"{'digraph' if G.directed else 'graph'} lirg {{\n"
+def str_dot_chunks(G, directed):
+    arrow = "->" if directed else "--"
+    yield f"{'digraph' if directed else 'graph'} lirg {{\n"
     names = str_vertex_names(G)
     for name, c in zip(names, G.vertex_class.tolist()):
         yield f'  v{name} [label="v{name}:r{G.class_rank[c]}"];\n'
-    yield from str_edge_chunks(G, names, "  v", f" {arrow} v", ";\n")
+    yield from str_edge_chunks(G, directed, names, "  v", f" {arrow} v", ";\n")
     yield "}\n"
 
 
@@ -189,11 +190,20 @@ def same_bytes(chunks, text_chunks):
     ids=["GF2-n3", "GF3-n2", "GF4-n2", "GF3-n3", "GF3-n3-quotient"],
 )
 @pytest.mark.parametrize("directed", [True, False], ids=["directed", "undirected"])
-def test_graph_bytes_match_str_renderer(p, m, n, quotient, directed):
-    F = make_field(p, m)
-    G = (build_quotient_graph if quotient else build_full_graph)(F, n, directed=directed)
-    assert same_bytes(serialize.edge_list_chunks(G), str_edge_list_chunks(G))
-    assert same_bytes(serialize.dot_chunks(G), str_dot_chunks(G))
+def test_graph_bytes_match_str_renderer(graphs, p, m, n, quotient, directed):
+    # A full graph is built once and rendered in both orientations; where
+    # `build-graph` pins the bytes of a ring, format and orientation, the
+    # stream matches that pin too.
+    G = build_quotient_graph(make_field(p, m), n) if quotient else graphs(p, m, n)
+    ring = f"--n {n} --p {p}" + (f" --m {m}" if m > 1 else "")
+    for fmt, chunks, text_chunks in [
+        ("edges", serialize.edge_list_chunks, str_edge_list_chunks),
+        ("dot", serialize.dot_chunks, str_dot_chunks),
+    ]:
+        assert same_bytes(chunks(G, directed), text_chunks(G, directed))
+        digest = GRAPH_SHA256.get((ring, fmt, "--directed" if directed else "--undirected"))
+        if digest is not None and not quotient:
+            assert hashlib.sha256(b"".join(chunks(G, directed))).hexdigest() == digest
 
 
 def test_undirected_cut_on_name_width_boundary():
@@ -201,23 +211,23 @@ def test_undirected_cut_on_name_width_boundary():
     # up to 9, and of 10's class up to 10, all have one digit and the next
     # target two: both chunks start on the first line of a template's
     # two-digit segment.
-    G = build_full_graph(F2, 2, directed=False)
+    G = build_full_graph(F2, 2)
     names = str_vertex_names(G)
-    targets, cut = str_class_targets(G, names)
+    targets, cut = str_class_targets(G, False, names)
     on_boundary = [
         u
         for u, c in enumerate(G.vertex_class.tolist())
         if 0 < cut[u] < len(targets[c]) and len(targets[c][cut[u] - 1]) < len(targets[c][cut[u]])
     ]
     assert on_boundary == [9, 10]
-    chunks = {int(bytes(chunk).split()[0]): bytes(chunk) for chunk in list(serialize.edge_list_chunks(G))[1:]}
+    chunks = {int(bytes(chunk).split()[0]): bytes(chunk) for chunk in list(serialize.edge_list_chunks(G, False))[1:]}
     for u in on_boundary:
         assert chunks[u].decode() == "".join(f"{u} {v}\n" for v in targets[G.vertex_class[u]][cut[u] :])
 
 
 def test_unknown_format(graphs):
     with pytest.raises(ValueError, match="unknown graph format"):
-        serialize.graph_chunks(graphs(2, 1, 2), "csv")
+        serialize.graph_chunks(graphs(2, 1, 2), "csv", True)
 
 
 def test_matrix_block_roundtrip():
@@ -318,7 +328,7 @@ def test_class_cycles_match_oracle(monkeypatch, classes):
         members = np.flatnonzero(vertex_class == c)
         perm[members] = rng.permutation(members) if c % 3 else members[::-1]
     fiber_sizes = tuple(np.bincount(vertex_class, minlength=classes).tolist())
-    G = RelationGraph("full", True, 1, F2, tuple(range(classes)), fiber_sizes)
+    G = RelationGraph("full", 1, F2, tuple(range(classes)), fiber_sizes)
     G.vertex_class = vertex_class
     got = []
     for c, chunks in serialize._class_cycles(G, perm):
@@ -428,7 +438,7 @@ def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
     # Pieces of 1, 5 or 64 bytes give what one piece of the whole line
     # gives, for well-formed lines and refused ones alike; a line whose
     # spacing alone is changed, to Unicode whitespace too, gives the
-    # unedited sigma.
+    # unedited sigma.  A lone CR ends a line, so it is not spacing.
     G = graphs(2, 1, 3)
     f = random_triple(G, 3)[3]
     text = b"".join(serialize.render_decomposition(G, aut.decompose(G, f.copy())))
@@ -439,13 +449,13 @@ def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
     spacings = [
         lambda c: c,
         lambda c: c.replace(b" ", b"\t  "),
-        lambda c: c.replace(b" ", b"\r"),
         *(
             lambda c, space=space: c.replace(b" ", space.encode(), 7)
             for space in ["\u2003", "\u00a0", "\u3000", "\u0085", "\u2028"]
         ),
     ]
     edits = [
+        lambda c: c.replace(b" ", b"\r"),
         lambda c: c.replace(b")(", b")()("),
         lambda c: b"()" + c + b"()",
         lambda c: c.replace(b")(", b") ("),
@@ -464,6 +474,23 @@ def test_decomposition_blocks_parse_as_one(graphs, monkeypatch):
         if edit in spacings:
             assert outcomes == {repr(sigma)}
     assert _sigma_outcome(G, text) == sigma
+
+
+@pytest.mark.parametrize("window", [1, 7, 1 << 20])
+def test_line_ends_parse_alike(graphs, monkeypatch, window):
+    # LF, CR LF and a lone CR end a line alike in both formats, also where
+    # a block boundary falls between the CR and the LF.
+    G = graphs(2, 1, 3)
+    f = random_triple(G, 3)[3]
+    dec = aut.decompose(G, f.copy())
+    perm_text = b"".join(serialize.render_permutation(3, F2, f))
+    dec_text = b"".join(serialize.render_decomposition(G, dec))
+    monkeypatch.setattr(serialize, "_PARSE_BYTES", window)
+    for end in [b"\n", b"\r\n", b"\r"]:
+        perm = serialize.parse_permutation(perm_text.replace(b"\n", end), (3, F2))
+        assert np.array_equal(perm, f)
+        got = serialize.parse_decomposition(G, dec_text.replace(b"\n", end))
+        assert (got.P, got.t) == (dec.P, dec.t) and np.array_equal(got.sigma, dec.sigma)
 
 
 def test_text_layer_traced_peaks(graphs):
