@@ -21,10 +21,11 @@ from lirg.graph import (
     build_quotient_graph,
     subspaces,
 )
-from lirg.ideal import LeftIdeal, ideal_of, proper_subset
 from lirg.invariants import InvariantReport, compute_report, predicted_invariants
 from lirg.matrix import (
     enumerate_matrices,
+    ideal_of,
+    proper_subset,
     random_invertible,
     vertex_decode,
     vertex_encode,
@@ -35,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Field",
     "InvariantReport",
-    "LeftIdeal",
     "RelationGraph",
     "__version__",
     "build_full_graph",

@@ -37,11 +37,11 @@ import numpy as np
 from lirg.counting import fiber_size
 from lirg.field import Field
 from lirg.graph import RelationGraph, build_quotient_graph
-from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
     first_row_matrix,
+    ideal_of,
     identity_matrix,
     is_invertible,
     mat_inverse,
@@ -211,16 +211,16 @@ def _normalizer(F: Field, n: int, a, i: int, l: int):
 
 def _probe_line(G: RelationGraph, f: np.ndarray, P_acc, row):
     """Canonical spanning vector of the ideal of f(X) P_acc, for X the
-    rank-1 matrix with first row ``row``."""
+    rank-1 matrix with first row ``row``: its one RREF basis row."""
     F, n = G.field, G.n
     image = vertex_decode(F, n, int(f[vertex_encode(F, first_row_matrix(n, row))]))
-    ideal = ideal_of(F, mat_mul(F, image, P_acc))
-    if ideal.rank != 1:
+    basis = ideal_of(F, mat_mul(F, image, P_acc))
+    if len(basis) != 1:
         raise DecompositionError(
-            f"image of a rank-1 vertex has rank {ideal.rank}; input is not an "
+            f"image of a rank-1 vertex has rank {len(basis)}; input is not an "
             "automorphism"
         )
-    return ideal.basis[0]
+    return basis[0]
 
 
 def decompose(G: RelationGraph, f: np.ndarray) -> Decomposition:

@@ -3,11 +3,13 @@
 Vertices of the full graph are all q^(n^2) matrices; there is a directed
 edge X -> Y exactly when the left ideal of X is properly contained in the
 left ideal of Y, i.e. when the row space of X sits strictly inside the row
-space of Y.  The undirected variant joins X and Y when either containment
-holds; a graph holds the relation once, and its reader picks the
-orientation.  Since adjacency depends only on row spaces, a graph is the
-class containment matrix ``lt``, the only form of the class relation, and
-the class sizes, closed forms that degrees and invariants weight ``lt`` by
+space of Y.  A class is the row space, held as its unique RREF basis: a
+tuple of rows, each a tuple of element codes, whose length is its rank.
+The undirected variant joins X and Y when either containment holds; a
+graph holds the relation once, and its reader picks the orientation.
+Since adjacency depends only on row spaces, a graph is the class
+containment matrix ``lt``, the only form of the class relation, and the
+class sizes, closed forms that degrees and invariants weight ``lt`` by
 through one exact array, ``fiber_array``.  Both the full graph and the
 quotient are refused above ``CLASS_BOUND`` subspaces, where ``lt`` would
 pass 1 GiB, before any subspace is made.  ``lt`` is made on first read,
@@ -33,7 +35,6 @@ import numpy as np
 
 from lirg.counting import fiber_size, gaussian_binomial
 from lirg.field import Field
-from lirg.ideal import LeftIdeal
 from lirg.matrix import (
     DEFAULT_VERTEX_CAP,
     VertexCapExceeded,
@@ -63,10 +64,10 @@ def _subspace_count(q: int, n: int, bound: int | None, limit: str) -> int:
 
 
 def subspaces(F: Field, n: int):
-    """All subspaces of F_q^n as canonical ideals, via RREF enumeration.
+    """All subspaces of F_q^n as RREF bases, via RREF enumeration.
 
-    One matrix in reduced row echelon form per subspace, ordered by rank,
-    then by basis: the tuple of RREF rows, each a tuple of element codes,
+    One basis per subspace, the tuple of its RREF rows, each a tuple of
+    element codes, ordered by rank (its length), then by the basis itself,
     compared lexicographically from the first entry.  That is not row-code
     order: over GF(3), n = 2, the rank-1 bases (0,1), (1,0), (1,1), (1,2)
     have row codes 3, 1, 4, 7.  Every class index and class line follows
@@ -87,12 +88,12 @@ def subspaces(F: Field, n: int):
                     rows[i][pivots[i]] = 1
                 for (i, j), v in zip(free_pos, vals):
                     rows[i][j] = v
-                out.append(LeftIdeal(n, tuple(tuple(rw) for rw in rows)))
-    out.sort(key=lambda ideal: (ideal.rank, ideal.basis))
+                out.append(tuple(tuple(rw) for rw in rows))
+    out.sort(key=lambda basis: (len(basis), basis))
     return out
 
 
-def _assign_classes(F: Field, n: int, ideals):
+def _assign_classes(F: Field, n: int, bases):
     """vertex -> class index array for all q^(n^2) vertices.
 
     The matrices whose rows all lie in span(B) are exactly the W·B, so
@@ -106,14 +107,14 @@ def _assign_classes(F: Field, n: int, ideals):
     own row space.  The index has the narrowest unsigned type that holds
     the class count.
     """
-    q, top = F.q, len(ideals) - 1
+    q, top = F.q, len(bases) - 1
     vertex_class = np.full(q ** (n * n), top, dtype=np.min_scalar_type(top))
     for c in reversed(range(top)):
-        vertex_class[_digit_sum(_span_codes(F, n, ideals[c].basis), q**n, n)] = c
+        vertex_class[_digit_sum(_span_codes(F, n, bases[c]), q**n, n)] = c
     return vertex_class
 
 
-def _containment_matrix(F: Field, n: int, ideals):
+def _containment_matrix(F: Field, n: int, bases):
     """lt[a, b]: rank a < rank b and every basis row of a lies in span(b).
 
     Rank decides every pair but those with 2 <= rank b < n: a class of
@@ -125,17 +126,15 @@ def _containment_matrix(F: Field, n: int, ideals):
     for n <= 2, where the table could be huge, so none is then made.
     """
     q = F.q
-    ranks = np.array([ideal.rank for ideal in ideals])
-    rows = np.zeros((len(ideals), n), dtype=np.int64)  # padded with the zero row
-    for a, ideal in enumerate(ideals):
-        rows[a, : ideal.rank] = [
-            sum(x * q**j for j, x in enumerate(row)) for row in ideal.basis
-        ]
+    ranks = np.array([len(basis) for basis in bases])
+    rows = np.zeros((len(bases), n), dtype=np.int64)  # padded with the zero row
+    for a, basis in enumerate(bases):
+        rows[a, : len(basis)] = [sum(x * q**j for j, x in enumerate(row)) for row in basis]
     lt = ranks[:, None] < ranks[None, :]
     middle = np.flatnonzero((ranks >= 2) & (ranks < n))
     inside = np.zeros(q**n, dtype=bool) if len(middle) else None
     for b in middle:
-        below, span = np.searchsorted(ranks, ranks[b]), _span_codes(F, n, ideals[b].basis)
+        below, span = np.searchsorted(ranks, ranks[b]), _span_codes(F, n, bases[b])
         inside[span] = True
         # A class of lower rank has at most rank b - 1 basis rows.
         lt[:below, b] = inside[rows[:below, : ranks[b] - 1]].all(axis=1)
@@ -150,7 +149,7 @@ class RelationGraph:
     kind: str  # 'full' | 'quotient'
     n: int
     field: Field
-    class_ideals: tuple
+    class_ideals: tuple  # the RREF basis of each class, in class order
     fiber_sizes: tuple  # vertices per class, exact ints
 
     @property
@@ -163,7 +162,7 @@ class RelationGraph:
 
     @cached_property
     def class_rank(self):
-        return tuple(ideal.rank for ideal in self.class_ideals)
+        return tuple(len(basis) for basis in self.class_ideals)
 
     @cached_property
     def lt(self) -> np.ndarray:
@@ -196,17 +195,17 @@ class RelationGraph:
 
 
 def build_full_graph(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP) -> RelationGraph:
-    """Relation graph on all matrices, bucketed by canonical ideal; refused
+    """Relation graph on all matrices, bucketed by RREF basis; refused
     above ``cap`` vertices or CLASS_BOUND classes (see ``_subspace_count``)."""
     _check_vertex_cap(F.p, F.m, n, cap)
     _subspace_count(F.q, n, CLASS_BOUND, "the class bound")
-    ideals = tuple(subspaces(F, n))
+    bases = tuple(subspaces(F, n))
     return RelationGraph(
         kind="full",
         n=n,
         field=F,
-        class_ideals=ideals,
-        fiber_sizes=tuple(fiber_size(n, ideal.rank, F.q) for ideal in ideals),
+        class_ideals=bases,
+        fiber_sizes=tuple(fiber_size(n, len(basis), F.q) for basis in bases),
     )
 
 
@@ -217,12 +216,12 @@ def build_quotient_graph(F: Field, n: int, cap: int | None = DEFAULT_VERTEX_CAP)
     if cap is not None:
         _subspace_count(F.q, n, cap, "the vertex cap")
     count = _subspace_count(F.q, n, CLASS_BOUND, "the class bound")
-    ideals = tuple(subspaces(F, n))
-    assert len(ideals) == count
+    bases = tuple(subspaces(F, n))
+    assert len(bases) == count
     return RelationGraph(
         kind="quotient",
         n=n,
         field=F,
-        class_ideals=ideals,
+        class_ideals=bases,
         fiber_sizes=(1,) * count,
     )

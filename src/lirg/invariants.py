@@ -20,8 +20,15 @@ import numpy as np
 from lirg.counting import matrix_space_size, predicted_degree
 from lirg.field import Field
 from lirg.graph import RelationGraph
-from lirg.ideal import ideal_of, proper_subset
-from lirg.matrix import first_row_matrix, identity_matrix, rank_marker, stacked_matrix, vertex_encode
+from lirg.matrix import (
+    first_row_matrix,
+    ideal_of,
+    identity_matrix,
+    proper_subset,
+    rank_marker,
+    stacked_matrix,
+    vertex_encode,
+)
 
 ACYCLIC = "acyclic"
 
@@ -152,11 +159,11 @@ def compute_report(G: RelationGraph) -> InvariantReport:
     below and above its own, checked against
     ``counting.predicted_degree``.
 
-    Girth: a cycle either passes through three or more classes or bounces
-    between two members of one class and two comparable outside vertices,
-    a 4-cycle.  Two comparable nonzero classes close a triangle with the
-    zero class; with none, the class graph is a star around it, with no
-    cycle.
+    Girth: two comparable nonzero classes close a triangle with the zero
+    class.  With none, no two vertices of one class being adjacent, every
+    nonzero vertex is adjacent to the zero matrix alone: a star, with no
+    cycle.  So the girth is 3 for n >= 2, where a line lies inside the
+    top class, and acyclic for n = 1.
 
     Eccentricity: 1 for a vertex of degree |V| - 1, adjacent to every
     other one; 2 for every other vertex.
@@ -188,11 +195,7 @@ def compute_report(G: RelationGraph) -> InvariantReport:
         raise AssertionError("class degrees differ from counting.predicted_degree")
     degree = below + above
 
-    shared = fib >= 2
-    candidates = [3] if lt[1:, 1:].any() else []
-    if (shared & (degree >= 2)).any():
-        candidates.append(4)
-    g = min(candidates, default=ACYCLIC)
+    g = 3 if lt[1:, 1:].any() else ACYCLIC
 
     ecc = np.where(degree == G.vertex_count - 1, 1, 2).tolist()
     by_rank = {}

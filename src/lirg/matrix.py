@@ -1,8 +1,10 @@
 """Square matrices over GF(q).
 
 A matrix is a tuple of n row tuples of element codes; the field is passed
-explicitly to every operation.  Indices are 0-based throughout the API;
-any 1-based presentation belongs to the formatting layer.
+explicitly to every operation.  A left ideal {W X} is the RREF basis of
+the row space of X, a tuple of rows (see ``ideal_of``).  Indices are
+0-based throughout the API; any 1-based presentation belongs to the
+formatting layer.
 
 Vertex numbering: a matrix maps to the integer
 ``sum(code(entry at row i, col j) * q**(i*n + j))``: row-major, base q,
@@ -137,6 +139,20 @@ def row_reduce(F: Field, rows):
         if pivot_row == nrows:
             break
     return tuple(tuple(r) for r in work), pivot_row
+
+
+def ideal_of(F: Field, X):
+    """The left ideal {W X} as its canonical form: the RREF basis of the
+    row space of X, zero rows trimmed.  Its length is its rank, and two
+    ideals are equal exactly when their bases are."""
+    reduced, r = row_reduce(F, X)
+    return reduced[:r]
+
+
+def proper_subset(F: Field, A, B) -> bool:
+    """[A] properly inside [B], for RREF bases A and B: B has more rows,
+    and stacking A's rows under B's leaves B's RREF unchanged."""
+    return len(A) < len(B) and ideal_of(F, B + A) == B
 
 
 def rref_and_rank(F: Field, A):

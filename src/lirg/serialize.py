@@ -34,7 +34,6 @@ import numpy as np
 from lirg.aut import Decomposition, _vertex_dtype
 from lirg.field import Field
 from lirg.graph import RelationGraph
-from lirg.ideal import LeftIdeal
 
 
 def field_tokens(n: int, F: Field, directed=None) -> str:
@@ -618,9 +617,9 @@ def render_decomposition(G: RelationGraph, dec: Decomposition) -> Blocks:
     def blocks():
         yield head
         for c, chunks in _class_cycles(G, dec.sigma):
-            ideal = G.class_ideals[c]
-            basis = ";".join(",".join(str(x) for x in row) for row in ideal.basis)
-            yield f"class rank={ideal.rank} basis={basis} cycles=".encode()
+            basis = G.class_ideals[c]
+            rows = ";".join(",".join(str(x) for x in row) for row in basis)
+            yield f"class rank={len(basis)} basis={rows} cycles=".encode()
             for chunk in chunks:
                 yield _cycle_text(*chunk, limbs)
             yield b"\n"
@@ -728,7 +727,7 @@ def parse_decomposition(G: RelationGraph, data) -> Decomposition:
     perm = np.arange(N, dtype=_vertex_dtype(N))
     # Whether each vertex is listed; counts from the first vertex listed twice.
     listed = np.zeros(N, dtype=bool)
-    ideal_index = {ideal: i for i, ideal in enumerate(G.class_ideals)}
+    class_index = {basis: i for i, basis in enumerate(G.class_ideals)}
     while True:
         found = reader.until(b" cycles=")
         if found is None:
@@ -748,12 +747,15 @@ def parse_decomposition(G: RelationGraph, data) -> Decomposition:
         rows = vals["basis"].split(";") if vals["basis"] else []
         if not all(rows):
             raise ValueError(f"empty row in class basis {vals['basis']!r}")
-        ideal = LeftIdeal(G.n, tuple(tuple(int(x) for x in row.split(",")) for row in rows))
-        if ideal not in ideal_index:
-            raise ValueError(f"unknown ideal class in sigma block: {ideal}")
-        if int(vals["rank"]) != ideal.rank:
-            raise ValueError(f"class rank={vals['rank']} but its basis has rank {ideal.rank}")
-        c = ideal_index[ideal]
+        basis = tuple(tuple(int(x) for x in row.split(",")) for row in rows)
+        if basis not in class_index:  # text kept byte for byte for tools that match on it
+            raise ValueError(
+                "unknown ideal class in sigma block: "
+                f"LeftIdeal(n={G.n}, rank={len(basis)}, basis={basis})"
+            )
+        if int(vals["rank"]) != len(basis):
+            raise ValueError(f"class rank={vals['rank']} but its basis has rank {len(basis)}")
+        c = class_index[basis]
         # Each vertex maps to the next one of its cycle, the last to the
         # first; a cycle may span chunks.  count numbers are read, the
         # cycles closed so far end at closed, and the open one starts with

@@ -29,9 +29,8 @@ from lirg.counting import (
 )
 from lirg.field import make_field
 from lirg.graph import build_full_graph
-from lirg.ideal import ideal_of, proper_subset
 from lirg.invariants import compute_report, k33_witness
-from lirg.matrix import enumerate_matrices
+from lirg.matrix import enumerate_matrices, ideal_of, proper_subset
 
 REGRESSION_CASES = [(2, 1, 2), (3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3), (3, 1, 3)]
 

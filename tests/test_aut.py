@@ -21,12 +21,12 @@ from lirg import aut, serialize
 from lirg.counting import fiber_size, gl_order
 from lirg.field import make_field
 from lirg.graph import build_full_graph, build_quotient_graph
-from lirg.ideal import ideal_of
 from lirg.matrix import (
     _digit_sum,
     _span_codes,
     enumerate_matrices,
     first_row_matrix,
+    ideal_of,
     identity_matrix,
     is_invertible,
     mat_inverse,

@@ -13,8 +13,7 @@ from lirg.counting import (
     superspace_count,
 )
 from lirg.field import make_field
-from lirg.ideal import ideal_of
-from lirg.matrix import enumerate_matrices, is_invertible, rank
+from lirg.matrix import enumerate_matrices, ideal_of, is_invertible, rank
 
 
 def oracle_subspace_count(F, n, r):

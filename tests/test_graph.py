@@ -6,9 +6,8 @@ import pytest
 from conftest import brute_ideal_sets, exported_degrees, exported_edges
 from lirg.counting import fiber_size, gaussian_binomial, predicted_degree
 from lirg.field import make_field
-from lirg.graph import build_full_graph, build_quotient_graph, subspaces
-from lirg.ideal import ideal_of, is_subideal
-from lirg.matrix import VertexCapExceeded, rref_and_rank, vertex_decode
+from lirg.graph import _subspace_count, build_full_graph, build_quotient_graph, subspaces
+from lirg.matrix import VertexCapExceeded, ideal_of, row_reduce, rref_and_rank, vertex_decode
 from lirg.serialize import graph_chunks
 
 F2 = make_field(2, 1)
@@ -23,10 +22,11 @@ def brute_edges(F, n):
     return {(u, v) for u in range(N) for v in range(N) if sets[u] < sets[v]}
 
 
-def containment_by_row_reduction(F, ideals):
-    """lt by one scalar row reduction per class pair."""
+def containment_by_row_reduction(F, bases):
+    """lt by one scalar row reduction per class pair: a lies in b when
+    stacking a's rows under b's leaves the rank at len(b)."""
     return np.array(
-        [[a.rank < b.rank and is_subideal(F, a, b) for b in ideals] for a in ideals]
+        [[len(a) < len(b) and row_reduce(F, b + a)[1] == len(b) for b in bases] for a in bases]
     )
 
 
@@ -73,20 +73,20 @@ def test_quotient_counts():
 
 def test_subspace_enumeration_is_canonical():
     for F, n in [(F2, 2), (F2, 3), (F3, 2), (F4, 2)]:
-        ideals = subspaces(F, n)
+        bases = subspaces(F, n)
         by_rank = {}
-        for ideal in ideals:
-            by_rank[ideal.rank] = by_rank.get(ideal.rank, 0) + 1
-            rows = ideal.basis + ((0,) * n,) * (n - ideal.rank)
+        for basis in bases:
+            by_rank[len(basis)] = by_rank.get(len(basis), 0) + 1
+            rows = basis + ((0,) * n,) * (n - len(basis))
             reduced, r = rref_and_rank(F, rows)
-            assert reduced[:r] == ideal.basis
+            assert reduced[:r] == basis
         for r in range(n + 1):
             assert by_rank[r] == gaussian_binomial(n, r, F.q)
-        assert len(set(ideals)) == len(ideals)
-        assert ideals == sorted(ideals, key=lambda ideal: (ideal.rank, ideal.basis))
+        assert len(set(bases)) == len(bases)
+        assert bases == sorted(bases, key=lambda basis: (len(basis), basis))
     # Basis tuples, not row codes, order each rank: the rank-1 row codes of
     # GF(3), n = 2 come as 3, 1, 4, 7.
-    rank1 = [ideal.basis for ideal in subspaces(F3, 2) if ideal.rank == 1]
+    rank1 = [basis for basis in subspaces(F3, 2) if len(basis) == 1]
     assert [row[0] + 3 * row[1] for (row,) in rank1] == [3, 1, 4, 7]
 
 
@@ -236,3 +236,10 @@ def test_vertex_cap():
     big = sum(gaussian_binomial(5, r, 2) for r in range(6))
     with pytest.raises(VertexCapExceeded):
         build_quotient_graph(F2, 5, cap=big - 1)
+
+
+@pytest.mark.parametrize("p, m, n, count", [(2, 1, 3, 16), (3, 1, 2, 6), (2, 2, 3, 44)])
+def test_subspace_count_at_its_exact_bound(p, m, n, count):
+    assert _subspace_count(p**m, n, count, "the test limit") == count
+    with pytest.raises(VertexCapExceeded, match=f"exceeds the test limit {count - 1}$"):
+        _subspace_count(p**m, n, count - 1, "the test limit")

@@ -1,18 +1,21 @@
-"""Canonical ideals against the brute-force sets {W X : all W}."""
+"""Left ideals as RREF bases against the brute-force sets {W X : all W}."""
 
 import random
+
+import pytest
 
 from conftest import brute_ideal_set, brute_ideal_sets
 from lirg.field import make_field
 from lirg.graph import subspaces
-from lirg.ideal import LeftIdeal, ideal_of, proper_subset
 from lirg.matrix import (
     enumerate_matrices,
+    ideal_of,
     identity_matrix,
     mat_mul,
     rank_marker,
     random_invertible,
     is_invertible,
+    proper_subset,
     row_reduce,
     stacked_matrix,
     vertex_decode,
@@ -21,30 +24,31 @@ from lirg.matrix import (
 
 F2 = make_field(2, 1)
 F3 = make_field(3, 1)
+F4 = make_field(2, 2)
 
 
 def zero_matrix(n: int):
     return tuple((0,) * n for _ in range(n))
 
 
-def generator(I: LeftIdeal, F):
-    """Matrix with the basis rows stacked on top, zero rows below.
+def generator(F, n, I):
+    """Matrix with the basis rows of I stacked on top, zero rows below.
 
     Generates I as a left ideal.
     """
-    if I.rank == 0:
-        return zero_matrix(I.n)
-    return stacked_matrix(F, I.n, I.basis)
+    if len(I) == 0:
+        return zero_matrix(n)
+    return stacked_matrix(F, n, I)
 
 
-def normal_form(F, I: LeftIdeal):
+def normal_form(F, n, I):
     """(r, P) with P invertible such that the rank marker times P generates I.
 
     P extends the basis greedily with standard vectors, so the first r rows
     of P are the basis itself.
     """
-    n, r = I.n, I.rank
-    rows = list(I.basis)
+    r = len(I)
+    rows = list(I)
     for i in range(n):
         if len(rows) == n:
             break
@@ -58,17 +62,17 @@ def normal_form(F, I: LeftIdeal):
 
 def test_ideal_of_zero():
     I = ideal_of(F2, zero_matrix(2))
-    assert I.rank == 0 and I.basis == ()
+    assert len(I) == 0 and I == ()
 
 
 def test_ideal_of_invertible_is_whole_ring():
     I = ideal_of(F2, ((1, 1), (0, 1)))
-    assert I.rank == 2 and I.basis == ((1, 0), (0, 1))
+    assert len(I) == 2 and I == ((1, 0), (0, 1))
 
 
 def test_ideal_of_rank_one():
     I = ideal_of(F2, ((1, 1), (1, 1)))
-    assert I.rank == 1 and I.basis == ((1, 1),)
+    assert len(I) == 1 and I == ((1, 1),)
 
 
 def test_ideal_equality_matches_brute_force_sets():
@@ -80,14 +84,17 @@ def test_ideal_equality_matches_brute_force_sets():
             assert (ideals[i] == ideals[j]) == (sets[i] == sets[j])
 
 
-def test_proper_subset_matches_brute_force_inclusion():
-    sets = brute_ideal_sets(F2, 2)
-    mats = list(enumerate_matrices(F2, 2))
-    ideals = [ideal_of(F2, X) for X in mats]
-    for i in range(16):
-        for j in range(16):
+# Over GF(3) and GF(4) a basis row has entries other than 0 and 1, so the
+# stacked-rows rule of proper_subset relies on RREF being canonical there.
+@pytest.mark.parametrize("F", [F2, F3, F4], ids=["GF2", "GF3", "GF4"])
+def test_proper_subset_matches_brute_force_inclusion(F):
+    sets = brute_ideal_sets(F, 2)
+    mats = list(enumerate_matrices(F, 2))
+    ideals = [ideal_of(F, X) for X in mats]
+    for i in range(len(mats)):
+        for j in range(len(mats)):
             expected = sets[i] < sets[j]
-            assert proper_subset(F2, ideals[i], ideals[j]) == expected
+            assert proper_subset(F, ideals[i], ideals[j]) == expected
 
 
 def test_proper_subset_examples():
@@ -130,45 +137,45 @@ def test_dimension_law():
     """|[X]| = q^(n * rank X) for every 2 x 2 matrix over GF(2)."""
     sets = brute_ideal_sets(F2, 2)
     for v, X in enumerate(enumerate_matrices(F2, 2)):
-        assert len(sets[v]) == 2 ** (2 * ideal_of(F2, X).rank)
+        assert len(sets[v]) == 2 ** (2 * len(ideal_of(F2, X)))
 
 
 def test_generator_roundtrip():
     for F, n in [(F2, 2), (F2, 3), (F3, 2)]:
         for I in subspaces(F, n):
-            G = generator(I, F)
+            G = generator(F, n, I)
             assert ideal_of(F, G) == I
     zero = ideal_of(F2, zero_matrix(2))
-    assert generator(zero, F2) == zero_matrix(2)
+    assert generator(F2, 2, zero) == zero_matrix(2)
     whole = ideal_of(F2, identity_matrix(2))
-    assert generator(whole, F2) == identity_matrix(2)
+    assert generator(F2, 2, whole) == identity_matrix(2)
 
 
 def test_normal_form_examples():
     zero = ideal_of(F2, zero_matrix(2))
-    assert normal_form(F2, zero) == (0, identity_matrix(2))
+    assert normal_form(F2, 2, zero) == (0, identity_matrix(2))
     whole = ideal_of(F2, identity_matrix(2))
-    assert normal_form(F2, whole) == (2, identity_matrix(2))
+    assert normal_form(F2, 2, whole) == (2, identity_matrix(2))
     line = ideal_of(F2, ((0, 1), (0, 0)))
-    r, P = normal_form(F2, line)
+    r, P = normal_form(F2, 2, line)
     assert r == 1 and P == ((0, 1), (1, 0))
 
 
 def test_normal_form_reconstructs_every_subspace():
     for F, n in [(F2, 2), (F2, 3), (F3, 2), (F3, 3)]:
         for I in subspaces(F, n):
-            r, P = normal_form(F, I)
-            assert r == I.rank
+            r, P = normal_form(F, n, I)
+            assert r == len(I)
             assert is_invertible(F, P)
             assert ideal_of(F, mat_mul(F, rank_marker(n, r), P)) == I
 
 
 def test_line_vector():
     # A rank-1 ideal's basis row is its spanning vector with leading 1.
-    assert ideal_of(F2, ((0, 1), (0, 0))).basis[0] == (0, 1)
+    assert ideal_of(F2, ((0, 1), (0, 0)))[0] == (0, 1)
     # over GF(3): span{(2, 1)} normalizes by 2^{-1} = 2 to (1, 2)
-    assert ideal_of(F3, ((2, 1), (0, 0))).basis[0] == (1, 2)
-    assert ideal_of(F2, ((1, 1, 0), (0, 0, 0), (0, 0, 0))).basis[0] == (1, 1, 0)
+    assert ideal_of(F3, ((2, 1), (0, 0)))[0] == (1, 2)
+    assert ideal_of(F2, ((1, 1, 0), (0, 0, 0), (0, 0, 0)))[0] == (1, 1, 0)
 
 
 def test_ideal_ordering_is_structural():

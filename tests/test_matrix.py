@@ -6,11 +6,11 @@ import pytest
 
 from conftest import unit_matrix
 from lirg.field import make_field
-from lirg.ideal import ideal_of
 from lirg.matrix import (
     VertexCapExceeded,
     enumerate_matrices,
     first_row_matrix,
+    ideal_of,
     identity_matrix,
     is_invertible,
     mat_inverse,
