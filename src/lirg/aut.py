@@ -12,9 +12,10 @@ Permutations are dense arrays of vertex images indexed by vertex, int32
 below 2^31 vertices and int64 above (see ``_vertex_dtype``); f[g] applies
 g, then f.  Right multiplication and the entrywise Frobenius power act on
 each row of a matrix alone, so together they are one table on the q^n
-row codes (see ``_row_table``).  Sampling, decomposition and
-recomposition apply that table to the images of sigma, or its inverse to
-those of f, in place and a block of vertices at a time: ``decompose``
+row codes (see ``_row_table``), made by ``matrix._span_codes`` like every
+F_p-linear row table.  Sampling, decomposition and recomposition apply
+that table to the images of sigma, or its inverse to those of f, in place
+and a block of vertices at a time: ``decompose``
 rewrites f's array into sigma's and ``recompose`` rewrites sigma's into
 the composition, so one permutation of the vertex set is held at once
 (pass a copy to keep the input).  Random class permutations shuffle each
@@ -79,22 +80,16 @@ def _row_table(G: RelationGraph, P, t: int):
     Frobenius power t, then right multiplication by P.
 
     Both act on each row of a matrix alone, so a vertex maps row by row
-    through this table.  The field map is F_p-linear on the base-p digits
-    of an element code, so only the m digit units p^i are raised to p^t;
-    the other images are digit sums.  Row u's image is then the span code
-    of P's rows at the Frobenius image of u.
+    through this table, the Frobenius-twisted span of P's rows (see
+    ``matrix._span_codes``).
     """
     _check_context(G)
-    F, n, p = G.field, G.n, G.field.p
+    F = G.field
     if not 0 <= t < F.m:
         raise ValueError(f"Frobenius exponent {t} out of range [0, {F.m})")
     if not is_invertible(F, P):
         raise ValueError("right multiplication requires an invertible matrix")
-    powers = p ** np.arange(F.m, dtype=np.int64)
-    digits = np.arange(F.q, dtype=np.int64)[:, None] // powers % p
-    unit_images = digits[[F.frobenius(int(u), t) for u in powers]]
-    image = (digits @ unit_images % p) @ powers
-    return _span_codes(F, n, P)[_digit_sum(image, F.q, n)]
+    return _span_codes(F, G.n, P, t)
 
 
 def _map_rows(G: RelationGraph, perm, table):

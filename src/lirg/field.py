@@ -166,9 +166,15 @@ class Field:
         self.m = m
         self.q = p**m
         self.modulus = modulus
-        self._exp, self._log, self._zech = (
-            _Unbuilt(self, name) for name in ("_exp", "_log", "_zech")
-        )
+
+    def __getattr__(self, name):
+        """Build the tables on the first lookup of one of them.  Called only
+        while the attribute is missing, so once the tables are plain
+        instance attributes later lookups never come here."""
+        if name not in ("_exp", "_log", "_zech"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_tables()
+        return getattr(self, name)
 
     def __eq__(self, other):
         return (
@@ -289,21 +295,6 @@ class Field:
         zech = array("q", [0]) * (q - 1)
         np.take(log, one_plus, out=np.frombuffer(zech, dtype=np.int64))
         self._exp, self._log, self._zech = exp, log, zech
-
-
-class _Unbuilt:
-    """Holds the place of one of a field's tables until its first lookup,
-    which builds all three as plain instance attributes: unlike a
-    cached_property, later lookups then pay no descriptor check."""
-
-    __slots__ = ("field", "name")
-
-    def __init__(self, field: Field, name: str):
-        self.field, self.name = field, name
-
-    def __getitem__(self, k):
-        self.field._build_tables()
-        return getattr(self.field, self.name)[k]
 
 
 def make_field(p: int, m: int, modulus=None) -> Field:

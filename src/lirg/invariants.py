@@ -7,10 +7,10 @@ below every other class, so every distance is 1 or 2, and
 ``compute_report`` reads each invariant straight off ``lt``: its
 fiber-weighted row and column sums (the degrees), whether two nonzero
 classes are comparable (the girth), and ``_longest_chain``, which gives
-the clique number and the reduced clique number behind the strong metric
-dimension, since cliques are chains of nested row spaces.  No class
-adjacency ``lt | lt.T``, distance matrix or generic clique search is
-made.
+the clique number, since cliques are chains of nested row spaces.  The
+strong metric dimension follows from the clique number: at diameter 2 no
+two vertices have equal closed neighborhoods.  No class adjacency
+``lt | lt.T``, distance matrix or generic clique search is made.
 """
 
 from dataclasses import dataclass
@@ -59,16 +59,15 @@ def _require_full(G: RelationGraph):
         raise ValueError("invariants are defined on the full matrix graph")
 
 
-def _longest_chain(lt, keep=None) -> int:
-    """Number of nodes in a longest chain of the strict order ``lt`` among
-    the nodes of the bool mask ``keep`` (every node by default).
+def _longest_chain(lt) -> int:
+    """Number of nodes in a longest chain of the strict order ``lt``.
 
     The walk goes one chain length at a time: ``ends`` marks the nodes
     that end a chain of ``length`` nodes, and a node ends a longer one
     when some end lies below it.  Rows of ``lt`` are read in blocks of
     ``_ROW_BLOCK``, and only a block with some rows left out is copied.
     """
-    ends = np.ones(len(lt), dtype=bool) if keep is None else keep
+    ends = np.ones(len(lt), dtype=bool)
     length = 0
     while ends.any():
         length += 1
@@ -79,7 +78,7 @@ def _longest_chain(lt, keep=None) -> int:
                 above |= block.any(axis=0)
             elif rows.any():
                 above |= block[rows].any(axis=0)
-        ends = above if keep is None else above & keep
+        ends = above
     return length
 
 
@@ -88,28 +87,6 @@ def triangle_witness(F: Field, n: int):
     if n < 2:
         raise ValueError("triangle witness requires n >= 2")
     return tuple(vertex_encode(F, rank_marker(n, r)) for r in (0, 1, n))
-
-
-def _reduced_clique_number(G: RelationGraph) -> int:
-    """Clique number of the reduced graph, which merges vertices with equal
-    closed neighborhoods.
-
-    A vertex's closed neighborhood holds none of its class-mates, so only
-    vertices of single-member classes merge, and they merge exactly when
-    their classes have equal closed neighborhoods: the class and the
-    classes comparable to it, its row and column of ``lt``.  The reduced
-    graph is then the subgraph induced on one representative class per
-    group: the members of a larger class are pairwise non-adjacent, so a
-    clique uses at most one of them.
-    """
-    keep = np.ones(G.class_count, dtype=bool)
-    seen = set()
-    for c in np.flatnonzero(G.fiber_array == 1).tolist():
-        closed = G.lt[c] | G.lt[:, c]
-        closed[c] = True
-        keep[c] = closed.tobytes() not in seen
-        seen.add(closed.tobytes())
-    return _longest_chain(G.lt, keep)
 
 
 def k33_witness(F: Field, n: int):
@@ -167,8 +144,13 @@ def compute_report(G: RelationGraph) -> InvariantReport:
 
     Eccentricity: 1 for a vertex of degree |V| - 1, adjacent to every
     other one; 2 for every other vertex.
-    Strong metric dimension: |V| minus the reduced clique number, defined
-    only at diameter 2.
+    Strong metric dimension, defined only at diameter 2: |V| minus the
+    clique number of the reduced graph, which merges vertices with equal
+    closed neighborhoods.  Class-mates are non-adjacent twins, so only
+    single-member classes can merge.  A class of rank r >= 1 has at least
+    q^n - 1 members, so at diameter 2 (not q = 2, n = 1) class 0 is the
+    only single-member class (checked): nothing merges, and the dimension
+    is |V| minus the clique number.
 
     Euler parity: for even q the zero matrix has odd degree q^(n^2) - 1;
     for odd q each full-rank vertex has odd degree q^(n^2) - |GL(n, q)|,
@@ -202,6 +184,8 @@ def compute_report(G: RelationGraph) -> InvariantReport:
     for c, r in enumerate(G.class_rank):
         by_rank[r] = max(by_rank.get(r, 0), ecc[c])
     diameter = max(ecc)
+    if diameter == 2 and not (fib[1:] > 1).all():
+        raise AssertionError("a nonzero class has a single member")
 
     odd = degree % 2 == 1
     witness = None
@@ -230,9 +214,7 @@ def compute_report(G: RelationGraph) -> InvariantReport:
         radius=min(ecc),
         eccentricity_by_rank=tuple(sorted(by_rank.items())),
         domination_number=1,
-        strong_metric_dimension=(
-            G.vertex_count - _reduced_clique_number(G) if diameter == 2 else None
-        ),
+        strong_metric_dimension=G.vertex_count - omega if diameter == 2 else None,
         eulerian=witness is None,
         odd_degree_witness=witness,
         planarity_witness=planarity,

@@ -107,11 +107,14 @@ def row_reduce(F: Field, rows):
 
     Pivots are found scanning top-to-bottom, left-to-right, normalized to 1
     and cleared above and below, giving a unique canonical form.  Returns
-    (rref rows as tuples, rank); zero rows sink to the bottom.
+    (rref rows as tuples, rank); zero rows sink to the bottom.  Rows of
+    unequal length are refused.
     """
     work = [list(r) for r in rows]
     nrows = len(work)
     width = len(work[0]) if work else 0
+    if any(len(r) != width for r in work):
+        raise ValueError("rows differ in length")
     mul, add, neg, inv = F.mul, F.add, F.neg, F.inv
     pivot_row = 0
     for col in range(width):
@@ -199,18 +202,21 @@ def vertex_decode(F: Field, n: int, v: int):
     return tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
 
 
-def _span_codes(F: Field, n: int, basis):
-    """Row codes of all q^r F_q-combinations of the r basis rows.
+def _span_codes(F: Field, n: int, basis, t: int = 0):
+    """Row codes of all q^r F_q-combinations of the r basis rows, each
+    coefficient first raised to p^t.
 
-    Entry ``sum(a_k * q**k)`` is the code of ``sum(a_k * basis[k])``; for a
-    square matrix P that is the row map u -> uP on row codes.  Row codes add
-    digit-wise mod p, and base-p digit k*m + i of an entry index is the
-    coefficient of x^i in a_k, so the entries are one product of that digit
-    matrix with the digit vectors of the x^i * basis[k].
+    Entry ``sum(a_k * q**k)`` is the code of ``sum(a_k^(p^t) * basis[k])``;
+    for t = 0 that is the span, and for a square matrix P the row map
+    u -> u^(p^t) P on row codes.  Row codes add digit-wise mod p, base-p
+    digit k*m + i of an entry index is the coefficient of x^i in a_k, and
+    a -> a^(p^t) is F_p-linear, so the entries are one product of that
+    digit matrix with the digit vectors of the (x^i)^(p^t) * basis[k].
     """
     p, m, r = F.p, F.m, len(basis)
+    units = [F.frobenius(p**i, t) for i in range(m)]
     gens = np.array(
-        [[F.coeffs(F.mul(p**i, y)) for y in row] for row in basis for i in range(m)],
+        [[F.coeffs(F.mul(u, y)) for y in row] for row in basis for u in units],
         dtype=np.int64,
     ).reshape(r * m, n * m)
     return (_digit_table(p, m, r) @ gens % p) @ p ** np.arange(n * m)

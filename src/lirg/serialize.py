@@ -606,6 +606,12 @@ def _cycle_text(verts, opens, closes, limbs: int):
     return chars[keep]
 
 
+def _basis_text(basis) -> str:
+    """A class basis as the decomposition file writes it: rows joined by
+    ``;``, entries by ``,``."""
+    return ";".join(",".join(str(x) for x in row) for row in basis)
+
+
 def render_decomposition(G: RelationGraph, dec: Decomposition) -> Blocks:
     """The decomposition file of ``dec`` as blocks, rendered as they are
     read: each class's cycles are walked a chunk at a time (see
@@ -618,8 +624,7 @@ def render_decomposition(G: RelationGraph, dec: Decomposition) -> Blocks:
         yield head
         for c, chunks in _class_cycles(G, dec.sigma):
             basis = G.class_ideals[c]
-            rows = ";".join(",".join(str(x) for x in row) for row in basis)
-            yield f"class rank={len(basis)} basis={rows} cycles=".encode()
+            yield f"class rank={len(basis)} basis={_basis_text(basis)} cycles=".encode()
             for chunk in chunks:
                 yield _cycle_text(*chunk, limbs)
             yield b"\n"
@@ -748,11 +753,8 @@ def parse_decomposition(G: RelationGraph, data) -> Decomposition:
         if not all(rows):
             raise ValueError(f"empty row in class basis {vals['basis']!r}")
         basis = tuple(tuple(int(x) for x in row.split(",")) for row in rows)
-        if basis not in class_index:  # text kept byte for byte for tools that match on it
-            raise ValueError(
-                "unknown ideal class in sigma block: "
-                f"LeftIdeal(n={G.n}, rank={len(basis)}, basis={basis})"
-            )
+        if basis not in class_index:
+            raise ValueError(f"unknown ideal class in sigma block: basis={_basis_text(basis)}")
         if int(vals["rank"]) != len(basis):
             raise ValueError(f"class rank={vals['rank']} but its basis has rank {len(basis)}")
         c = class_index[basis]

@@ -894,8 +894,7 @@ def test_cap_flag_refused_where_no_graph_is_built(capsys, command):
         (lambda text: "".join(text.splitlines(True)[:6]), "truncated decomposition file"),
         (lambda text: text.replace("\nt 0\n", "\nu 1\n"), "missing t line"),
         (lambda text: text.replace(" basis=0,1,0;0,0,1 ", " basis=1,1,1;1,1,1 "),
-         "unknown ideal class in sigma block: "
-         "LeftIdeal(n=3, rank=2, basis=((1, 1, 1), (1, 1, 1)))"),
+         "unknown ideal class in sigma block: basis=1,1,1;1,1,1"),
     ],
     ids=["repeated-cycle-vertex", "ends-after-t", "wrong-P-dimension", "negative-cycle-vertex",
          "cycle-vertex-past-N", "cycle-vertex-past-int32", "cycle-vertex-beyond-int64", "sigma-line-without-basis",

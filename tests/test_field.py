@@ -320,7 +320,10 @@ def test_large_prime_field_allocates_nothing_of_size_p():
     assert F.modulus == (0, 1)
     assert peak < 1_000_000
     # The exp/log/Zech tables wait for the first operation, then all three
-    # are plain attributes.
-    assert not any(isinstance(t, array) for t in (F._exp, F._log, F._zech))
+    # are plain instance attributes.
+    tables = ("_exp", "_log", "_zech")
+    assert not any(name in vars(F) for name in tables)
     assert F.mul(2, F.inv(2)) == 1
-    assert all(isinstance(t, array) for t in (F._exp, F._log, F._zech))
+    assert all(isinstance(vars(F).get(name), array) for name in tables)
+    with pytest.raises(AttributeError):
+        F._not_a_table

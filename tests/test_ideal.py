@@ -106,6 +106,22 @@ def test_proper_subset_examples():
     assert proper_subset(F2, line, whole)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: proper_subset(F2, ((0, 0, 1),), ((1, 0), (0, 1))),
+        lambda: proper_subset(F2, ((1, 0),), ((1, 0, 0), (0, 1, 0))),
+        lambda: ideal_of(F2, ((1, 0), (0, 1, 1))),
+    ],
+    ids=["short-rows-above", "long-rows-above", "mixed-rows"],
+)
+def test_rows_of_unequal_width_are_refused(call):
+    """Elimination is sized by every row, not the first: mixed widths
+    would otherwise give a wrong inclusion, an IndexError or a ragged basis."""
+    with pytest.raises(ValueError, match="rows differ in length"):
+        call()
+
+
 def test_right_translation_of_ideal_sets():
     """{A P : A in [X]} equals [X P], exhaustively at n = 2, q = 2."""
     mats = list(enumerate_matrices(F2, 2))

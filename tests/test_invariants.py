@@ -15,7 +15,6 @@ from lirg.graph import RelationGraph, build_full_graph, build_quotient_graph
 from lirg.counting import predicted_degree
 from lirg.invariants import (
     ACYCLIC,
-    _reduced_clique_number,
     _require_full,
     compute_report,
     k33_witness,
@@ -320,14 +319,18 @@ def test_sdim_matches_reduced_graph_oracle(F, n):
 
 
 def test_twin_merge_on_gf2_n1():
-    """The only ring whose reduced graph merges vertices: over GF(2), n = 1,
-    the zero and identity classes share the closed neighborhood {0, 1}."""
+    """The only ring whose reduced graph merges vertices is GF(2), n = 1,
+    where the zero and identity classes share the closed neighborhood
+    {0, 1}; its diameter is 1, so it has no strong metric dimension.
+    Elsewhere class 0 is the only single-member class and nothing merges."""
     G = build_full_graph(F2, 1)
-    assert _reduced_clique_number(G) == 1
     assert G.vertex_count - 1 == oracle_reduced_sdim(oracle_adjacency(F2, 1))
+    assert compute_report(G).strong_metric_dimension is None
     for F, n in [(F2, 2), (F3, 1), (F3, 2)]:
         H = build_full_graph(F, n)
-        assert _reduced_clique_number(H) == compute_report(H).clique_number
+        assert (H.fiber_array[1:] > 1).all()
+        rep = compute_report(H)
+        assert rep.strong_metric_dimension == H.vertex_count - rep.clique_number
 
 
 def test_sdim_star_without_closed_form():
